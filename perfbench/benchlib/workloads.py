@@ -6,17 +6,21 @@ fixed number of steps with periodic dev evaluation; round-trip both best
 checkpoints through ``save_checkpoint``/``load_checkpoint``; then the read
 path: bulk ``encode_sentences`` and ``evaluate_under_attack``.
 
-A run repeats that journey in rounds, each from freshly initialised models
-with a fixed step budget, so dev scores depend only on the seed and every
-round must reproduce the first one's exactly. ``--seconds`` sets the number
-of rounds. On a shared machine, busy neighbours slow a run by up to half
-for several seconds at a time; repeating short rounds spreads every metric's
-samples over the whole run instead of one stretch of it, and throughputs
-are totals over all rounds, so such episodes move them less.
+A run warms up with one short untimed journey, then repeats the journey in
+rounds until ``--seconds`` is used up, each round from freshly initialised
+models with a fixed step budget, so dev scores depend only on the seed and
+every round must reproduce the first one's exactly. On a shared machine the
+speed of a run switches between a fast and a slow state, about a third
+apart, for seconds at a time. Repeating short rounds spreads every metric's
+samples over the whole run instead of one stretch of it, and every timing
+is a total over all rounds (a mean, not a median), so a metric moves in
+proportion to the share of the run spent in the slow state instead of
+jumping from one state to the other when that share crosses a half.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import resource
@@ -53,6 +57,8 @@ ROLES = ("adv", "base")
 ROBUST_ATTACK = AttackConfig(kind="fgm", epsilon=0.5)
 ENCODE_CHUNK = 256      # sentences per timed encode_sentences call
 ROBUST_CHUNK = 128      # rows per timed evaluate_under_attack call
+PARA_DEV_PAIRS = 300    # similarity dev pairs: fewer make the Spearman score a noisy read of the seed
+MIN_ROUNDS = 2          # untraced rounds at least, so the dev-score reproduction check always runs
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,9 @@ class Workload:
     modes: tuple[str, str]        # (adv mode, base mode)
     encoder: dict                 # EncoderConfig fields other than vocab_size
     train: dict                   # TrainConfig fields shared by both modes
-    steps: int                    # training steps per mode and round
+    steps: tuple[int, int]        # training steps per round (adv mode, base mode)
     bulk: int                     # sentences bulk-encoded per round
     robust_examples: int          # examples attacked per round
-    round_seconds: float          # nominal length of a round; --seconds / this = rounds
     setup_reps: int
     # ROADMAP's measured baseline, compared with the traced run's counts
     expected_tape_nodes: dict = field(default_factory=dict)
@@ -86,10 +91,9 @@ WORKLOADS = {
             train=dict(lr=2e-3, batch_size=32, max_epochs=100, eval_interval_steps=25,
                        early_stop_patience=99, seed=1, alpha=0.3, epsilon=0.3,
                        attack_kind="fgm", dev_metric="accuracy", grad_clip=1.0),
-            steps=150,
-            bulk=20000,
-            robust_examples=4000,
-            round_seconds=6.5,
+            steps=(150, 150),
+            bulk=15000,
+            robust_examples=3000,
             setup_reps=5,
             expected_tape_nodes={"adv": [59, 133], "base": [62]},
             expected_forwards={"adv": 3, "base": 1},
@@ -102,14 +106,15 @@ WORKLOADS = {
             modes=("uscal", "views"),
             encoder=dict(hidden=64, layers=2, heads=4, ffn_dim=256, dropout=0.1,
                          max_len=32, num_classes=0),
-            train=dict(lr=1e-3, batch_size=32, max_epochs=100, eval_interval_steps=5,
+            train=dict(lr=1e-3, batch_size=32, max_epochs=100, eval_interval_steps=12,
                        early_stop_patience=99, seed=1, alpha=0.5, epsilon=0.3,
                        temperature=0.15, attack_kind="fgm", dev_metric="spearman",
                        grad_clip=1.0),
-            steps=15,
-            bulk=4000,
-            robust_examples=1000,
-            round_seconds=10.0,
+            # a base step costs under half an adv step: more base steps give both
+            # modes about the same share of a run, so both sample it as well
+            steps=(5, 12),
+            bulk=1500,
+            robust_examples=500,
             setup_reps=3,
             expected_tape_nodes={"adv": [109, 322]},
             expected_forwards={"adv": 5, "base": 2},
@@ -139,7 +144,7 @@ def setup(w: Workload, seed: int) -> tuple[Data, list[EncoderParams]]:
         texts = [r.text_a for r in motif_train + motif_dev]
         dev_eval = lambda p: evaluate_classification(p, motif_dev, vocab, "accuracy").value
     else:
-        rows, pairs = make_paraphrase_corpus(max(2000, w.bulk), 200, seed=seed)
+        rows, pairs = make_paraphrase_corpus(max(2000, w.bulk), PARA_DEV_PAIRS, seed=seed)
         vocab = build_vocab(rows + [r.text_a for r in motif_dev])
         texts = rows
         dev_eval = lambda p: evaluate_similarity(p, pairs, vocab).value
@@ -205,6 +210,7 @@ class ModeResult:
 @dataclass
 class PassResult:
     roles: dict = field(default_factory=lambda: {r: ModeResult() for r in ROLES})
+    rounds: int = 0
     sentences: int = 0
     encode_s: float = 0.0
     attacked: int = 0
@@ -227,18 +233,28 @@ def run_pass(
     w: Workload,
     data: Data,
     params: list[EncoderParams],
-    rounds: int,
+    deadline: float,
+    min_rounds: int,
     work_dir: str,
     checks: Checks,
     counters: Counters,
     tracer: Optional[Tracer],
 ) -> PassResult:
-    """Run ``rounds`` journeys: train both modes, round-trip checkpoints, read path."""
+    """Run journeys (train both modes, round-trip checkpoints, read path).
+
+    Runs at least ``min_rounds``, then starts another only while the last
+    round's duration still fits before ``deadline`` (a ``perf_counter`` time).
+    """
     out = PassResult()
     with instrument(counters, tracer):
-        for r in range(rounds):
-            models = params if r == 0 else init_models(data.enc_cfg, w)
+        while True:
+            t0 = perf_counter()
+            models = params if out.rounds == 0 else init_models(data.enc_cfg, w)
             if not _round(w, data, models, work_dir, checks, counters, tracer, out):
+                break
+            out.rounds += 1
+            now = perf_counter()
+            if out.rounds >= min_rounds and now + (now - t0) > deadline:
                 break
     for role, mode in zip(ROLES, w.modes):
         scores = out.roles[role].dev_scores
@@ -259,7 +275,7 @@ def _round(
 ) -> bool:
     """One journey, added into ``out``. False when an output check stopped it."""
     best = {}
-    for role, mode, p in zip(ROLES, w.modes, params):
+    for role, mode, p, n in zip(ROLES, w.modes, params, w.steps):
         counters.phase = role
         sink = StepSink(tracer)
         evals: list[tuple[float, float]] = []
@@ -275,7 +291,7 @@ def _round(
             counters.phase = role
             return value
 
-        tcfg = TrainConfig(mode=mode, max_steps=w.steps, **w.train)
+        tcfg = TrainConfig(mode=mode, max_steps=n, **w.train)
         skipped_before = counters.counts[role]["adamw.skipped"]
         start = perf_counter()
         try:
@@ -285,7 +301,6 @@ def _round(
             checks.record(1, 1, f"{mode}: {exc}")
             return False
         end = perf_counter()
-        n = w.steps
         finite = sum(math.isfinite(rep.total) for rep in result.reports)
         checks.record(1, int(result.steps_run != n), f"{mode}: ran {result.steps_run} of {n} steps")
         checks.record(n, n - finite, f"{mode}: {n - finite} non-finite step losses")
@@ -323,32 +338,35 @@ def _round(
                       f"{role} checkpoint roundtrip differs")
         loaded[role] = ckpt.build_params()
 
-    # read-path calls go through the module so traced runs see the wrappers
-    counters.phase = "encode"
-    for k in range(0, len(data.bulk), ENCODE_CHUNK):
-        chunk = data.bulk[k : k + ENCODE_CHUNK]
-        t0 = perf_counter()
-        emb = callab_metrics.encode_sentences(loaded["adv"], chunk, data.vocab)
-        out.encode_s += perf_counter() - t0
-        n = len(chunk)
-        out.sentences += n
-        good = int(np.isfinite(emb).all(axis=1).sum()) if emb.shape == (n, data.enc_cfg.hidden) else 0
-        checks.record(n, n - good, f"encode_sentences: {n - good} of {n} rows missing or non-finite")
-
-    counters.phase = "robust"
+    # Read path. Encode chunks and attacked chunks alternate, evenly spread,
+    # so both throughputs sample the same stretch of the run. Calls go
+    # through the module so traced runs see the wrappers.
     models = [data.robust_params] if data.robust_params else [loaded[r] for r in ROLES]
     chunks = [data.robust_rows[k : k + ROBUST_CHUNK]
               for k in range(0, len(data.robust_rows), ROBUST_CHUNK)]
     repeats = max(1, round(w.robust_examples / (len(models) * len(data.robust_rows))))
-    for _ in range(repeats):
-        for model in models:
-            for rows in chunks:
-                t0 = perf_counter()
-                rep = callab_metrics.evaluate_under_attack(model, rows, data.vocab, ROBUST_ATTACK)
-                out.robust_s += perf_counter() - t0
-                out.attacked += len(rows)
-                ok = rep.support == len(rows) and 0.0 <= rep.value <= 1.0
-                checks.record(1, int(not ok), f"robust eval: {rep.support} rows, value {rep.value}")
+    encode_jobs = [data.bulk[k : k + ENCODE_CHUNK] for k in range(0, len(data.bulk), ENCODE_CHUNK)]
+    robust_jobs = [(model, rows) for _ in range(repeats) for model in models for rows in chunks]
+    jobs = [((i + 0.5) / len(encode_jobs), "encode", job) for i, job in enumerate(encode_jobs)]
+    jobs += [((i + 0.5) / len(robust_jobs), "robust", job) for i, job in enumerate(robust_jobs)]
+    for _, phase, job in sorted(jobs, key=lambda j: (j[0], j[1])):
+        counters.phase = phase
+        if phase == "encode":
+            t0 = perf_counter()
+            emb = callab_metrics.encode_sentences(loaded["adv"], job, data.vocab)
+            out.encode_s += perf_counter() - t0
+            n = len(job)
+            out.sentences += n
+            good = int(np.isfinite(emb).all(axis=1).sum()) if emb.shape == (n, data.enc_cfg.hidden) else 0
+            checks.record(n, n - good, f"encode_sentences: {n - good} of {n} rows missing or non-finite")
+        else:
+            model, rows = job
+            t0 = perf_counter()
+            rep = callab_metrics.evaluate_under_attack(model, rows, data.vocab, ROBUST_ATTACK)
+            out.robust_s += perf_counter() - t0
+            out.attacked += len(rows)
+            ok = rep.support == len(rows) and 0.0 <= rep.value <= 1.0
+            checks.record(1, int(not ok), f"robust eval: {rep.support} rows, value {rep.value}")
     return True
 
 
@@ -357,7 +375,7 @@ def end_to_end(res: PassResult, setup_s: float) -> dict[str, tuple[float, str]]:
     for role in ROLES:
         r = res.roles[role]
         m[f"train_examples_per_s.{role}"] = (r.examples / r.wall_s, "examples/s")
-        m[f"step_ms_p50.{role}"] = (1000.0 * statistics.median(r.steps), "ms")
+        m[f"step_ms_mean.{role}"] = (1000.0 * sum(r.steps) / len(r.steps), "ms")
     m["eval_sentences_per_s"] = (res.sentences / res.encode_s, "sentences/s")
     m["robust_eval_examples_per_s"] = (res.attacked / res.robust_s, "examples/s")
     m["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB")
@@ -369,7 +387,11 @@ def end_to_end(res: PassResult, setup_s: float) -> dict[str, tuple[float, str]]:
 def per_layer(
     w: Workload, plain: PassResult, traced: PassResult, tracer: Tracer, counters: Counters
 ) -> tuple[dict[str, tuple[float, str]], list[str]]:
-    """Layer metrics from the traced pass; tails and shares of wall time from the plain one."""
+    """Layer metrics from the traced pass; tails and shares of wall time from the plain one.
+
+    Totals that are not per step are per round: rounds are identical, so
+    counts repeat exactly whatever number of rounds fitted into the run.
+    """
     spans = tracer.spans
     durs = [s[END] - s[START] for s in spans]
     selfs = self_times(spans)
@@ -414,6 +436,7 @@ def per_layer(
         m[f"trainer.traced_step_ms.{role}"] = (1000.0 * step_s / n, "ms")
         # too few steps for any tail: report the slowest step as the 100th percentile
         pct, tail = tail_percentile(p.steps) or (100, max(p.steps))
+        m[f"trainer.step_ms_p50.{role}"] = (1000.0 * statistics.median(p.steps), "ms")
         m[f"trainer.step_ms_tail.{role}"] = (1000.0 * tail, "ms")
         m[f"trainer.step_ms_tail_pct.{role}"] = (pct, "pct")
         m[f"trainer.step_samples.{role}"] = (len(p.steps), "count")
@@ -432,30 +455,32 @@ def per_layer(
         if want_fwd is not None and fwd != want_fwd:
             diffs.append(f"{w.name} {mode}: forwards per step {fwd}, ROADMAP baseline {want_fwd}")
 
+    rounds = traced.rounds
     for kind in OP_KINDS:
         op, bwd = f"op:{kind}", f"bwd:{kind}"
-        m[f"autodiff.op.{kind}.fwd_s"] = (sum(total(op, r, selfs) for r in ROLES), "s")
-        m[f"autodiff.op.{kind}.bwd_s"] = (sum(total(bwd, r) for r in ROLES), "s")
-        m[f"autodiff.op.{kind}.calls"] = (sum(count(op, r) for r in ROLES), "count")
+        m[f"autodiff.op.{kind}.fwd_s"] = (sum(total(op, r, selfs) for r in ROLES) / rounds, "s")
+        m[f"autodiff.op.{kind}.bwd_s"] = (sum(total(bwd, r) for r in ROLES) / rounds, "s")
+        m[f"autodiff.op.{kind}.calls"] = (sum(count(op, r) for r in ROLES) // rounds, "count")
     m["autodiff.op.matmul.computed_flops"] = (
-        sum(counters.counts[r]["matmul.flops"] for r in ROLES), "flop")
+        sum(counters.counts[r]["matmul.flops"] for r in ROLES) / rounds, "flop")
     m["autodiff.op.matmul.computed_bytes"] = (
-        sum(counters.counts[r]["matmul.bytes"] for r in ROLES), "byte")
+        sum(counters.counts[r]["matmul.bytes"] for r in ROLES) / rounds, "byte")
 
     encode_spans = [i for i, s in enumerate(spans) if s[NAME] == "text.encode_batch"]
-    m["text.encode_batch_s"] = (sum(durs[i] for i in encode_spans), "s")
-    m["text.encode_batch.calls"] = (len(encode_spans), "count")
+    m["text.encode_batch_s"] = (sum(durs[i] for i in encode_spans) / rounds, "s")
+    m["text.encode_batch.calls"] = (len(encode_spans) // rounds, "count")
     m["text.pad_fraction"] = (pad_fraction(counters), "ratio")
-    m["encoder.eval_forward_s"] = (total("encoder.encode_from_embeddings", "encode"), "s")
+    m["encoder.eval_forward_s"] = (total("encoder.encode_from_embeddings", "encode") / rounds, "s")
     m["metrics.dev_eval_s"] = (
-        sum(total("metrics.dev_eval", f"{r}-eval") for r in ROLES), "s")
-    m["metrics.encode_sentences_s"] = (total("metrics.encode_sentences", "encode"), "s")
-    m["metrics.evaluate_under_attack_s"] = (total("metrics.evaluate_under_attack", "robust"), "s")
+        sum(total("metrics.dev_eval", f"{r}-eval") for r in ROLES) / rounds, "s")
+    m["metrics.encode_sentences_s"] = (total("metrics.encode_sentences", "encode") / rounds, "s")
+    m["metrics.evaluate_under_attack_s"] = (
+        total("metrics.evaluate_under_attack", "robust") / rounds, "s")
     m["metrics.attack_eval_forwards_per_batch"] = (
         count("encoder.encode_from_embeddings", "robust") / count("text.encode_batch", "robust"),
         "count")
-    m["trainer.save_checkpoint_s"] = (traced.save_s, "s")
-    m["trainer.load_checkpoint_s"] = (traced.load_s, "s")
+    m["trainer.save_checkpoint_s"] = (traced.save_s / rounds, "s")
+    m["trainer.load_checkpoint_s"] = (traced.load_s / rounds, "s")
     m["trainer.checkpoint_bytes"] = (traced.checkpoint_bytes, "byte")
 
     def rate(res: PassResult) -> float:
@@ -468,8 +493,12 @@ def per_layer(
 def run_workload(
     w: Workload, seed: int, seconds: float, trace: bool, work_dir: str, import_s: float = 0.0
 ) -> dict:
-    """One benchmark run. Returns the result object plus ``notes``/``crosscheck`` extras."""
-    rounds = max(1, round(seconds / w.round_seconds))
+    """One benchmark run. Returns the result object plus ``notes``/``crosscheck`` extras.
+
+    The untraced pass measures for ``seconds``. When a traced pass follows, the
+    untraced one makes exactly ``MIN_ROUNDS`` rounds, so the step sample
+    counts repeat, and the traced pass takes the rest of ``seconds``.
+    """
     setup_times = []
     for _ in range(w.setup_reps):
         t0 = perf_counter()
@@ -478,7 +507,17 @@ def run_workload(
     setup_s = import_s + statistics.median(setup_times)
 
     checks = Checks()
-    plain = run_pass(w, data, params, rounds, work_dir, checks, Counters(), None)
+    # warm-up: one short untimed journey, whose outputs are checked all the same
+    warm_w = dataclasses.replace(w, steps=(2, 2), robust_examples=1)
+    warm_data = dataclasses.replace(data, bulk=data.bulk[:ENCODE_CHUNK],
+                                    robust_rows=data.robust_rows[:ROBUST_CHUNK])
+    warm_counters = Counters()
+    with instrument(warm_counters, None):
+        _round(warm_w, warm_data, init_models(data.enc_cfg, w), work_dir, checks, warm_counters,
+               None, PassResult())
+    start = perf_counter()
+    plain = run_pass(w, data, params, start if trace else start + seconds, MIN_ROUNDS,
+                     work_dir, checks, Counters(), None)
     extras: dict = {"notes": checks.notes}
     metrics: dict[str, tuple[float, str]] = {}
     if checks.failed == 0:
@@ -487,8 +526,8 @@ def run_workload(
         else:
             counters = Counters()
             tracer = Tracer(counters)
-            traced = run_pass(w, data, init_models(data.enc_cfg, w), rounds, work_dir,
-                              checks, counters, tracer)
+            traced = run_pass(w, data, init_models(data.enc_cfg, w), start + seconds, 1,
+                              work_dir, checks, counters, tracer)
             for role in ROLES:
                 same = traced.roles[role].dev_scores[:1] == plain.roles[role].dev_scores[:1]
                 checks.record(1, int(not same), f"traced dev_score.{role} differs from the untraced run")

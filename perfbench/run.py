@@ -15,13 +15,11 @@ Exit codes: 0 all output checks passed, 1 an output check failed, 2 bad
 usage or no callab sources under ./src.
 """
 
-import time
-
-_T0 = time.perf_counter()  # set-up time starts before numpy and callab are imported
-
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
 
 # One BLAS thread unless the caller chose otherwise. Must happen before numpy
@@ -32,6 +30,23 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+IMPORT_REPS = 5
+IMPORT_CODE = "import time; t = time.perf_counter(); import callab; print(time.perf_counter() - t)"
+
+
+def import_seconds(src: str) -> float:
+    """Median time to import callab, numpy with it, in a fresh interpreter.
+
+    One import per process is all a process gets, so the repetitions run in
+    child interpreters, one at a time, each waited for.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    times = []
+    for _ in range(IMPORT_REPS):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_CODE], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        times.append(float(proc.stdout))
+    return statistics.median(times)
 
 
 def main(argv=None) -> int:
@@ -51,10 +66,8 @@ def main(argv=None) -> int:
     if args.seconds < 1:
         print("perfbench: --seconds must be >= 1", file=sys.stderr)
         return 2
+    import_s = import_seconds(src)
     sys.path.insert(0, src)
-    import callab  # noqa: F401  (numpy comes with it)
-
-    import_s = time.perf_counter() - _T0
     sys.path.insert(0, HERE)
     from benchlib.envinfo import environment
     from benchlib.workloads import WORKLOADS, run_workload

@@ -60,11 +60,12 @@ def test_benchmark_names_follow_the_rule_and_are_unique():
 )
 def test_smoke_run_passes_its_output_checks(name, trace, tmp_path):
     # a traced run also makes the untraced pass, so one run per workload covers it;
-    # budgets shrink to one eval interval and one read-path chunk, two rounds
+    # budgets shrink to one eval interval and one read-path chunk; a run this short
+    # still makes the fewest rounds (two untraced, one traced)
     w = WORKLOADS[name]
-    tiny = dataclasses.replace(w, steps=w.train["eval_interval_steps"], bulk=256, robust_examples=1)
-    result = run_workload(tiny, seed=3, seconds=2 * w.round_seconds, trace=trace,
-                          work_dir=str(tmp_path))
+    tiny = dataclasses.replace(w, steps=(w.train["eval_interval_steps"],) * 2, bulk=256,
+                               robust_examples=1)
+    result = run_workload(tiny, seed=3, seconds=0.01, trace=trace, work_dir=str(tmp_path))
     assert result["notes"] == []
     assert result["correct"] and result["failed"] == 0 and result["attempted"] > 0
     wanted = SPEC["per_layer" if trace else "end_to_end"]
