@@ -12,6 +12,7 @@ model or its pending gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,10 +38,14 @@ class AdvResult:
     ``adv_emb`` is the attack-pass embedding with delta added (a constant
     leaf, usable directly for robustness evaluation). ``delta`` alone lets a
     training step attach the perturbation to its own clean embedding graph.
+    ``clean_logits`` are the supervised attack pass's unperturbed logits
+    (same mode and dropout draw as the attack); None for the contrastive
+    attack.
     """
 
     adv_emb: Tensor
     delta: np.ndarray
+    clean_logits: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -124,13 +129,15 @@ def gen_supervised_adv(
             h = encode_from_embeddings(
                 emb, batch.attn_mask, params, derive_seed(seed, "encode"), train_mode
             )
-            ce = cross_entropy(classify(h, params), batch.labels)
-            ad.backward(ce)
+            logits = classify(h, params)
+            ad.backward(cross_entropy(logits, batch.labels))
         grad = emb.grad
     finally:
         params.restore_grads(prior)
     adv_data = _perturb(emb.data, grad, attack_cfg)
-    return AdvResult(adv_emb=Tensor(adv_data), delta=adv_data - emb.data)
+    return AdvResult(
+        adv_emb=Tensor(adv_data), delta=adv_data - emb.data, clean_logits=logits.data
+    )
 
 
 def gen_unsupervised_adv(

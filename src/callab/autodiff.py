@@ -547,18 +547,34 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record((a, gamma, beta), out, bwd)
 
 
-def dropout_apply(a: Tensor, rate: float, seed: int, train_mode: bool) -> Tensor:
+def dropout_apply(
+    a: Tensor,
+    rate: float,
+    seed: int,
+    train_mode: bool,
+    full_shape: Optional[Sequence[int]] = None,
+) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors by 1/(1-rate).
 
     The mask comes from a counter-based generator keyed by ``seed`` alone, so
     the same seed always produces the same mask for a given shape; rebuilding
     a graph replays dropout bit-identically. Identity in eval mode or at rate 0.
+
+    With ``full_shape`` the mask is drawn at that shape and its leading corner
+    is cropped to ``a``'s shape, so an element keeps its mask value however
+    far the tensor was trimmed (sequences padded only to the batch's longest
+    row draw the same masks as at full width).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout_apply: rate must be in [0, 1), got {rate}")
     if not train_mode or rate == 0.0:
         return _record((a,), a.data.copy(), lambda g: (g,))
-    keep = rng_from_seed(seed).random(a.data.shape) >= rate
+    shape = a.data.shape
+    full_shape = shape if full_shape is None else tuple(full_shape)
+    if len(full_shape) != len(shape) or any(f < s for f, s in zip(full_shape, shape)):
+        raise ValueError(f"dropout_apply: cannot crop {full_shape} to {shape}")
+    crop = tuple(slice(0, s) for s in shape)
+    keep = rng_from_seed(seed).random(full_shape)[crop] >= rate
     scale_ = _F32(1.0 / (1.0 - rate))
     mask = keep.astype(_F32) * scale_
     return _record((a,), a.data * mask, lambda g: (g * mask,))

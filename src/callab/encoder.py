@@ -155,9 +155,6 @@ class EncoderParams:
         for name, t in self.tensors.items():
             t.grad = snapshot[name]
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(t.data)) for t in self.tensors.values())
-
     def checksum(self) -> float:
         return float(sum(float(np.abs(t.data).sum(dtype=np.float64)) for t in self.tensors.values()))
 
@@ -190,7 +187,10 @@ def embed_tokens(
     """Token + position embeddings, layer-normed and dropped out: B x L x H.
 
     This tensor is the attack seam; after a backward pass its ``grad`` holds
-    the loss gradient that drives adversarial perturbations.
+    the loss gradient that drives adversarial perturbations. ``L`` may be
+    anything up to ``max_len``; every dropout mask in the encoder is drawn at
+    ``max_len`` and cropped, so trimming a batch changes no value at its real
+    positions.
     """
     cfg = params.config
     ids = batch.token_ids
@@ -206,7 +206,10 @@ def embed_tokens(
     pos = ad.slice_rows(params["pos_emb"], ids.shape[1])
     x = ad.add_bias(tok, pos)
     x = ad.layer_norm(x, params["emb_ln_g"], params["emb_ln_b"])
-    x = ad.dropout_apply(x, cfg.dropout, derive_seed(dropout_seed, "emb"), train_mode)
+    x = ad.dropout_apply(
+        x, cfg.dropout, derive_seed(dropout_seed, "emb"), train_mode,
+        full_shape=(ids.shape[0], cfg.max_len, cfg.hidden),
+    )
     return x
 
 
@@ -229,10 +232,14 @@ def encode_from_embeddings(
     b, l, h = emb.shape
     if h != cfg.hidden:
         raise ValueError(f"embedding width {h} does not match hidden {cfg.hidden}")
+    if l > cfg.max_len:
+        raise ValueError(f"sequence length {l} exceeds max_len {cfg.max_len}")
     heads = cfg.heads
     dh = h // heads
     inv_sqrt = 1.0 / math.sqrt(dh)
     mask_bias = _attention_mask_bias(attn_mask, heads)
+    full_act = (b, cfg.max_len, h)
+    full_probs = (b, heads, cfg.max_len, cfg.max_len)
 
     x = emb
     for i in range(cfg.layers):
@@ -250,19 +257,21 @@ def encode_from_embeddings(
         scores = ad.add(scores, mask_bias)
         probs = ad.softmax_rows(scores)
         probs = ad.dropout_apply(
-            probs, cfg.dropout, derive_seed(lseed, "attn_probs"), train_mode
+            probs, cfg.dropout, derive_seed(lseed, "attn_probs"), train_mode, full_probs
         )
         ctx = ad.matmul(probs, v)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, l, h))
         attn_out = _linear(ctx, params[p + "wo"], params[p + "bo"])
         attn_out = ad.dropout_apply(
-            attn_out, cfg.dropout, derive_seed(lseed, "attn_out"), train_mode
+            attn_out, cfg.dropout, derive_seed(lseed, "attn_out"), train_mode, full_act
         )
         x = ad.layer_norm(ad.add(x, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
 
         ffn = _linear(ad.relu(_linear(x, params[p + "w1"], params[p + "b1"])),
                       params[p + "w2"], params[p + "b2"])
-        ffn = ad.dropout_apply(ffn, cfg.dropout, derive_seed(lseed, "ffn"), train_mode)
+        ffn = ad.dropout_apply(
+            ffn, cfg.dropout, derive_seed(lseed, "ffn"), train_mode, full_act
+        )
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
 
     # [CLS] sits at position 0 of every sequence

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attacks import AttackConfig, gen_supervised_adv
+from .autodiff import derive_seed
 from .encoder import EncoderParams, classify, encode_from_embeddings, forward_full
 from .text import LabeledExample, ScoredPair, Vocab, encode_batch
 
@@ -249,8 +250,9 @@ def evaluate_under_attack(
 
     For each batch the supervised attack is generated against the evaluated
     model (eval-mode, deterministic), then logits are computed from the
-    perturbed embeddings. The clean metric is reported alongside. This is an
-    embedding-space proxy for input-level adversarial evaluation.
+    perturbed embeddings. The clean metric, from the attack pass's own
+    eval-mode logits, is reported alongside. This is an embedding-space proxy
+    for input-level adversarial evaluation.
     """
     if not rows:
         raise MetricError("evaluate_under_attack: empty dataset")
@@ -259,8 +261,6 @@ def evaluate_under_attack(
     adv_preds: list[np.ndarray] = []
     clean_preds: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    from .autodiff import derive_seed
-
     for start in range(0, len(rows), batch_size):
         batch = encode_batch(rows[start : start + batch_size], vocab, max_len)
         branch_seed = derive_seed(seed, "attack-eval", start)
@@ -270,9 +270,8 @@ def evaluate_under_attack(
             adv.adv_emb, batch.attn_mask, params, enc_seed, train_mode=False
         )
         adv_logits = classify(h_adv, params)
-        out = forward_full(batch, params, seed=0, train_mode=False)
         adv_preds.append(np.argmax(adv_logits.data, axis=1))
-        clean_preds.append(np.argmax(out.logits.data, axis=1))
+        clean_preds.append(np.argmax(adv.clean_logits, axis=1))
         labels.append(batch.labels)
 
     adv_p = np.concatenate(adv_preds)

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .autodiff import rng_from_seed
+from .autodiff import derive_seed, rng_from_seed
 
 PAD_ID = 0
 UNK_ID = 1
@@ -177,12 +177,11 @@ def load_similarity_tsv(path: str) -> list[ScoredPair]:
 
 @dataclass
 class Batch:
-    """Padded token-id matrix plus mask, with optional labels or pair scores."""
+    """Padded token-id matrix plus mask, with optional labels."""
 
-    token_ids: np.ndarray          # int64, B x L
+    token_ids: np.ndarray          # int64, B x L; L = min(max_len, longest packed row)
     attn_mask: np.ndarray          # float32 0/1, B x L; 1 exactly on non-PAD slots
     labels: Optional[np.ndarray] = None        # int64, B
-    pair_scores: Optional[np.ndarray] = None   # float32, B
     raw_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
@@ -219,14 +218,17 @@ def encode_batch(
     """Tokenize and pad rows into one batch.
 
     Sequences are truncated to ``max_len`` keeping [CLS] and the trailing
-    [SEP], then right-padded with [PAD]; the mask marks non-pad positions.
+    [SEP], then right-padded with [PAD] to the longest packed row, so the
+    batch width is ``min(max_len, longest row)``; the mask marks non-pad
+    positions. The encoder draws its dropout masks at ``max_len``, so the
+    width never changes a value at a real position.
     """
     if max_len < 3:
         raise ValueError(f"encode_batch: max_len must be >= 3, got {max_len}")
     if not rows:
         raise ValueError("encode_batch: empty row list")
     packed = [_pack_ids(r, vocab, max_len, i) for i, r in enumerate(rows)]
-    width = max_len
+    width = max(len(ids) for ids in packed)
     b = len(packed)
     token_ids = np.full((b, width), PAD_ID, dtype=np.int64)
     mask = np.zeros((b, width), dtype=np.float32)
@@ -235,18 +237,14 @@ def encode_batch(
         mask[i, : len(ids)] = 1.0
 
     labels = None
-    scores = None
-    first = rows[0]
-    if isinstance(first, LabeledExample):
+    if isinstance(rows[0], LabeledExample):
         labels = np.array([r.label for r in rows], dtype=np.int64)
-    elif isinstance(first, ScoredPair):
-        scores = np.array([r.score for r in rows], dtype=np.float32)
     idx = (
         np.asarray(raw_indices, dtype=np.int64)
         if raw_indices is not None
         else np.arange(b, dtype=np.int64)
     )
-    return Batch(token_ids, mask, labels=labels, pair_scores=scores, raw_indices=idx)
+    return Batch(token_ids, mask, labels=labels, raw_indices=idx)
 
 
 def decode_ids(batch: Batch, vocab: Vocab, row: int) -> list[str]:
@@ -258,8 +256,6 @@ def decode_ids(batch: Batch, vocab: Vocab, row: int) -> list[str]:
 
 def shuffled_indices(n: int, seed: int, epoch: int) -> np.ndarray:
     """Deterministic permutation of range(n) for one epoch."""
-    from .autodiff import derive_seed
-
     return rng_from_seed(derive_seed(seed, "shuffle", epoch)).permutation(n)
 
 

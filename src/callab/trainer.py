@@ -430,6 +430,10 @@ class CheckpointConfigError(CheckpointError):
     pass
 
 
+class CheckpointHeaderError(CheckpointError):
+    """The header is not valid UTF-8 or a line in it does not parse."""
+
+
 @dataclass
 class Checkpoint:
     config: EncoderConfig
@@ -530,36 +534,44 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
     header_start = len(CHECKPOINT_MAGIC) + 4
     if len(blob) < header_start + header_len:
         raise CheckpointTruncatedError(f"{path}: header truncated")
-    header = blob[header_start : header_start + header_len].decode("utf-8")
-
+    # every parse failure of the header text (UnicodeDecodeError is a
+    # ValueError) lands on CheckpointHeaderError naming the file
     meta: dict[str, str] = {}
     config_kv: dict[str, str] = {}
     directory: list[tuple[str, tuple[int, ...]]] = []
     section = "meta"
-    for line in header.splitlines():
-        if not line:
-            continue
-        if line == "[config]":
-            section = "config"
-            continue
-        if line == "[tensors]":
-            section = "tensors"
-            continue
-        if section == "tensors":
-            parts = line.split()
-            name, rank = parts[0], int(parts[1])
-            dims = tuple(int(d) for d in parts[2 : 2 + rank])
-            directory.append((name, dims))
-        else:
-            key, _, value = line.partition("=")
-            (meta if section == "meta" else config_kv)[key] = value
+    try:
+        header = blob[header_start : header_start + header_len].decode("utf-8")
+        for line in header.splitlines():
+            if not line:
+                continue
+            if line == "[config]":
+                section = "config"
+                continue
+            if line == "[tensors]":
+                section = "tensors"
+                continue
+            if section == "tensors":
+                parts = line.split()
+                name, rank = parts[0], int(parts[1])
+                dims = tuple(int(d) for d in parts[2 : 2 + rank])
+                directory.append((name, dims))
+            else:
+                key, _, value = line.partition("=")
+                (meta if section == "meta" else config_kv)[key] = value
 
-    version = int(meta.get("version", "-1"))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
-        )
-    config = EncoderConfig.from_dict({k: eval_literal(v) for k, v in config_kv.items()})
+        version = int(meta.get("version", "-1"))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
+            )
+        config = EncoderConfig.from_dict({k: eval_literal(v) for k, v in config_kv.items()})
+        step = int(meta.get("step", "0"))
+        dev_metric_value = float(eval_literal(meta.get("dev_metric_value", "0.0")))
+        rng_seed = int(meta.get("rng_seed", "0"))
+        opt_t = int(meta.get("optimizer_t", "-1"))
+    except (ValueError, IndexError, KeyError, OverflowError) as exc:
+        raise CheckpointHeaderError(f"{path}: unreadable checkpoint header: {exc!r}") from exc
 
     expected_shapes = EncoderParams.tensor_shapes(config)
     for name, dims in directory:
@@ -597,17 +609,16 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
         raise CheckpointShapeError(f"{path}: missing tensors {sorted(missing)}")
 
     optimizer = None
-    opt_t = int(meta.get("optimizer_t", "-1"))
     if opt_t >= 0:
         optimizer = {"t": opt_t, "m": opt_m, "v": opt_v}
 
     ckpt = Checkpoint(
         config=config,
         tensors=tensors,
-        step=int(meta.get("step", "0")),
+        step=step,
         dev_metric_name=meta.get("dev_metric_name", "accuracy"),
-        dev_metric_value=float(eval_literal(meta.get("dev_metric_value", "0.0"))),
-        rng_seed=int(meta.get("rng_seed", "0")),
+        dev_metric_value=dev_metric_value,
+        rng_seed=rng_seed,
         optimizer=optimizer,
     )
     if expected_config is not None and config != expected_config:

@@ -167,6 +167,18 @@ class TestDropout:
         with pytest.raises(ValueError):
             ad.dropout_apply(Tensor(np.ones(3)), 1.0, seed=0, train_mode=True)
 
+    def test_full_shape_mask_is_cropped_corner(self, rng):
+        full = Tensor(rng.standard_normal((3, 8, 5)).astype(np.float32), requires_grad=True)
+        part = Tensor(full.data[:, :6, :].copy(), requires_grad=True)
+        with ad.Tape():
+            a = ad.dropout_apply(full, 0.3, seed=11, train_mode=True)
+            b = ad.dropout_apply(part, 0.3, seed=11, train_mode=True, full_shape=(3, 8, 5))
+            ad.backward(ad.add(ad.sum_all(a), ad.sum_all(b)))
+        np.testing.assert_array_equal(b.data, a.data[:, :6, :])
+        np.testing.assert_array_equal(part.grad, full.grad[:, :6, :])
+        with pytest.raises(ValueError, match="crop"):
+            ad.dropout_apply(full, 0.3, seed=11, train_mode=True, full_shape=(3, 7, 5))
+
 
 class TestActivations:
     def test_tanh_zero(self):

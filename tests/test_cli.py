@@ -251,6 +251,17 @@ class TestEval:
             "--data", str(workspace / "dev.tsv"),
         ]) == EXIT_CKPT_MISMATCH
 
+    def test_header_byte_flip_exit_4(self, workspace, trained, tmp_path):
+        bad = tmp_path / "flipped.ckpt"
+        blob = bytearray((trained / "best.ckpt").read_bytes())
+        blob[blob.index(b"[config]") + 1] = 0xFF  # header is no longer UTF-8
+        bad.write_bytes(bytes(blob))
+        assert main([
+            "eval", "--checkpoint", str(bad),
+            "--vocab", str(workspace / "vocab.txt"),
+            "--data", str(workspace / "dev.tsv"),
+        ]) == EXIT_CKPT_MISMATCH
+
     def test_missing_checkpoint_exit_2(self, workspace):
         assert main([
             "eval", "--checkpoint", "/no/such.ckpt",

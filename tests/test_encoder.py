@@ -129,6 +129,13 @@ class TestEncodeFromEmbeddings:
         with pytest.raises(ValueError, match="width"):
             encode_from_embeddings(bad, batch.attn_mask, params, 0, False)
 
+    def test_wider_than_max_len_rejected(self):
+        cfg, params, batch = toy_setup(hidden=16, max_len=6)
+        wide = Tensor(np.zeros((2, 7, 16), dtype=np.float32))
+        mask = np.ones((2, 7), dtype=np.float32)
+        with pytest.raises(ValueError, match="max_len"):
+            encode_from_embeddings(wide, mask, params, 0, True)
+
 
 class TestHeads:
     def test_pool_range_and_zero_case(self):

@@ -110,12 +110,25 @@ class TestEncodeBatch:
         return Vocab(["a", "b", "c", "d", "e"])
 
     def test_single_sentence_layout(self, vocab):
-        batch = encode_batch(["a b"], vocab, max_len=5)
+        # the longer companion row sets the batch width, so row 0 gets a [PAD]
+        batch = encode_batch(["a b", "a b c"], vocab, max_len=8)
         np.testing.assert_array_equal(
             batch.token_ids[0],
             [CLS_ID, vocab.id_of("a"), vocab.id_of("b"), SEP_ID, PAD_ID],
         )
         np.testing.assert_array_equal(batch.attn_mask[0], [1, 1, 1, 1, 0])
+        np.testing.assert_array_equal(batch.attn_mask[1], [1, 1, 1, 1, 1])
+
+    def test_width_is_longest_row_capped_at_max_len(self, vocab, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            rows = [" ".join("a" for _ in range(int(rng.integers(0, 14)))) for _ in range(n)]
+            L = int(rng.integers(3, 12))
+            batch = encode_batch(rows, vocab, L)
+            longest = max(len(r.split()) + 2 for r in rows)
+            assert batch.token_ids.shape == batch.attn_mask.shape == (n, min(L, longest))
+            # some row fills the width: no all-padding column is kept
+            assert batch.attn_mask[:, -1].max() == 1.0
 
     def test_pair_packing(self, vocab):
         rows = [LabeledExample(1, "a b", "c")]

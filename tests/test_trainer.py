@@ -1,21 +1,28 @@
 """Optimizer, schedule, step, loop, and checkpoint tests."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from callab.encoder import EncoderConfig, EncoderParams
+import callab.attacks as attacks_mod
+import callab.encoder as encoder_mod
+from callab.autodiff import derive_seed
+from callab.encoder import EncoderConfig, EncoderParams, embed_tokens
 from callab.metrics import evaluate_classification
 from callab.objectives import scal_total, uscal_total
 from callab.synthdata import make_group_task
-from callab.text import build_vocab, encode_batch
+from callab.text import PAD_ID, Batch, LabeledExample, Vocab, build_vocab, encode_batch
 from callab.trainer import (
     ADAM_EPS,
     BETA1,
     BETA2,
+    CHECKPOINT_MAGIC,
     Checkpoint,
     CheckpointConfigError,
+    CheckpointError,
+    CheckpointHeaderError,
     CheckpointMagicError,
     CheckpointShapeError,
     CheckpointTruncatedError,
@@ -360,6 +367,49 @@ class TestCheckpoints:
         with pytest.raises(CheckpointShapeError, match="pooler_w"):
             load_checkpoint(path)
 
+    def test_header_parse_failures_name_the_file(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(self._checkpoint(), path)
+        blob = open(path, "rb").read()
+        edits = [
+            (b"[config]", b"[c\xffnfig]"),               # not UTF-8
+            (b"hidden=16", b"hidden=1x"),                # bad config value
+            (b"[config]", b"[konfig]"),                  # config lines land in meta
+            (b"pooler_w 2 16 16", b"pooler_w two 16 16"),  # bad rank
+            (b"pooler_w 2 16 16", b"pooler_w"),           # missing rank
+            (b"step=12", b"step=1.2"),                   # bad meta value
+        ]
+        for old, new in edits:
+            bad = bytearray(blob.replace(old, new, 1))
+            # keep the header length field in step with the edit
+            n = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))[0] + len(new) - len(old)
+            struct.pack_into("<I", bad, len(CHECKPOINT_MAGIC), n)
+            open(path, "wb").write(bytes(bad))
+            with pytest.raises(CheckpointHeaderError, match="m.ckpt"):
+                load_checkpoint(path)
+
+    def test_header_byte_flips_raise_only_checkpoint_errors(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(self._checkpoint(with_opt=True), path)
+        blob = open(path, "rb").read()
+        start = len(CHECKPOINT_MAGIC)
+        end = start + 4 + struct.unpack_from("<I", blob, start)[0]
+        rng = np.random.default_rng(2024)
+        causes = set()
+        for _ in range(300):
+            bad = bytearray(blob)
+            for pos in rng.integers(start, end, size=int(rng.integers(1, 4))):
+                bad[pos] ^= int(rng.integers(1, 256))
+            open(path, "wb").write(bytes(bad))
+            try:
+                load_checkpoint(path)
+            except CheckpointError as exc:
+                assert path in str(exc)
+                if exc.__cause__ is not None:
+                    causes.add(type(exc.__cause__))
+        # the flips reached the parse failures that used to escape
+        assert UnicodeDecodeError in causes and ValueError in causes
+
     def test_expected_config_mismatch(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         ckpt = self._checkpoint()
@@ -368,3 +418,83 @@ class TestCheckpoints:
                               ffn_dim=32, dropout=0.1, max_len=6, num_classes=3)
         with pytest.raises(CheckpointConfigError):
             load_checkpoint(path, expected_config=other)
+
+
+@pytest.fixture
+def seams(monkeypatch):
+    """Every seam tensor ``embed_tokens`` returns during a step, in call order."""
+    got = []
+
+    def recording(*args, **kwargs):
+        emb = embed_tokens(*args, **kwargs)
+        got.append(emb)
+        return emb
+
+    monkeypatch.setattr(encoder_mod, "embed_tokens", recording)
+    monkeypatch.setattr(attacks_mod, "embed_tokens", recording)
+    return got
+
+
+class TestDynamicPadding:
+    """A batch trimmed to its longest row trains exactly like one padded to max_len."""
+
+    MAX_LEN = 16
+    VOCAB = Vocab(["a", "b", "c", "d", "e", "f", "g"])
+    ROWS = [
+        LabeledExample(0, "a b"),
+        LabeledExample(1, "c d e f g"),
+        LabeledExample(0, "b"),
+        LabeledExample(1, "a c e", "b d"),
+    ]
+    STEPS = {
+        "scal": scal_train_step,
+        "uscal": uscal_train_step,
+        "ce": ce_train_step,
+        "views": views_train_step,
+    }
+
+    @staticmethod
+    def _pad_to(batch: Batch, width: int) -> Batch:
+        b, l = batch.token_ids.shape
+        ids = np.full((b, width), PAD_ID, dtype=np.int64)
+        ids[:, :l] = batch.token_ids
+        mask = np.zeros((b, width), dtype=np.float32)
+        mask[:, :l] = batch.attn_mask
+        return Batch(ids, mask, labels=batch.labels)
+
+    def _run(self, mode, batch, seams):
+        cfg = EncoderConfig(vocab_size=len(self.VOCAB), hidden=16, layers=2, heads=2, ffn_dim=32,
+                            dropout=0.1, max_len=self.MAX_LEN, num_classes=2)
+        params = EncoderParams.init_random(cfg, seed=0)
+        tcfg = TrainConfig(mode=mode, lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15)
+        seams.clear()
+        report = self.STEPS[mode](
+            batch, params, OptimizerState(params), tcfg, derive_seed(3, "step", 0), lr_t=1e-3
+        )
+        grads = {name: t.grad for name, t in params.named()}
+        return report, grads, params.copy_values(), list(seams)
+
+    @pytest.mark.parametrize("mode", list(STEPS))
+    def test_one_step_bit_identical(self, mode, seams):
+        trim = encode_batch(self.ROWS, self.VOCAB, self.MAX_LEN)
+        width = trim.token_ids.shape[1]
+        assert width == 8 < self.MAX_LEN
+        full = self._pad_to(trim, self.MAX_LEN)
+
+        rep_f, grads_f, after_f, seams_f = self._run(mode, full, seams)
+        rep_t, grads_t, after_t, seams_t = self._run(mode, trim, seams)
+
+        assert rep_f == rep_t
+        for name, g in grads_f.items():
+            assert g.tobytes() == grads_t[name].tobytes(), name
+            assert after_f[name].tobytes() == after_t[name].tobytes(), name
+        assert len(seams_f) == len(seams_t) >= 1
+        real = trim.attn_mask > 0
+        for emb_f, emb_t in zip(seams_f, seams_t):
+            assert emb_f.shape == (4, self.MAX_LEN, 16) and emb_t.shape == (4, width, 16)
+            assert emb_f.data[:, :width][real].tobytes() == emb_t.data[real].tobytes()
+            assert (emb_f.grad is None) == (emb_t.grad is None)
+            if emb_f.grad is not None:
+                assert emb_f.grad[:, :width][real].tobytes() == emb_t.grad[real].tobytes()
+                assert not emb_f.grad[full.attn_mask == 0].any()
+                assert not emb_t.grad[trim.attn_mask == 0].any()
