@@ -27,14 +27,11 @@ from .trainer import (
     OptimizerState,
     TrainConfig,
     adamw_step,
-    ce_train_step,
     load_checkpoint,
     lr_at,
     save_checkpoint,
-    scal_train_step,
     train_loop,
-    uscal_train_step,
-    views_train_step,
+    train_step,
 )
 
 __version__ = "0.1.0"
@@ -43,13 +40,12 @@ __all__ = [
     "AttackConfig", "Batch", "Checkpoint", "EncoderConfig", "EncoderParams",
     "LossConfig", "LossReport", "MetricReport", "OptimizerState", "Tape",
     "Tensor", "TrainConfig", "Vocab", "accuracy", "adamw_step", "backward",
-    "build_vocab", "ce_train_step", "classify", "cross_entropy", "derive_seed",
+    "build_vocab", "classify", "cross_entropy", "derive_seed",
     "embed_tokens", "encode_batch", "encode_from_embeddings",
     "evaluate_classification", "evaluate_similarity", "evaluate_under_attack",
     "f1_binary", "fgm_perturb", "fgsm_perturb", "forward_full",
     "gen_supervised_adv", "gen_unsupervised_adv", "grad_check", "info_nce",
     "load_checkpoint", "lr_at", "mcc", "pool", "rng_from_seed",
-    "save_checkpoint", "scal_total", "scal_train_step", "spearman",
-    "tokenize", "train_loop", "uscal_total", "uscal_train_step",
-    "views_train_step",
+    "save_checkpoint", "scal_total", "spearman", "tokenize", "train_loop",
+    "train_step", "uscal_total",
 ]

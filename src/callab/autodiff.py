@@ -346,30 +346,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 0; trailing dimensions must agree."""
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ValueError("concat_rows: need at least one tensor")
-    trailing = tensors[0].data.shape[1:]
-    for t in tensors[1:]:
-        if t.data.shape[1:] != trailing:
-            raise ValueError(
-                f"concat_rows: shape mismatch {tensors[0].data.shape} vs {t.data.shape}"
-            )
-    sizes = [t.data.shape[0] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=0)
-
-    def bwd(g):
-        pieces, start = [], 0
-        for n in sizes:
-            pieces.append(g[start : start + n])
-            start += n
-        return tuple(pieces)
-
-    return _record(tensors, out, bwd)
-
-
 def select_row(a: Tensor, index: int) -> Tensor:
     """Row ``index`` along axis 0; gradient scatters back into that row."""
     if not 0 <= index < a.data.shape[0]:

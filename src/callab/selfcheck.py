@@ -21,13 +21,7 @@ from .attacks import AttackConfig, fgm_perturb, fgsm_perturb, gen_supervised_adv
 from .encoder import EncoderConfig, EncoderParams, classify, encode_from_embeddings
 from .objectives import LossConfig, cross_entropy, info_nce
 from .text import Batch
-from .trainer import (
-    Checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-    scal_loss_graph,
-    uscal_loss_graph,
-)
+from .trainer import Checkpoint, load_checkpoint, loss_graph, save_checkpoint
 from .metrics import accuracy, f1_binary, mcc, spearman
 
 EPSILON_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -74,7 +68,6 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
         "matmul": (lambda t: ad.mean_all(ad.mul(ad.matmul(t, w), ad.matmul(t, w))), x),
         "transpose": (lambda t: ad.mean_all(ad.mul(ad.transpose(t), ad.transpose(t))), x),
         "reshape": (lambda t: ad.mean_all(ad.mul(ad.reshape(t, (2, 12)), ad.reshape(t, (2, 12)))), x),
-        "concat_rows": (lambda t: ad.mean_all(ad.concat_rows([t, ad.scale(t, 2.0)])), x),
         "select_row": (lambda t: ad.mean_all(ad.mul(ad.select_row(t, 1), ad.select_row(t, 1))), x),
         "slice_rows": (lambda t: ad.mean_all(ad.mul(ad.slice_rows(t, 2), ad.slice_rows(t, 2))), x),
         "add_bias": (lambda t: ad.mean_all(ad.mul(ad.add_bias(ad.matmul(t, w), b),
@@ -130,14 +123,9 @@ def _full_graph_error(kind: str, sample_per_tensor: int = 3) -> float:
     delta = (rng.standard_normal((2, cfg.max_len, cfg.hidden)) * 0.05).astype(np.float32)
     step_seed = derive_seed(123, "graphcheck")
 
-    if kind == "scal":
-        def f(_t):
-            total, *_ = scal_loss_graph(batch, params, delta, lcfg, step_seed, train_mode=True)
-            return total
-    else:
-        def f(_t):
-            total, *_ = uscal_loss_graph(batch, params, delta, lcfg, step_seed, train_mode=True)
-            return total
+    def f(_t):
+        total, _ = loss_graph(kind, batch, params, delta, lcfg, step_seed, train_mode=True)
+        return total
 
     worst = 0.0
     for name, tensor in params.named():

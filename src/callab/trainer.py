@@ -1,23 +1,30 @@
-"""AdamW optimization, training steps, epoch loop, and checkpoint persistence.
+"""AdamW optimization, the training step, epoch loop, and checkpoint persistence.
 
-Four step flavors share one seed-derivation convention so degenerate configs
-collapse onto their baselines exactly:
+One driver, ``train_step``, runs all four modes through one ``loss_graph``
+under one seed-derivation convention, so degenerate configs collapse onto
+their baselines exactly:
 
 * ``scal``:  0.5 * (CE_clean + CE_adv) + alpha * InfoNCE(z, z_adv)
 * ``uscal``: InfoNCE(z1, z2) + alpha * InfoNCE(z1, z_adv)
 * ``ce``:    plain cross-entropy fine-tuning (the supervised baseline)
 * ``views``: dropout-only two-view contrastive training (unsupervised baseline)
 
-The adversarial branch consumes ``clean_embedding + delta`` where delta is a
-constant computed by the attack pass; gradients therefore flow from both CE
-branches into every shared parameter (embedding table included) while nothing
-differentiates through the perturbation's construction.
+Each baseline is the clean prefix of its framework's graph. The adversarial
+branch consumes ``anchor_embedding + delta`` (the clean forward's or view
+1's), where delta is a constant computed by the attack pass; gradients
+therefore flow from both branches into every shared parameter (embedding
+table included) while nothing differentiates through the perturbation's
+construction.
+
+Checkpoints hold parameters and run metadata only; ``save_checkpoint``
+replaces its target atomically.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TextIO
@@ -207,121 +214,60 @@ def clip_gradients(params: EncoderParams, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite_total(total: Tensor, step: int) -> None:
-    if not math.isfinite(total.item()):
-        raise NonFiniteLossError(step, total.item())
-
-
-def _finish_step(
-    params: EncoderParams,
-    total: Tensor,
-    opt: OptimizerState,
-    tcfg: TrainConfig,
-    lr_t: float,
-    step: int,
-) -> None:
-    _check_finite_total(total, step)
-    ad.backward(total)
-    if tcfg.grad_clip > 0:
-        clip_gradients(params, tcfg.grad_clip)
-    adamw_step(params, opt, lr_t, tcfg.weight_decay)
-
-
-def scal_loss_graph(
+def loss_graph(
+    mode: str,
     batch: Batch,
     params: EncoderParams,
-    delta: np.ndarray,
+    delta: Optional[np.ndarray],
     loss_cfg: LossConfig,
     step_seed: int,
     train_mode: bool,
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Build the supervised total on the active tape from a fixed perturbation.
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """Build one step's total loss on the active tape.
 
-    Returns (total, ce_clean, ce_adv, contrastive). The adversarial branch
-    starts at clean_embedding + delta, so its gradients reach the embedding
-    table while nothing differentiates through delta itself.
+    Returns ``(total, parts)``; ``parts`` maps ``LossReport`` field names to
+    the loss terms. The clean prefix is the ``"clean"`` forward and its CE
+    (scal, ce) or the ``"view1"``/``"view2"`` forwards and their InfoNCE
+    (uscal, views); the baselines stop there. scal and uscal go on through
+    one adversarial branch that starts at the anchor's (clean forward's or
+    view 1's) embedding + ``delta``, so its gradients reach the embedding
+    table while nothing differentiates through ``delta`` itself.
     """
-    clean = forward_full(batch, params, derive_seed(step_seed, "clean"), train_mode)
-    ce_clean = cross_entropy(clean.logits, batch.labels)
+    if mode in ("scal", "ce"):
+        anchor = forward_full(batch, params, derive_seed(step_seed, "clean"), train_mode)
+        clean = cross_entropy(anchor.logits, batch.labels)
+        parts = {"ce_clean": clean}
+    else:
+        anchor = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode)
+        view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode)
+        clean = info_nce(anchor.z, view2.z, loss_cfg.temperature, loss_cfg.norm_guard)
+        parts = {"ct_views": clean}
+    if mode in ("ce", "views"):
+        return clean, parts
 
-    adv_input = ad.add(clean.emb, Tensor(delta))
+    adv_input = ad.add(anchor.emb, Tensor(delta))
     adv_seed = derive_seed(step_seed, "adv")
     h_adv = encode_from_embeddings(
         adv_input, batch.attn_mask, params, derive_seed(adv_seed, "encode"), train_mode
     )
-    ce_adv = cross_entropy(classify(h_adv, params), batch.labels)
     z_adv = pool(h_adv, params)
-
     if loss_cfg.negative_mode == "adv-keys":
-        ct = info_nce(clean.z, z_adv, loss_cfg.temperature, loss_cfg.norm_guard)
+        ct = info_nce(anchor.z, z_adv, loss_cfg.temperature, loss_cfg.norm_guard)
     else:
         ct = info_nce_split(
-            clean.z, z_adv, clean.z, loss_cfg.temperature, loss_cfg.norm_guard
+            anchor.z, z_adv, anchor.z, loss_cfg.temperature, loss_cfg.norm_guard
         )
-    total = ad.add(
-        ad.scale(ad.add(ce_clean, ce_adv), 0.5), ad.scale(ct, loss_cfg.alpha)
-    )
-    return total, ce_clean, ce_adv, ct
-
-
-def scal_train_step(
-    batch: Batch,
-    params: EncoderParams,
-    opt: OptimizerState,
-    tcfg: TrainConfig,
-    step_seed: int,
-    lr_t: float,
-    step: int = 0,
-) -> LossReport:
-    """Supervised contrastive-adversarial step: attack, two CE branches, InfoNCE, update."""
-    loss_cfg = tcfg.loss_config()
-    adv = gen_supervised_adv(
-        batch, params, tcfg.attack_config(), derive_seed(step_seed, "attack"), train_mode=True
-    )
-    params.zero_grads()
-    with ad.Tape():
-        total, ce_clean, ce_adv, ct = scal_loss_graph(
-            batch, params, adv.delta, loss_cfg, step_seed, train_mode=True
-        )
-        _finish_step(params, total, opt, tcfg, lr_t, step)
-    return LossReport(
-        total=total.item(),
-        ce_clean=ce_clean.item(),
-        ce_adv=ce_adv.item(),
-        contrastive=ct.item(),
-    )
-
-
-def uscal_loss_graph(
-    batch: Batch,
-    params: EncoderParams,
-    delta: np.ndarray,
-    loss_cfg: LossConfig,
-    step_seed: int,
-    train_mode: bool,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Build the unsupervised total on the active tape. Returns (total, ct_views, ct_adv)."""
-    view1 = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode)
-    view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode)
-    ct_views = info_nce(view1.z, view2.z, loss_cfg.temperature, loss_cfg.norm_guard)
-
-    adv_input = ad.add(view1.emb, Tensor(delta))
-    adv_seed = derive_seed(step_seed, "adv")
-    h_adv = encode_from_embeddings(
-        adv_input, batch.attn_mask, params, derive_seed(adv_seed, "encode"), train_mode
-    )
-    z_adv = pool(h_adv, params)
-    if loss_cfg.negative_mode == "adv-keys":
-        ct_adv = info_nce(view1.z, z_adv, loss_cfg.temperature, loss_cfg.norm_guard)
+    if mode == "scal":
+        ce_adv = cross_entropy(classify(h_adv, params), batch.labels)
+        parts.update(ce_adv=ce_adv, contrastive=ct)
+        total = ad.add(ad.scale(ad.add(clean, ce_adv), 0.5), ad.scale(ct, loss_cfg.alpha))
     else:
-        ct_adv = info_nce_split(
-            view1.z, z_adv, view1.z, loss_cfg.temperature, loss_cfg.norm_guard
-        )
-    total = ad.add(ct_views, ad.scale(ct_adv, loss_cfg.alpha))
-    return total, ct_views, ct_adv
+        parts["ct_adv"] = ct
+        total = ad.add(clean, ad.scale(ct, loss_cfg.alpha))
+    return total, parts
 
 
-def uscal_train_step(
+def train_step(
     batch: Batch,
     params: EncoderParams,
     opt: OptimizerState,
@@ -330,72 +276,39 @@ def uscal_train_step(
     lr_t: float,
     step: int = 0,
 ) -> LossReport:
-    """Unsupervised step: two dropout views, contrastive attack, weighted total, update."""
+    """One update in ``tcfg.mode``: attack (scal/uscal), loss graph, backward, clip, AdamW.
+
+    Raises ``NonFiniteLossError`` naming ``step`` before any gradient is
+    taken if the total is NaN or infinite.
+    """
     loss_cfg = tcfg.loss_config()
-    adv = gen_unsupervised_adv(
-        batch,
-        params,
-        loss_cfg,
-        tcfg.attack_config(),
-        seed_view1=derive_seed(step_seed, "view1"),
-        seed_view2=derive_seed(step_seed, "view2"),
-        train_mode=True,
-    )
+    delta = None
+    if tcfg.mode == "scal":
+        delta = gen_supervised_adv(
+            batch, params, tcfg.attack_config(), derive_seed(step_seed, "attack"), train_mode=True
+        ).delta
+    elif tcfg.mode == "uscal":
+        delta = gen_unsupervised_adv(
+            batch,
+            params,
+            loss_cfg,
+            tcfg.attack_config(),
+            seed_view1=derive_seed(step_seed, "view1"),
+            seed_view2=derive_seed(step_seed, "view2"),
+            train_mode=True,
+        ).delta
     params.zero_grads()
     with ad.Tape():
-        total, ct_views, ct_adv = uscal_loss_graph(
-            batch, params, adv.delta, loss_cfg, step_seed, train_mode=True
+        total, parts = loss_graph(
+            tcfg.mode, batch, params, delta, loss_cfg, step_seed, train_mode=True
         )
-        _finish_step(params, total, opt, tcfg, lr_t, step)
-    return LossReport(
-        total=total.item(), ct_views=ct_views.item(), ct_adv=ct_adv.item()
-    )
-
-
-def ce_train_step(
-    batch: Batch,
-    params: EncoderParams,
-    opt: OptimizerState,
-    tcfg: TrainConfig,
-    step_seed: int,
-    lr_t: float,
-    step: int = 0,
-) -> LossReport:
-    """Plain cross-entropy fine-tuning baseline (same seed path as scal's clean branch)."""
-    params.zero_grads()
-    with ad.Tape():
-        out = forward_full(batch, params, derive_seed(step_seed, "clean"), train_mode=True)
-        ce = cross_entropy(out.logits, batch.labels)
-        _finish_step(params, ce, opt, tcfg, lr_t, step)
-    return LossReport(total=ce.item(), ce_clean=ce.item())
-
-
-def views_train_step(
-    batch: Batch,
-    params: EncoderParams,
-    opt: OptimizerState,
-    tcfg: TrainConfig,
-    step_seed: int,
-    lr_t: float,
-    step: int = 0,
-) -> LossReport:
-    """Dropout-only two-view contrastive baseline (uscal's alpha=0 degenerate)."""
-    loss_cfg = tcfg.loss_config()
-    params.zero_grads()
-    with ad.Tape():
-        view1 = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode=True)
-        view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode=True)
-        ct = info_nce(view1.z, view2.z, loss_cfg.temperature, loss_cfg.norm_guard)
-        _finish_step(params, ct, opt, tcfg, lr_t, step)
-    return LossReport(total=ct.item(), ct_views=ct.item())
-
-
-_STEP_FNS: dict[str, Callable] = {
-    "scal": scal_train_step,
-    "uscal": uscal_train_step,
-    "ce": ce_train_step,
-    "views": views_train_step,
-}
+        if not math.isfinite(total.item()):
+            raise NonFiniteLossError(step, total.item())
+        ad.backward(total)
+        if tcfg.grad_clip > 0:
+            clip_gradients(params, tcfg.grad_clip)
+        adamw_step(params, opt, lr_t, tcfg.weight_decay)
+    return LossReport(total=total.item(), **{k: v.item() for k, v in parts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +355,6 @@ class Checkpoint:
     dev_metric_name: str = "accuracy"
     dev_metric_value: float = 0.0
     rng_seed: int = 0
-    optimizer: Optional[dict] = None     # {"t": int, "m": {...}, "v": {...}}
     version: int = CHECKPOINT_VERSION
 
     @classmethod
@@ -453,15 +365,7 @@ class Checkpoint:
         dev_metric_name: str = "accuracy",
         dev_metric_value: float = 0.0,
         rng_seed: int = 0,
-        optimizer: Optional[OptimizerState] = None,
     ) -> "Checkpoint":
-        opt = None
-        if optimizer is not None:
-            opt = {
-                "t": optimizer.t,
-                "m": {k: v.astype(np.float32) for k, v in optimizer.m.items()},
-                "v": {k: v.astype(np.float32) for k, v in optimizer.v.items()},
-            }
         return cls(
             config=params.config,
             tensors=params.copy_values(),
@@ -469,7 +373,6 @@ class Checkpoint:
             dev_metric_name=dev_metric_name,
             dev_metric_value=dev_metric_value,
             rng_seed=rng_seed,
-            optimizer=opt,
         )
 
     def build_params(self) -> EncoderParams:
@@ -477,48 +380,44 @@ class Checkpoint:
         params.load_values(self.tensors)
         return params
 
-    def build_optimizer(self, params: EncoderParams) -> OptimizerState:
-        state = OptimizerState(params)
-        if self.optimizer is not None:
-            state.t = int(self.optimizer["t"])
-            for k in state.m:
-                state.m[k] = self.optimizer["m"][k].astype(np.float64)
-                state.v[k] = self.optimizer["v"][k].astype(np.float64)
-        return state
-
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Binary layout: magic, u32 header length, text header, float32 LE payloads."""
-    directory: list[tuple[str, np.ndarray]] = list(ckpt.tensors.items())
-    if ckpt.optimizer is not None:
-        for k, arr in ckpt.optimizer["m"].items():
-            directory.append((f"opt.m.{k}", arr))
-        for k, arr in ckpt.optimizer["v"].items():
-            directory.append((f"opt.v.{k}", arr))
+    """Binary layout: magic, u32 header length, text header, float32 LE payloads.
 
+    The file is written beside ``path`` and moved over it with ``os.replace``,
+    so a failed write leaves any previous checkpoint at ``path`` untouched.
+    """
     lines = [
         f"version={ckpt.version}",
         f"step={ckpt.step}",
         f"dev_metric_name={ckpt.dev_metric_name}",
         f"dev_metric_value={ckpt.dev_metric_value!r}",
         f"rng_seed={ckpt.rng_seed}",
-        f"optimizer_t={ckpt.optimizer['t'] if ckpt.optimizer is not None else -1}",
         "[config]",
     ]
     for k, v in ckpt.config.to_dict().items():
         lines.append(f"{k}={v!r}")
     lines.append("[tensors]")
-    for name, arr in directory:
+    for name, arr in ckpt.tensors.items():
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"{name} {arr.ndim} {dims}")
     header = ("\n".join(lines) + "\n").encode("utf-8")
 
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for _, arr in directory:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for arr in ckpt.tensors.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) -> Checkpoint:
@@ -569,16 +468,12 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
         step = int(meta.get("step", "0"))
         dev_metric_value = float(eval_literal(meta.get("dev_metric_value", "0.0")))
         rng_seed = int(meta.get("rng_seed", "0"))
-        opt_t = int(meta.get("optimizer_t", "-1"))
     except (ValueError, IndexError, KeyError, OverflowError) as exc:
         raise CheckpointHeaderError(f"{path}: unreadable checkpoint header: {exc!r}") from exc
 
     expected_shapes = EncoderParams.tensor_shapes(config)
     for name, dims in directory:
-        base = name
-        if name.startswith("opt.m.") or name.startswith("opt.v."):
-            base = name[6:]
-        want = expected_shapes.get(base)
+        want = expected_shapes.get(name)
         if want is None:
             raise CheckpointShapeError(f"{path}: unexpected tensor {name!r} in directory")
         if dims != want:
@@ -588,8 +483,6 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
 
     offset = header_start + header_len
     tensors: dict[str, np.ndarray] = {}
-    opt_m: dict[str, np.ndarray] = {}
-    opt_v: dict[str, np.ndarray] = {}
     for name, dims in directory:
         count = int(np.prod(dims)) if dims else 1
         nbytes = count * 4
@@ -597,20 +490,11 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
             raise CheckpointTruncatedError(f"{path}: payload for {name} truncated")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims)
         offset += nbytes
-        if name.startswith("opt.m."):
-            opt_m[name[6:]] = arr.copy()
-        elif name.startswith("opt.v."):
-            opt_v[name[6:]] = arr.copy()
-        else:
-            tensors[name] = arr.copy()
+        tensors[name] = arr.copy()
 
     missing = set(expected_shapes) - set(tensors)
     if missing:
         raise CheckpointShapeError(f"{path}: missing tensors {sorted(missing)}")
-
-    optimizer = None
-    if opt_t >= 0:
-        optimizer = {"t": opt_t, "m": opt_m, "v": opt_v}
 
     ckpt = Checkpoint(
         config=config,
@@ -619,7 +503,6 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
         dev_metric_name=meta.get("dev_metric_name", "accuracy"),
         dev_metric_value=dev_metric_value,
         rng_seed=rng_seed,
-        optimizer=optimizer,
     )
     if expected_config is not None and config != expected_config:
         raise CheckpointConfigError(
@@ -718,7 +601,6 @@ def train_loop(
     tcfg.validate()
     if not train_rows:
         raise ValueError("train_loop: empty training set")
-    step_fn = _STEP_FNS[tcfg.mode]
     total_steps = planned_total_steps(len(train_rows), tcfg)
     opt = OptimizerState(params)
 
@@ -764,7 +646,7 @@ def train_loop(
         ):
             lr_t = lr_at(step, total_steps, tcfg.warmup_ratio, tcfg.lr)
             step_seed = derive_seed(tcfg.seed, "step", step)
-            report = step_fn(batch, params, opt, tcfg, step_seed, lr_t, step=step)
+            report = train_step(batch, params, opt, tcfg, step_seed, lr_t, step=step)
             if keep_reports:
                 reports.append(report)
             if log:

@@ -33,15 +33,11 @@ from callab.trainer import (
     CheckpointConfigError,
     OptimizerState,
     TrainConfig,
-    ce_train_step,
     load_checkpoint,
+    loss_graph,
     save_checkpoint,
-    scal_loss_graph,
-    scal_train_step,
     train_loop,
-    uscal_loss_graph,
-    uscal_train_step,
-    views_train_step,
+    train_step,
 )
 
 from conftest import toy_setup
@@ -76,14 +72,9 @@ def test_criterion_1_gradient_fidelity():
         delta = (rng.standard_normal((2, cfg.max_len, cfg.hidden)) * 0.05).astype(np.float32)
         seed = derive_seed(100, kind)
 
-        if kind == "scal":
-            def f(_t):
-                total, *_ = scal_loss_graph(batch, params, delta, lcfg, seed, True)
-                return total
-        else:
-            def f(_t):
-                total, *_ = uscal_loss_graph(batch, params, delta, lcfg, seed, True)
-                return total
+        def f(_t):
+            total, _ = loss_graph(kind, batch, params, delta, lcfg, seed, True)
+            return total
 
         worst = 0.0
         for _, tensor in params.named():
@@ -237,8 +228,8 @@ def test_criterion_5_degenerate_collapse():
     for step in range(50):
         lo = (step * 4) % 252
         batch = encode_batch(rows[lo : lo + 4], vocab, 10)
-        ra = scal_train_step(batch, pa, oa, cfg_scal, step, 1e-3, step)
-        rb = ce_train_step(batch, pb, ob, cfg_ce, step, 1e-3, step)
+        ra = train_step(batch, pa, oa, cfg_scal, step, 1e-3, step)
+        rb = train_step(batch, pb, ob, cfg_ce, step, 1e-3, step)
         worst_sup = max(worst_sup, abs(ra.total - rb.total))
 
     lines = [r.text_a for r in rows[:128]]
@@ -254,8 +245,8 @@ def test_criterion_5_degenerate_collapse():
     for step in range(50):
         lo = (step * 4) % 124
         batch = encode_batch(lines[lo : lo + 4], vocab, 10)
-        ru = uscal_train_step(batch, pu, ou, cfg_u, step, 1e-3, step)
-        rv = views_train_step(batch, pv, ov, cfg_v, step, 1e-3, step)
+        ru = train_step(batch, pu, ou, cfg_u, step, 1e-3, step)
+        rv = train_step(batch, pv, ov, cfg_v, step, 1e-3, step)
         worst_uns = max(worst_uns, abs(ru.ct_views - rv.total))
 
     _report(

@@ -71,12 +71,9 @@ class TestElementwiseAndLinear:
         for i in range(4):
             np.testing.assert_allclose(got[i], a[i] @ b[i], atol=1e-5)
 
-    def test_concat_rows_and_select_row(self, rng):
-        a = rng.standard_normal((2, 3)).astype(np.float32)
-        b = rng.standard_normal((1, 3)).astype(np.float32)
-        cat = ad.concat_rows([Tensor(a), Tensor(b)])
-        assert cat.shape == (3, 3)
-        np.testing.assert_array_equal(ad.select_row(cat, 2).data, b[0])
+    def test_select_row(self, rng):
+        a = rng.standard_normal((3, 3)).astype(np.float32)
+        np.testing.assert_array_equal(ad.select_row(Tensor(a), 2).data, a[2])
 
     def test_transpose_roundtrip(self, rng):
         a = rng.standard_normal((2, 3, 4)).astype(np.float32)

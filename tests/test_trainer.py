@@ -1,7 +1,10 @@
 """Optimizer, schedule, step, loop, and checkpoint tests."""
 
+import io
 import math
+import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ import callab.encoder as encoder_mod
 from callab.autodiff import derive_seed
 from callab.encoder import EncoderConfig, EncoderParams, embed_tokens
 from callab.metrics import evaluate_classification
-from callab.objectives import scal_total, uscal_total
+from callab.objectives import LossReport, scal_total, uscal_total
 from callab.synthdata import make_group_task
 from callab.text import PAD_ID, Batch, LabeledExample, Vocab, build_vocab, encode_batch
 from callab.trainer import (
@@ -29,16 +32,15 @@ from callab.trainer import (
     CheckpointVersionError,
     NonFiniteLossError,
     OptimizerState,
+    RunLog,
+    TRAIN_MODES,
     TrainConfig,
     adamw_step,
-    ce_train_step,
     load_checkpoint,
     lr_at,
     save_checkpoint,
-    scal_train_step,
     train_loop,
-    uscal_train_step,
-    views_train_step,
+    train_step,
 )
 
 from conftest import toy_setup
@@ -143,20 +145,40 @@ def _vocab_for(rows):
     return build_vocab((r.text_a for r in rows), min_freq=1)
 
 
-class TestSteps:
-    def test_scal_report_recombines(self):
-        cfg, params, batch = toy_setup(num_classes=3, batch=4)
-        tcfg = TrainConfig(mode="scal", lr=1e-3, alpha=0.3, epsilon=0.2)
-        report = scal_train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
-        want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
-        assert abs(report.total - want) < 1e-6
+# LossReport fields each mode fills besides ``total``
+REPORT_FIELDS = {
+    "scal": {"ce_clean", "ce_adv", "contrastive"},
+    "uscal": {"ct_views", "ct_adv"},
+    "ce": {"ce_clean"},
+    "views": {"ct_views"},
+}
+# steps.tsv columns after step and lr, in order
+STEP_COLUMNS = ("total", "ce_clean", "ce_adv", "contrastive", "ct_views", "ct_adv")
 
-    def test_uscal_report_recombines(self):
-        cfg, params, batch = toy_setup(num_classes=0, batch=4)
-        tcfg = TrainConfig(mode="uscal", lr=1e-3, alpha=0.5, epsilon=0.2,
-                           dev_metric="spearman")
-        report = uscal_train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
-        want = uscal_total(report.ct_views, report.ct_adv, 0.5)
+
+class TestSteps:
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_report_fields_and_recombination(self, mode):
+        supervised = mode in ("scal", "ce")
+        cfg, params, batch = toy_setup(num_classes=3 if supervised else 0, batch=4)
+        tcfg = TrainConfig(mode=mode, lr=1e-3, alpha=0.3, epsilon=0.2,
+                           dev_metric="accuracy" if supervised else "spearman")
+        report = train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
+
+        filled = {f.name for f in fields(LossReport) if getattr(report, f.name) is not None}
+        assert filled == {"total"} | REPORT_FIELDS[mode]
+        buf = io.StringIO()
+        RunLog(steps=buf).log_step(0, 1e-3, report)
+        cells = buf.getvalue().rstrip("\n").split("\t")[2:]
+        assert [c != "-" for c in cells] == [c in filled for c in STEP_COLUMNS]
+
+        if mode == "scal":
+            want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
+        elif mode == "uscal":
+            want = uscal_total(report.ct_views, report.ct_adv, 0.3)
+        else:
+            (only,) = REPORT_FIELDS[mode]
+            want = getattr(report, only)
         assert abs(report.total - want) < 1e-6
 
     def test_uscal_single_item_batch_is_gradient_noop(self):
@@ -164,7 +186,7 @@ class TestSteps:
         tcfg = TrainConfig(mode="uscal", lr=1e-3, alpha=0.5, epsilon=0.3,
                            weight_decay=0.0, dev_metric="spearman")
         before = params.copy_values()
-        report = uscal_train_step(batch, params, OptimizerState(params), tcfg, 5, 1e-3)
+        report = train_step(batch, params, OptimizerState(params), tcfg, 5, 1e-3)
         assert report.ct_views == pytest.approx(0.0, abs=1e-12)
         assert report.ct_adv == pytest.approx(0.0, abs=1e-12)
         for name, arr in params.copy_values().items():
@@ -188,8 +210,8 @@ class TestSteps:
         cfg_ce = TrainConfig(mode="ce", lr=1e-3, seed=1)
         for step in range(10):
             batch = encode_batch(rows[step * 4 : step * 4 + 4], vocab, 10)
-            ra = scal_train_step(batch, pa, opt_a, cfg_scal, step, 1e-3, step)
-            rb = ce_train_step(batch, pb, opt_b, cfg_ce, step, 1e-3, step)
+            ra = train_step(batch, pa, opt_a, cfg_scal, step, 1e-3, step)
+            rb = train_step(batch, pb, opt_b, cfg_ce, step, 1e-3, step)
             assert ra.total == pytest.approx(rb.total, abs=1e-6)
             assert ra.ce_adv == pytest.approx(ra.ce_clean, abs=1e-7)
         for name, arr in pa.copy_values().items():
@@ -208,8 +230,8 @@ class TestSteps:
         cfg_v = TrainConfig(mode="views", lr=1e-3, seed=2, dev_metric="spearman")
         for step in range(8):
             batch = encode_batch(lines[step * 4 : step * 4 + 4], vocab, 6)
-            ra = uscal_train_step(batch, pa, opt_a, cfg_u, step, 1e-3, step)
-            rb = views_train_step(batch, pb, opt_b, cfg_v, step, 1e-3, step)
+            ra = train_step(batch, pa, opt_a, cfg_u, step, 1e-3, step)
+            rb = train_step(batch, pb, opt_b, cfg_v, step, 1e-3, step)
             assert ra.ct_views == pytest.approx(rb.total, abs=1e-7)
         for name, arr in pa.copy_values().items():
             np.testing.assert_array_equal(arr, pb.copy_values()[name])
@@ -218,7 +240,7 @@ class TestSteps:
         cfg, params, batch = toy_setup(num_classes=3, batch=4)
         tcfg = TrainConfig(mode="scal", lr=1e-3, alpha=0.3, epsilon=0.2,
                            negative_mode="clean-keys")
-        report = scal_train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
+        report = train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
         assert math.isfinite(report.contrastive)
         want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
         assert abs(report.total - want) < 1e-6
@@ -228,7 +250,7 @@ class TestSteps:
         params["cls_w"].data[...] = np.nan  # poison the logits
         tcfg = TrainConfig(mode="ce", lr=1e-3)
         with pytest.raises(NonFiniteLossError, match="step 7"):
-            ce_train_step(batch, params, OptimizerState(params), tcfg, 0, 1e-3, step=7)
+            train_step(batch, params, OptimizerState(params), tcfg, 0, 1e-3, step=7)
 
 
 class TestTrainLoop:
@@ -302,15 +324,11 @@ class TestTrainLoop:
 
 
 class TestCheckpoints:
-    def _checkpoint(self, seed=5, with_opt=False):
+    def _checkpoint(self, seed=5):
         cfg, params, _ = toy_setup(seed=seed)
-        opt = None
-        if with_opt:
-            opt = OptimizerState(params)
-            opt.t = 3
         return Checkpoint.from_params(
             params, step=12, dev_metric_name="accuracy",
-            dev_metric_value=0.75, rng_seed=seed, optimizer=opt,
+            dev_metric_value=0.75, rng_seed=seed,
         )
 
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -324,15 +342,56 @@ class TestCheckpoints:
         for name, arr in ckpt.tensors.items():
             assert np.array_equal(arr, loaded.tensors[name]), name
 
-    def test_roundtrip_with_optimizer(self, tmp_path):
-        ckpt = self._checkpoint(with_opt=True)
+    def test_optimizer_tensors_rejected(self, tmp_path):
+        """A file carrying the retired ``opt.*`` moment tensors does not load."""
         path = str(tmp_path / "m.ckpt")
+        save_checkpoint(self._checkpoint(), path)
+        blob = open(path, "rb").read()
+        start = len(CHECKPOINT_MAGIC) + 4
+        end = start + struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))[0]
+        header = blob[start:end] + b"opt.m.pooler_w 2 16 16\n"
+        payload = blob[end:] + np.zeros((16, 16), dtype="<f4").tobytes()
+        open(path, "wb").write(
+            CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + payload
+        )
+        with pytest.raises(CheckpointShapeError, match="unexpected tensor 'opt.m.pooler_w'"):
+            load_checkpoint(path)
+
+    def test_header_with_optimizer_t_still_loads(self, tmp_path):
+        """Files from before the optimizer path was removed carry ``optimizer_t=-1``."""
+        path = str(tmp_path / "m.ckpt")
+        ckpt = self._checkpoint()
         save_checkpoint(ckpt, path)
+        blob = open(path, "rb").read()
+        old, new = b"rng_seed=5\n", b"rng_seed=5\noptimizer_t=-1\n"
+        n = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))[0] + len(new) - len(old)
+        bad = bytearray(blob.replace(old, new, 1))
+        struct.pack_into("<I", bad, len(CHECKPOINT_MAGIC), n)
+        open(path, "wb").write(bytes(bad))
         loaded = load_checkpoint(path)
-        assert loaded.optimizer is not None and loaded.optimizer["t"] == 3
-        params = loaded.build_params()
-        state = loaded.build_optimizer(params)
-        assert state.t == 3
+        assert loaded.step == 12 and loaded.rng_seed == 5
+        for name, arr in ckpt.tensors.items():
+            assert np.array_equal(arr, loaded.tensors[name]), name
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(self._checkpoint(seed=5), path)
+        before = open(path, "rb").read()
+
+        class Unwritable:
+            """Passes the header; raises once its payload is due."""
+            shape, ndim = (16, 16), 2
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        ckpt = self._checkpoint(seed=6)
+        ckpt.tensors["pooler_w"] = Unwritable()    # not the first payload
+        assert next(iter(ckpt.tensors)) != "pooler_w"
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["m.ckpt"]
 
     def test_corrupt_magic(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
@@ -390,7 +449,7 @@ class TestCheckpoints:
 
     def test_header_byte_flips_raise_only_checkpoint_errors(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(self._checkpoint(with_opt=True), path)
+        save_checkpoint(self._checkpoint(), path)
         blob = open(path, "rb").read()
         start = len(CHECKPOINT_MAGIC)
         end = start + 4 + struct.unpack_from("<I", blob, start)[0]
@@ -446,12 +505,6 @@ class TestDynamicPadding:
         LabeledExample(0, "b"),
         LabeledExample(1, "a c e", "b d"),
     ]
-    STEPS = {
-        "scal": scal_train_step,
-        "uscal": uscal_train_step,
-        "ce": ce_train_step,
-        "views": views_train_step,
-    }
 
     @staticmethod
     def _pad_to(batch: Batch, width: int) -> Batch:
@@ -468,13 +521,13 @@ class TestDynamicPadding:
         params = EncoderParams.init_random(cfg, seed=0)
         tcfg = TrainConfig(mode=mode, lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15)
         seams.clear()
-        report = self.STEPS[mode](
+        report = train_step(
             batch, params, OptimizerState(params), tcfg, derive_seed(3, "step", 0), lr_t=1e-3
         )
         grads = {name: t.grad for name, t in params.named()}
         return report, grads, params.copy_values(), list(seams)
 
-    @pytest.mark.parametrize("mode", list(STEPS))
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
     def test_one_step_bit_identical(self, mode, seams):
         trim = encode_batch(self.ROWS, self.VOCAB, self.MAX_LEN)
         width = trim.token_ids.shape[1]
