@@ -166,3 +166,14 @@ class TestTotals:
 
     def test_uscal_arithmetic(self):
         assert uscal_total(0.7, 0.4, 0.5) == pytest.approx(0.9)
+
+    def test_seeded_step_report_recombines(self):
+        from callab.trainer import TrainConfig, OptimizerState, train_step
+        from conftest import toy_setup
+
+        cfg, params, batch = toy_setup(num_classes=3, batch=4)
+        tcfg = TrainConfig(mode="scal", lr=1e-3, alpha=0.3, epsilon=0.2, seed=0)
+        opt = OptimizerState(params)
+        report = train_step(batch, params, opt, tcfg, step_seed=7, lr_t=1e-3)
+        want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
+        assert abs(report.total - want) < 1e-6

@@ -181,6 +181,13 @@ class TestSteps:
             want = getattr(report, only)
         assert abs(report.total - want) < 1e-6
 
+    def test_scal_report_recombines(self):
+        cfg, params, batch = toy_setup(num_classes=3, batch=4)
+        tcfg = TrainConfig(mode="scal", lr=1e-3, alpha=0.3, epsilon=0.2)
+        report = train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
+        want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
+        assert abs(report.total - want) < 1e-6
+
     def test_uscal_single_item_batch_is_gradient_noop(self):
         cfg, params, batch = toy_setup(num_classes=0, batch=1)
         tcfg = TrainConfig(mode="uscal", lr=1e-3, alpha=0.5, epsilon=0.3,
