@@ -7,8 +7,8 @@ cross-entropy objectives, supervised and unsupervised contrastive-adversarial
 training loops, and classification / similarity / robustness evaluation.
 """
 
-from .autodiff import Tape, Tensor, backward, derive_seed, grad_check, rng_from_seed
-from .attacks import AttackConfig, fgm_perturb, fgsm_perturb, gen_supervised_adv, gen_unsupervised_adv
+from .autodiff import Tape, Tensor, backward, derive_seed, grad_check, grad_of, rng_from_seed
+from .attacks import AttackConfig, fgm_perturb, fgsm_perturb, gen_supervised_adv, gen_unsupervised_adv, seam_attack
 from .encoder import EncoderConfig, EncoderParams, classify, embed_tokens, encode_from_embeddings, forward_full, pool
 from .metrics import (
     MetricReport,
@@ -44,8 +44,8 @@ __all__ = [
     "embed_tokens", "encode_batch", "encode_from_embeddings",
     "evaluate_classification", "evaluate_similarity", "evaluate_under_attack",
     "f1_binary", "fgm_perturb", "fgsm_perturb", "forward_full",
-    "gen_supervised_adv", "gen_unsupervised_adv", "grad_check", "info_nce",
-    "load_checkpoint", "lr_at", "mcc", "pool", "rng_from_seed",
-    "save_checkpoint", "scal_total", "spearman", "tokenize", "train_loop",
+    "gen_supervised_adv", "gen_unsupervised_adv", "grad_check", "grad_of",
+    "info_nce", "load_checkpoint", "lr_at", "mcc", "pool", "rng_from_seed",
+    "save_checkpoint", "scal_total", "seam_attack", "spearman", "tokenize", "train_loop",
     "train_step", "uscal_total",
 ]

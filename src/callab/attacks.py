@@ -1,12 +1,14 @@
 """Embedding-level adversarial example generation (single-step FGSM / FGM).
 
-Both generators run a self-contained forward/backward pass on their own tape
-to obtain the loss gradient at the embedding seam, then add a fixed
-perturbation to the embedding values. The result is a constant leaf: when
-the adversarial branch is later differentiated, no gradient flows through the
-perturbation's construction. Parameter gradient buffers are snapshotted and
-restored around the attack pass, so generating an attack never disturbs the
-model or its pending gradients.
+Every attack perturbs an embedding-seam tensor along the gradient of a loss
+built on the active tape (``seam_attack``). The gradient comes from
+``autodiff.grad_of``, which walks only the nodes downstream of the seam and
+writes no ``grad`` field, so generating an attack never disturbs the model
+or its pending gradients. The two generators build that loss on a tape of
+their own; the ``uscal`` training step calls ``seam_attack`` on its main
+tape instead, reusing the view forwards its loss needs anyway. The result
+is a constant: when the adversarial branch is later differentiated, no
+gradient flows through the perturbation's construction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .encoder import (
     classify,
     embed_tokens,
     encode_from_embeddings,
-    pool,
+    forward_full,
 )
 from .objectives import LossConfig, cross_entropy, info_nce
 from .text import Batch
@@ -107,6 +109,20 @@ def _perturb(emb: np.ndarray, grad: np.ndarray, cfg: AttackConfig) -> np.ndarray
     return fgm_perturb(emb, grad, cfg.epsilon, cfg.zero_grad_guard)
 
 
+def seam_attack(
+    loss: Tensor,
+    emb: Tensor,
+    attack_cfg: AttackConfig,
+    clean_logits: Optional[np.ndarray] = None,
+) -> AdvResult:
+    """Perturb ``emb`` along d loss / d emb, both recorded on the active tape."""
+    attack_cfg.validate()
+    adv_data = _perturb(emb.data, ad.grad_of(loss, emb), attack_cfg)
+    return AdvResult(
+        adv_emb=Tensor(adv_data), delta=adv_data - emb.data, clean_logits=clean_logits
+    )
+
+
 def gen_supervised_adv(
     batch: Batch,
     params: EncoderParams,
@@ -116,28 +132,19 @@ def gen_supervised_adv(
 ) -> AdvResult:
     """Adversarial embeddings driven by the cross-entropy gradient.
 
-    Runs clean forward -> CE -> backward to the embedding seam, perturbs per
-    the configured attack, and returns the result as a constant tensor.
+    Runs clean forward -> CE on its own tape, takes the CE gradient at the
+    embedding seam, and perturbs per the configured attack.
     """
     if batch.labels is None:
         raise ValueError("gen_supervised_adv: batch has no labels")
-    attack_cfg.validate()
-    prior = params.grads_snapshot()
-    try:
-        with ad.Tape():
-            emb = embed_tokens(batch, params, derive_seed(seed, "embed"), train_mode)
-            h = encode_from_embeddings(
-                emb, batch.attn_mask, params, derive_seed(seed, "encode"), train_mode
-            )
-            logits = classify(h, params)
-            ad.backward(cross_entropy(logits, batch.labels))
-        grad = emb.grad
-    finally:
-        params.restore_grads(prior)
-    adv_data = _perturb(emb.data, grad, attack_cfg)
-    return AdvResult(
-        adv_emb=Tensor(adv_data), delta=adv_data - emb.data, clean_logits=logits.data
-    )
+    with ad.Tape():
+        emb = embed_tokens(batch, params, derive_seed(seed, "embed"), train_mode)
+        h = encode_from_embeddings(
+            emb, batch.attn_mask, params, derive_seed(seed, "encode"), train_mode
+        )
+        logits = classify(h, params)
+        ce = cross_entropy(logits, batch.labels)
+        return seam_attack(ce, emb, attack_cfg, clean_logits=logits.data)
 
 
 def gen_unsupervised_adv(
@@ -151,31 +158,15 @@ def gen_unsupervised_adv(
 ) -> AdvResult:
     """Adversarial embeddings driven by the two-view contrastive gradient.
 
-    View 2 is encoded without gradient tracking and enters the loss as fixed
-    keys; the InfoNCE gradient is taken with respect to the view-1 embedding
-    matrix only. Seeds must match the ones used for the training step's views
-    so the perturbation lands on the same dropout draw.
+    The InfoNCE gradient is taken with respect to the view-1 embedding
+    matrix only; view 2 acts as the keys, and since nothing of it lies
+    downstream of view 1 it needs no detaching. Seeds must match the ones
+    used for the training step's views so the perturbation lands on the
+    same dropout draw.
     """
-    attack_cfg.validate()
     loss_cfg.validate()
-    # fixed view-2 keys (no tape)
-    emb2 = embed_tokens(batch, params, derive_seed(seed_view2, "embed"), train_mode)
-    h2 = encode_from_embeddings(
-        emb2, batch.attn_mask, params, derive_seed(seed_view2, "encode"), train_mode
-    )
-    z2 = Tensor(pool(h2, params).data.copy())
-
-    prior = params.grads_snapshot()
-    try:
-        with ad.Tape():
-            emb1 = embed_tokens(batch, params, derive_seed(seed_view1, "embed"), train_mode)
-            h1 = encode_from_embeddings(
-                emb1, batch.attn_mask, params, derive_seed(seed_view1, "encode"), train_mode
-            )
-            ct = info_nce(pool(h1, params), z2, loss_cfg.temperature, loss_cfg.norm_guard)
-            ad.backward(ct)
-        grad = emb1.grad
-    finally:
-        params.restore_grads(prior)
-    adv_data = _perturb(emb1.data, grad, attack_cfg)
-    return AdvResult(adv_emb=Tensor(adv_data), delta=adv_data - emb1.data)
+    with ad.Tape():
+        view1 = forward_full(batch, params, seed_view1, train_mode)
+        view2 = forward_full(batch, params, seed_view2, train_mode)
+        ct = info_nce(view1.z, view2.z, loss_cfg.temperature, loss_cfg.norm_guard)
+        return seam_attack(ct, view1.emb, attack_cfg)

@@ -190,45 +190,81 @@ def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tenso
     return out
 
 
-def backward(root: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable on the tape.
+def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = None) -> dict:
+    """Gradients of ``root`` keyed by tensor id, from one reverse pass over ``nodes``.
 
-    Gradients sum across fan-out; tensors recorded on the tape but not on any
-    path to ``root`` receive zero grad. Existing ``grad`` fields of tape
-    tensors are overwritten, not accumulated into.
+    Gradients sum across fan-out. With ``only`` (a set of tensor ids), grads
+    are kept for those tensors alone. A backward may hand one array to two
+    inputs or pass its output's gradient through, so an entry's first array
+    may be held elsewhere too: the first sum into an entry makes a new
+    array, and only arrays made that way are summed into in place.
     """
     if root.data.size != 1:
-        raise ValueError(f"backward() needs a scalar root, got shape {root.data.shape}")
-    tape = _active_tape()
-    if tape is None:
-        raise RuntimeError("backward() requires an active Tape context")
-
+        raise ValueError(f"gradient root must be a scalar, got shape {root.data.shape}")
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    touched: dict[int, Tensor] = {}
-    for node in reversed(tape.nodes):
-        touched[id(node.output)] = node.output
-        for t in node.inputs:
-            touched[id(t)] = t
+    sums: set[int] = set()  # ids of the arrays this walk allocated for a sum
+    for node in reversed(nodes):
         g_out = grads.get(id(node.output))
         if g_out is None:
             continue
-        in_grads = node.backward(g_out)
-        for t, g in zip(node.inputs, in_grads):
-            if g is None or not t.requires_grad:
+        for t, g in zip(node.inputs, node.backward(g_out)):
+            if g is None or not t.requires_grad or (only is not None and id(t) not in only):
                 continue
             g = np.asarray(g, dtype=_F32)
             if g.shape != t.data.shape:
                 g = g.reshape(t.data.shape)
             acc = grads.get(id(t))
             if acc is None:
-                grads[id(t)] = g.copy() if g.base is not None or g is t.data else g
-            else:
+                grads[id(t)] = g
+            elif id(acc) in sums:
                 acc += g
+            else:
+                acc = grads[id(t)] = acc + g
+                sums.add(id(acc))
+    return grads
 
-    for key, t in touched.items():
-        if t.requires_grad:
-            g = grads.get(key)
-            t.grad = g if g is not None else np.zeros_like(t.data)
+
+def _tape_or_raise(fn: str) -> Tape:
+    tape = _active_tape()
+    if tape is None:
+        raise RuntimeError(f"{fn}() requires an active Tape context")
+    return tape
+
+
+def backward(root: Tensor) -> None:
+    """Populate ``grad`` on every requires-grad tensor reachable on the tape.
+
+    Gradients sum across fan-out; tensors recorded on the tape but not on any
+    path to ``root`` receive zero grad. Existing ``grad`` fields of tape
+    tensors are overwritten, not accumulated into. Two tensors' ``grad``
+    fields may be one array; replace a ``grad``, never write into it.
+    """
+    tape = _tape_or_raise("backward")
+    grads = _reverse_walk(root, tape.nodes)
+    for node in tape.nodes:
+        for t in (*node.inputs, node.output):
+            if t.requires_grad:
+                g = grads.get(id(t))
+                t.grad = g if g is not None else np.zeros_like(t.data)
+
+
+def grad_of(root: Tensor, wrt: Tensor) -> np.ndarray:
+    """d root / d wrt on the active tape, leaving every ``grad`` field untouched.
+
+    Only nodes downstream of ``wrt`` are walked, so nothing upstream of it
+    is differentiated; gradients those nodes return for other inputs (such
+    as parameters) are dropped. Zeros when ``root`` does not depend on
+    ``wrt`` through the tape.
+    """
+    tape = _tape_or_raise("grad_of")
+    downstream = {id(wrt)}
+    nodes = []
+    for node in tape.nodes:
+        if any(id(t) in downstream for t in node.inputs):
+            downstream.add(id(node.output))
+            nodes.append(node)
+    g = _reverse_walk(root, nodes, only=downstream).get(id(wrt))
+    return g if g is not None else np.zeros_like(wrt.data)
 
 
 # ---------------------------------------------------------------------------

@@ -148,13 +148,6 @@ class EncoderParams:
         for t in self.tensors.values():
             t.grad = None
 
-    def grads_snapshot(self) -> dict[str, Optional[np.ndarray]]:
-        return {name: t.grad for name, t in self.tensors.items()}
-
-    def restore_grads(self, snapshot: dict[str, Optional[np.ndarray]]) -> None:
-        for name, t in self.tensors.items():
-            t.grad = snapshot[name]
-
     def checksum(self) -> float:
         return float(sum(float(np.abs(t.data).sum(dtype=np.float64)) for t in self.tensors.values()))
 

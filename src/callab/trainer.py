@@ -11,10 +11,11 @@ their baselines exactly:
 
 Each baseline is the clean prefix of its framework's graph. The adversarial
 branch consumes ``anchor_embedding + delta`` (the clean forward's or view
-1's), where delta is a constant computed by the attack pass; gradients
-therefore flow from both branches into every shared parameter (embedding
-table included) while nothing differentiates through the perturbation's
-construction.
+1's), where delta is a constant: scal computes it in a separate attack pass,
+uscal from the seam gradient of its clean prefix on the step's own tape.
+Gradients therefore flow from both branches into every shared parameter
+(embedding table included) while nothing differentiates through the
+perturbation's construction.
 
 Checkpoints hold parameters and run metadata only; ``save_checkpoint``
 replaces its target atomically.
@@ -33,10 +34,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, derive_seed
-from .attacks import ATTACK_KINDS, AttackConfig, gen_supervised_adv, gen_unsupervised_adv
+from .attacks import ATTACK_KINDS, AttackConfig, gen_supervised_adv, seam_attack
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    ForwardOut,
     classify,
     encode_from_embeddings,
     forward_full,
@@ -214,37 +216,36 @@ def clip_gradients(params: EncoderParams, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def loss_graph(
+def _clean_prefix(
     mode: str,
     batch: Batch,
     params: EncoderParams,
-    delta: Optional[np.ndarray],
     loss_cfg: LossConfig,
     step_seed: int,
     train_mode: bool,
-) -> tuple[Tensor, dict[str, Tensor]]:
-    """Build one step's total loss on the active tape.
-
-    Returns ``(total, parts)``; ``parts`` maps ``LossReport`` field names to
-    the loss terms. The clean prefix is the ``"clean"`` forward and its CE
-    (scal, ce) or the ``"view1"``/``"view2"`` forwards and their InfoNCE
-    (uscal, views); the baselines stop there. scal and uscal go on through
-    one adversarial branch that starts at the anchor's (clean forward's or
-    view 1's) embedding + ``delta``, so its gradients reach the embedding
-    table while nothing differentiates through ``delta`` itself.
-    """
+) -> tuple[ForwardOut, dict[str, Tensor]]:
+    """The anchor forward and the clean loss: ``{"ce_clean": ...}`` or ``{"ct_views": ...}``."""
     if mode in ("scal", "ce"):
         anchor = forward_full(batch, params, derive_seed(step_seed, "clean"), train_mode)
-        clean = cross_entropy(anchor.logits, batch.labels)
-        parts = {"ce_clean": clean}
-    else:
-        anchor = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode)
-        view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode)
-        clean = info_nce(anchor.z, view2.z, loss_cfg.temperature, loss_cfg.norm_guard)
-        parts = {"ct_views": clean}
-    if mode in ("ce", "views"):
-        return clean, parts
+        return anchor, {"ce_clean": cross_entropy(anchor.logits, batch.labels)}
+    anchor = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode)
+    view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode)
+    ct = info_nce(anchor.z, view2.z, loss_cfg.temperature, loss_cfg.norm_guard)
+    return anchor, {"ct_views": ct}
 
+
+def _adversarial_branch(
+    mode: str,
+    batch: Batch,
+    params: EncoderParams,
+    anchor: ForwardOut,
+    parts: dict[str, Tensor],
+    delta: np.ndarray,
+    loss_cfg: LossConfig,
+    step_seed: int,
+    train_mode: bool,
+) -> Tensor:
+    """Encode ``anchor.emb + delta``, add the adversarial terms to ``parts``, return the total."""
     adv_input = ad.add(anchor.emb, Tensor(delta))
     adv_seed = derive_seed(step_seed, "adv")
     h_adv = encode_from_embeddings(
@@ -258,12 +259,40 @@ def loss_graph(
             anchor.z, z_adv, anchor.z, loss_cfg.temperature, loss_cfg.norm_guard
         )
     if mode == "scal":
+        clean = parts["ce_clean"]
         ce_adv = cross_entropy(classify(h_adv, params), batch.labels)
         parts.update(ce_adv=ce_adv, contrastive=ct)
-        total = ad.add(ad.scale(ad.add(clean, ce_adv), 0.5), ad.scale(ct, loss_cfg.alpha))
-    else:
-        parts["ct_adv"] = ct
-        total = ad.add(clean, ad.scale(ct, loss_cfg.alpha))
+        return ad.add(ad.scale(ad.add(clean, ce_adv), 0.5), ad.scale(ct, loss_cfg.alpha))
+    parts["ct_adv"] = ct
+    return ad.add(parts["ct_views"], ad.scale(ct, loss_cfg.alpha))
+
+
+def loss_graph(
+    mode: str,
+    batch: Batch,
+    params: EncoderParams,
+    delta: Optional[np.ndarray],
+    loss_cfg: LossConfig,
+    step_seed: int,
+    train_mode: bool,
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """Build one step's total loss on the active tape, for a given ``delta``.
+
+    Returns ``(total, parts)``; ``parts`` maps ``LossReport`` field names to
+    the loss terms. The clean prefix is the ``"clean"`` forward and its CE
+    (scal, ce) or the ``"view1"``/``"view2"`` forwards and their InfoNCE
+    (uscal, views); the baselines stop there. scal and uscal go on through
+    one adversarial branch that starts at the anchor's (clean forward's or
+    view 1's) embedding + ``delta``, so its gradients reach the embedding
+    table while nothing differentiates through ``delta`` itself.
+    """
+    anchor, parts = _clean_prefix(mode, batch, params, loss_cfg, step_seed, train_mode)
+    if mode in ("ce", "views"):
+        (clean,) = parts.values()
+        return clean, parts
+    total = _adversarial_branch(
+        mode, batch, params, anchor, parts, delta, loss_cfg, step_seed, train_mode
+    )
     return total, parts
 
 
@@ -276,32 +305,33 @@ def train_step(
     lr_t: float,
     step: int = 0,
 ) -> LossReport:
-    """One update in ``tcfg.mode``: attack (scal/uscal), loss graph, backward, clip, AdamW.
+    """One update in ``tcfg.mode``: attack, loss graph, backward, clip, AdamW.
 
-    Raises ``NonFiniteLossError`` naming ``step`` before any gradient is
-    taken if the total is NaN or infinite.
+    scal attacks on a tape of its own (``gen_supervised_adv``, its own
+    ``"attack"`` dropout draw). uscal takes its seam gradient from the main
+    tape: d ct_views / d view-1 embedding, the same value the standalone
+    ``gen_unsupervised_adv`` computes, without encoding the views twice.
+    Raises ``NonFiniteLossError`` naming ``step`` before the backward pass if
+    the total is NaN or infinite.
     """
+    mode = tcfg.mode
     loss_cfg = tcfg.loss_config()
     delta = None
-    if tcfg.mode == "scal":
+    if mode == "scal":
         delta = gen_supervised_adv(
             batch, params, tcfg.attack_config(), derive_seed(step_seed, "attack"), train_mode=True
         ).delta
-    elif tcfg.mode == "uscal":
-        delta = gen_unsupervised_adv(
-            batch,
-            params,
-            loss_cfg,
-            tcfg.attack_config(),
-            seed_view1=derive_seed(step_seed, "view1"),
-            seed_view2=derive_seed(step_seed, "view2"),
-            train_mode=True,
-        ).delta
     params.zero_grads()
     with ad.Tape():
-        total, parts = loss_graph(
-            tcfg.mode, batch, params, delta, loss_cfg, step_seed, train_mode=True
-        )
+        anchor, parts = _clean_prefix(mode, batch, params, loss_cfg, step_seed, train_mode=True)
+        if mode == "uscal":
+            delta = seam_attack(parts["ct_views"], anchor.emb, tcfg.attack_config()).delta
+        if delta is None:
+            (total,) = parts.values()
+        else:
+            total = _adversarial_branch(
+                mode, batch, params, anchor, parts, delta, loss_cfg, step_seed, train_mode=True
+            )
         if not math.isfinite(total.item()):
             raise NonFiniteLossError(step, total.item())
         ad.backward(total)
@@ -495,6 +525,10 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
     missing = set(expected_shapes) - set(tensors)
     if missing:
         raise CheckpointShapeError(f"{path}: missing tensors {sorted(missing)}")
+    if offset != len(blob):
+        raise CheckpointError(
+            f"{path}: {len(blob) - offset} unexpected bytes after the last tensor payload"
+        )
 
     ckpt = Checkpoint(
         config=config,

@@ -201,3 +201,15 @@ class TestUnsupervisedAttack:
             batch, params, LossConfig(), AttackConfig(), seed_view1=1, seed_view2=2
         )
         assert params.checksum() == checksum
+
+    def test_never_touches_grads(self):
+        cfg, params, batch = toy_setup(num_classes=0, batch=3)
+        sentinels = {name: np.full_like(t.data, 0.5) for name, t in params.named()}
+        for name, t in params.named():
+            t.grad = sentinels[name]
+        gen_unsupervised_adv(
+            batch, params, LossConfig(), AttackConfig(), seed_view1=1, seed_view2=2
+        )
+        for name, t in params.named():
+            assert t.grad is sentinels[name], name
+            np.testing.assert_array_equal(t.grad, 0.5)

@@ -252,6 +252,64 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             ad.backward(ad.sum_all(x))
 
+    def test_shared_gradient_buffers_do_not_alias(self):
+        """add() hands one array to both inputs; summing into one must not reach the other."""
+        x = Tensor(np.ones(2), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
+        with ad.Tape():
+            a, b = ad.scale(x, 1.0), ad.scale(y, 1.0)
+            c = ad.scale(a, 5.0)
+            ad.backward(ad.sum_all(ad.add(ad.add(a, b), c)))
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+        np.testing.assert_array_equal(a.grad, [6.0, 6.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(c.grad, [1.0, 1.0])
+
+
+class TestGradOf:
+    def _graph(self, rng):
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        seam = ad.tanh(ad.matmul(x, w))
+        root = ad.sum_all(ad.mul(ad.add(seam, ad.scale(seam, 2.0)), ad.relu(seam)))
+        return w, x, seam, root
+
+    def test_matches_backward_bit_for_bit(self, rng):
+        with ad.Tape():
+            w, x, seam, root = self._graph(rng)
+            got = ad.grad_of(root, seam)
+            ad.backward(root)
+        np.testing.assert_array_equal(got, seam.grad)
+        assert got.dtype == np.float32 and got.shape == seam.shape
+
+    def test_leaves_grad_fields_untouched(self, rng):
+        with ad.Tape():
+            w, x, seam, root = self._graph(rng)
+            sentinels = {id(t): np.full(t.shape, 7.0, dtype=np.float32) for t in (w, x, seam, root)}
+            for t in (w, x, seam, root):
+                t.grad = sentinels[id(t)]
+            ad.grad_of(root, seam)
+        for t in (w, x, seam, root):
+            assert t.grad is sentinels[id(t)]
+            np.testing.assert_array_equal(t.grad, 7.0)
+
+    def test_unreachable_wrt_gets_zeros(self, rng):
+        with ad.Tape():
+            w, x, seam, root = self._graph(rng)
+            other = ad.scale(Tensor(np.ones((2, 2)), requires_grad=True), 3.0)
+            np.testing.assert_array_equal(ad.grad_of(root, other), np.zeros((2, 2)))
+            np.testing.assert_array_equal(ad.grad_of(ad.sum_all(other), seam), np.zeros((2, 4)))
+
+    def test_needs_tape_and_scalar_root(self, rng):
+        w, x, seam, root = self._graph(rng)
+        with pytest.raises(RuntimeError, match="grad_of"):
+            ad.grad_of(root, seam)
+        with ad.Tape():
+            w, x, seam, root = self._graph(rng)
+            with pytest.raises(ValueError, match="scalar"):
+                ad.grad_of(seam, x)
+
 
 class TestGradCheck:
     def test_quadratic_form_tight(self, rng):

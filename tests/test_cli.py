@@ -262,6 +262,15 @@ class TestEval:
             "--data", str(workspace / "dev.tsv"),
         ]) == EXIT_CKPT_MISMATCH
 
+    def test_trailing_bytes_exit_4(self, workspace, trained, tmp_path):
+        bad = tmp_path / "padded.ckpt"
+        bad.write_bytes((trained / "best.ckpt").read_bytes() + bytes(64))
+        assert main([
+            "eval", "--checkpoint", str(bad),
+            "--vocab", str(workspace / "vocab.txt"),
+            "--data", str(workspace / "dev.tsv"),
+        ]) == EXIT_CKPT_MISMATCH
+
     def test_missing_checkpoint_exit_2(self, workspace):
         assert main([
             "eval", "--checkpoint", "/no/such.ckpt",

@@ -11,8 +11,11 @@ import pytest
 
 import callab.attacks as attacks_mod
 import callab.encoder as encoder_mod
-from callab.autodiff import derive_seed
-from callab.encoder import EncoderConfig, EncoderParams, embed_tokens
+import callab.trainer as trainer_mod
+from callab.attacks import AttackConfig, gen_unsupervised_adv
+from callab.autodiff import Tape, backward, derive_seed, grad_of
+from callab.encoder import EncoderConfig, EncoderParams, classify, embed_tokens
+from callab.objectives import cross_entropy
 from callab.metrics import evaluate_classification
 from callab.objectives import LossReport, scal_total, uscal_total
 from callab.synthdata import make_group_task
@@ -36,7 +39,9 @@ from callab.trainer import (
     TRAIN_MODES,
     TrainConfig,
     adamw_step,
+    clip_gradients,
     load_checkpoint,
+    loss_graph,
     lr_at,
     save_checkpoint,
     train_loop,
@@ -417,6 +422,14 @@ class TestCheckpoints:
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(self._checkpoint(), path)
+        with open(path, "ab") as fh:
+            fh.write(bytes(64))
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: 64 unexpected bytes"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(self._checkpoint(), path)
@@ -558,3 +571,83 @@ class TestDynamicPadding:
                 assert emb_f.grad[:, :width][real].tobytes() == emb_t.grad[real].tobytes()
                 assert not emb_f.grad[full.attn_mask == 0].any()
                 assert not emb_t.grad[trim.attn_mask == 0].any()
+
+
+class TestSeamGradient:
+    """The attack's seam gradient from ``grad_of`` on the tape the step builds anyway."""
+
+    def test_grad_of_matches_backward_on_scal_attack_graph(self, seams):
+        cfg, params, batch = toy_setup(num_classes=3, batch=4)
+        seed = derive_seed(11, "attack")
+        with Tape():
+            emb = embed_tokens(batch, params, derive_seed(seed, "embed"), True)
+            h = encoder_mod.encode_from_embeddings(
+                emb, batch.attn_mask, params, derive_seed(seed, "encode"), True
+            )
+            ce = cross_entropy(classify(h, params), batch.labels)
+            got = grad_of(ce, emb)
+            backward(ce)
+        assert got.tobytes() == emb.grad.tobytes()
+        assert np.any(got != 0)
+
+    def test_grad_of_matches_backward_on_uscal_main_tape(self, seams):
+        cfg, params, batch = toy_setup(num_classes=0, batch=4)
+        tcfg = TrainConfig(mode="uscal", epsilon=0.3, dev_metric="spearman")
+        with Tape():
+            _, parts = loss_graph("views", batch, params, None, tcfg.loss_config(), 11, True)
+            view1 = seams[0]
+            got = grad_of(parts["ct_views"], view1)
+            for _, t in params.named():
+                assert t.grad is None
+            backward(parts["ct_views"])
+        assert got.tobytes() == view1.grad.tobytes()
+        assert np.any(got != 0)
+
+    @pytest.mark.parametrize("negative_mode", ["adv-keys", "clean-keys"])
+    @pytest.mark.parametrize("kind", ["fgm", "fgsm"])
+    def test_uscal_step_matches_standalone_attack_reference(self, negative_mode, kind):
+        """Same bytes as: delta from gen_unsupervised_adv, loss_graph, backward, clip, AdamW."""
+        cfg, p_step, batch = toy_setup(num_classes=0, batch=4, layers=2)
+        _, p_ref, _ = toy_setup(num_classes=0, batch=4, layers=2)
+        opt_step, opt_ref = OptimizerState(p_step), OptimizerState(p_ref)
+        tcfg = TrainConfig(mode="uscal", lr=1e-2, alpha=0.5, epsilon=0.3, attack_kind=kind,
+                           negative_mode=negative_mode, grad_clip=0.5, dev_metric="spearman")
+        loss_cfg = tcfg.loss_config()
+        for step in range(4):
+            step_seed = derive_seed(5, "step", step)
+            got = train_step(batch, p_step, opt_step, tcfg, step_seed, 1e-2, step)
+
+            delta = gen_unsupervised_adv(
+                batch, p_ref, loss_cfg, tcfg.attack_config(),
+                derive_seed(step_seed, "view1"), derive_seed(step_seed, "view2"),
+            ).delta
+            p_ref.zero_grads()
+            with Tape():
+                total, parts = loss_graph("uscal", batch, p_ref, delta, loss_cfg, step_seed, True)
+                backward(total)
+                clip_gradients(p_ref, tcfg.grad_clip)
+                adamw_step(p_ref, opt_ref, 1e-2, tcfg.weight_decay)
+            want = LossReport(total=total.item(), **{k: v.item() for k, v in parts.items()})
+
+            assert got == want
+            for name, arr in p_ref.copy_values().items():
+                assert p_step[name].data.tobytes() == arr.tobytes(), name
+                assert p_step[name].grad.tobytes() == p_ref[name].grad.tobytes(), name
+
+    @pytest.mark.parametrize("mode, forwards", [("scal", 3), ("uscal", 3), ("ce", 1), ("views", 2)])
+    def test_encoder_forwards_per_step(self, monkeypatch, mode, forwards):
+        calls = []
+        encode = encoder_mod.encode_from_embeddings
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return encode(*args, **kwargs)
+
+        for mod in (encoder_mod, attacks_mod, trainer_mod):
+            monkeypatch.setattr(mod, "encode_from_embeddings", counting)
+        supervised = mode in ("scal", "ce")
+        cfg, params, batch = toy_setup(num_classes=3 if supervised else 0, batch=4)
+        tcfg = TrainConfig(mode=mode, epsilon=0.3,
+                           dev_metric="accuracy" if supervised else "spearman")
+        train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
+        assert len(calls) == forwards
