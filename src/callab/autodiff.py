@@ -1,11 +1,28 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Values are stored as contiguous float32 arrays; reductions (sums, means,
-norms, matmul inner products) accumulate in float64 before rounding back to
-storage precision, which keeps finite-difference gradient checks tight on
-deep graphs. Operations record onto an explicit tape (define-by-run) only
-while a ``Tape`` context is active and at least one input requires grad;
-outside a tape everything is plain numpy, which is what evaluation paths use.
+norms) accumulate in float64 before rounding back to storage precision,
+which keeps finite-difference gradient checks tight on deep graphs.
+
+Matrix products follow one precision rule. A product that contracts only a
+feature axis runs in storage precision (float32 BLAS, no casts): the forward
+and input-gradient products of 2-D and 3-D@2-D matmuls, which are every
+linear layer, the pooler, the classifier and the InfoNCE similarities. A
+product that may sum over padded positions accumulates in float64 and
+rounds once: the parameter gradient ``a^T g`` (it sums over every batch row
+and position) and all three products of a batched (attention) matmul. In
+float32 such sums depend on how many padding zeros they run over, so a batch
+trimmed to its longest row would train differently from one padded to
+``max_len``; in float64 the rounded result does not see the width. Under
+``_float64_forward`` (the gradient checker's oracle) every product is
+float64.
+
+Operations record onto an explicit tape (define-by-run) only while a
+``Tape`` context is active and at least one input requires grad; outside a
+tape everything is plain numpy, which is what evaluation paths use. A
+reverse walk tells each node which of its inputs it keeps, and matmul,
+add_bias and layer_norm compute no gradient for an input that is not kept,
+so ``grad_of`` differentiates no parameter on its way to the seam.
 
 Single-threaded by design: one tape per worker, rebuilt every step.
 """
@@ -138,7 +155,7 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward")
+    __slots__ = ("inputs", "output", "backward", "keep")
 
     def __init__(self, inputs, output, backward):
         self.inputs: tuple[Tensor, ...] = inputs
@@ -146,6 +163,9 @@ class _Node:
         # backward: out_grad (f32 ndarray) -> tuple of grads aligned with inputs
         # (None for inputs that need no grad).
         self.backward: Callable = backward
+        # keep[i]: whether the running reverse walk wants inputs[i]'s gradient;
+        # the walk fills it in place before calling backward
+        self.keep: list[bool] = [True] * len(inputs)
 
 
 class Tape:
@@ -180,13 +200,26 @@ def _finite_guard(out: np.ndarray) -> None:
         raise FloatingPointError("operation produced a non-finite value")
 
 
-def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
+def _record(
+    inputs: tuple[Tensor, ...], out_data: np.ndarray, backward, selective: bool = False
+) -> Tensor:
+    """Wrap ``out_data`` in a tensor and put its node on the active tape.
+
+    A ``selective`` backward takes ``(g, keep)`` and returns None for every
+    input whose ``keep`` entry is false, skipping that input's work.
+    """
     _finite_guard(out_data)
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        tape.nodes.append(_Node(inputs, out, backward))
+        node = _Node(inputs, out, backward)
+        if selective:
+            # hold the list, not the node: a node -> closure -> node cycle
+            # would keep every tape's arrays alive until the cycle collector ran
+            keep = node.keep
+            node.backward = lambda g: backward(g, keep)
+        tape.nodes.append(node)
     return out
 
 
@@ -194,7 +227,8 @@ def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = No
     """Gradients of ``root`` keyed by tensor id, from one reverse pass over ``nodes``.
 
     Gradients sum across fan-out. With ``only`` (a set of tensor ids), grads
-    are kept for those tensors alone. A backward may hand one array to two
+    are kept for those tensors alone; each node learns which of its inputs
+    are kept before its backward runs. A backward may hand one array to two
     inputs or pass its output's gradient through, so an entry's first array
     may be held elsewhere too: the first sum into an entry makes a new
     array, and only arrays made that way are summed into in place.
@@ -207,8 +241,9 @@ def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = No
         g_out = grads.get(id(node.output))
         if g_out is None:
             continue
-        for t, g in zip(node.inputs, node.backward(g_out)):
-            if g is None or not t.requires_grad or (only is not None and id(t) not in only):
+        node.keep[:] = [t.requires_grad and (only is None or id(t) in only) for t in node.inputs]
+        for t, kept, g in zip(node.inputs, node.keep, node.backward(g_out)):
+            if g is None or not kept:
                 continue
             g = np.asarray(g, dtype=_F32)
             if g.shape != t.data.shape:
@@ -252,9 +287,10 @@ def grad_of(root: Tensor, wrt: Tensor) -> np.ndarray:
     """d root / d wrt on the active tape, leaving every ``grad`` field untouched.
 
     Only nodes downstream of ``wrt`` are walked, so nothing upstream of it
-    is differentiated; gradients those nodes return for other inputs (such
-    as parameters) are dropped. Zeros when ``root`` does not depend on
-    ``wrt`` through the tape.
+    is differentiated, and the walk keeps no input that is not downstream
+    of ``wrt``: matmul, add_bias and layer_norm skip the gradients of the
+    parameters they read. Zeros when ``root`` does not depend on ``wrt``
+    through the tape.
     """
     tape = _tape_or_raise("grad_of")
     downstream = {id(wrt)}
@@ -319,11 +355,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def _matmul_grad_a(g: np.ndarray, b_d: np.ndarray) -> np.ndarray:
-    return _f64_matmul(g, np.swapaxes(b_d, -1, -2))
+    """Input gradient g @ b^T: storage precision unless the product is batched."""
+    b_t = np.swapaxes(b_d, -1, -2)
+    return _f64_matmul(g, b_t) if b_d.ndim > 2 else _st_matmul(g, b_t)
 
 
 def _matmul_grad_b(a_d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient a^T g of the right operand, in float64: it sums over rows and positions."""
     return _f64_matmul(np.swapaxes(a_d, -1, -2), g)
+
+
+def _st_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if _st() is _F32:
+        return np.matmul(a, b)
+    return _f64_matmul(a, b)
 
 
 def _f64_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -331,31 +376,40 @@ def _f64_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with float64 inner accumulation.
+    """Matrix product under the module's precision rule.
 
     Either both operands share identical leading (batch) dimensions, or ``b``
     is a plain 2-D matrix applied to the last axis of ``a``. No other
-    broadcasting.
+    broadcasting. With a 2-D ``b`` the forward and ``a``'s gradient contract
+    a feature axis and run in storage precision; ``b``'s gradient sums over
+    every row of ``a`` and accumulates in float64. A batched product (3-D or
+    more on both sides, the attention scores and context) accumulates all
+    three of its products in float64, since it contracts over positions
+    that may be padding.
     """
     a_d, b_d = a.data, b.data
     if a_d.ndim < 2 or b_d.ndim < 2:
         raise ValueError(f"matmul: operands must be >=2-D, got {a_d.shape} vs {b_d.shape}")
     if a_d.shape[-1] != b_d.shape[-2]:
         raise ValueError(f"matmul: inner dims differ, {a_d.shape} vs {b_d.shape}")
-    if b_d.ndim == 2 and a_d.ndim > 2:
-        out = _f64_matmul(a_d, b_d)
-
-        def bwd(g):
-            ga = _matmul_grad_a(g, b_d)
-            k, m = b_d.shape
-            gb = _f64_matmul(a_d.reshape(-1, k).T, g.reshape(-1, m))
-            return ga, gb
-
-        return _record((a, b), out, bwd)
-    if a_d.shape[:-2] != b_d.shape[:-2]:
+    if b_d.ndim > 2 and a_d.shape[:-2] != b_d.shape[:-2]:
         raise ValueError(f"matmul: batch dims differ, {a_d.shape} vs {b_d.shape}")
-    out = _f64_matmul(a_d, b_d)
-    return _record((a, b), out, lambda g: (_matmul_grad_a(g, b_d), _matmul_grad_b(a_d, g)))
+    batched = b_d.ndim > 2
+    # unbatched, a's rows (and g's) form one 2-D operand, so every product is 2-D
+    a_m = a_d if batched else a_d.reshape(-1, a_d.shape[-1])
+    if batched:
+        out = _f64_matmul(a_m, b_d)
+    else:
+        out = _st_matmul(a_m, b_d).reshape(a_d.shape[:-1] + b_d.shape[-1:])
+
+    def bwd(g, keep):
+        if not batched:
+            g = g.reshape(-1, g.shape[-1])
+        ga = _matmul_grad_a(g, b_d) if keep[0] else None
+        gb = _matmul_grad_b(a_m, g) if keep[1] else None
+        return ga, gb
+
+    return _record((a, b), out, bwd, selective=True)
 
 
 def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -417,11 +471,12 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add_bias: {b_d.shape} is not a suffix of {a_d.shape}")
     lead = tuple(range(a_d.ndim - b_d.ndim))
 
-    def bwd(g):
-        gb = g if not lead else g.sum(axis=lead, dtype=_F64).astype(_F32)
-        return g, gb
+    def bwd(g, keep):
+        if not keep[1]:
+            return g, None
+        return g, (g if not lead else g.sum(axis=lead, dtype=_F64).astype(_F32))
 
-    return _record((a, b), a_d + b_d, bwd)
+    return _record((a, b), a_d + b_d, bwd, selective=True)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -545,18 +600,18 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = (xhat * gamma.data.astype(_F64) + beta.data.astype(_F64)).astype(_st())
     g_d = gamma.data.astype(_F64)
 
-    def bwd(g):
+    def bwd(g, keep):
         g64 = g.astype(_F64)
         gxhat = g64 * g_d
         m1 = gxhat.mean(axis=-1, keepdims=True)
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        ga = ((gxhat - m1 - xhat * m2) * inv).astype(_F32)
+        ga = ((gxhat - m1 - xhat * m2) * inv).astype(_F32) if keep[0] else None
         lead = tuple(range(g64.ndim - 1))
-        ggamma = (g64 * xhat).sum(axis=lead).astype(_F32)
-        gbeta = g64.sum(axis=lead).astype(_F32)
+        ggamma = (g64 * xhat).sum(axis=lead).astype(_F32) if keep[1] else None
+        gbeta = g64.sum(axis=lead).astype(_F32) if keep[2] else None
         return ga, ggamma, gbeta
 
-    return _record((a, gamma, beta), out, bwd)
+    return _record((a, gamma, beta), out, bwd, selective=True)
 
 
 def dropout_apply(
@@ -570,7 +625,8 @@ def dropout_apply(
 
     The mask comes from a counter-based generator keyed by ``seed`` alone, so
     the same seed always produces the same mask for a given shape; rebuilding
-    a graph replays dropout bit-identically. Identity in eval mode or at rate 0.
+    a graph replays dropout bit-identically. In eval mode or at rate 0 it
+    returns ``a`` itself and records nothing.
 
     With ``full_shape`` the mask is drawn at that shape and its leading corner
     is cropped to ``a``'s shape, so an element keeps its mask value however
@@ -580,7 +636,7 @@ def dropout_apply(
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout_apply: rate must be in [0, 1), got {rate}")
     if not train_mode or rate == 0.0:
-        return _record((a,), a.data.copy(), lambda g: (g,))
+        return a
     shape = a.data.shape
     full_shape = shape if full_shape is None else tuple(full_shape)
     if len(full_shape) != len(shape) or any(f < s for f, s in zip(full_shape, shape)):

@@ -68,6 +68,18 @@ class NonFiniteLossError(RuntimeError):
         self.step = step
 
 
+class SkippedStepsError(NonFiniteLossError):
+    """Raised when ``MAX_CONSECUTIVE_SKIPS`` AdamW updates in a row were skipped."""
+
+    def __init__(self, step: int, skipped: int):
+        RuntimeError.__init__(
+            self,
+            f"{skipped} consecutive optimizer steps skipped on non-finite gradients "
+            f"(last at step {step})",
+        )
+        self.step = step
+
+
 @dataclass
 class TrainConfig:
     mode: str = "scal"
@@ -132,13 +144,17 @@ class TrainConfig:
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+# a run whose gradients stay non-finite this many steps in a row has diverged
+MAX_CONSECUTIVE_SKIPS = 3
 
 
 class OptimizerState:
-    """AdamW moments (kept in float64) and the shared step counter."""
+    """AdamW moments (kept in float64), the shared step counter, and the
+    number of updates skipped in a row on non-finite gradients."""
 
     def __init__(self, params: EncoderParams):
         self.t = 0
+        self.skipped = 0
         self.m: dict[str, np.ndarray] = {
             name: np.zeros(t.data.shape, dtype=np.float64) for name, t in params.named()
         }
@@ -312,7 +328,9 @@ def train_step(
     tape: d ct_views / d view-1 embedding, the same value the standalone
     ``gen_unsupervised_adv`` computes, without encoding the views twice.
     Raises ``NonFiniteLossError`` naming ``step`` before the backward pass if
-    the total is NaN or infinite.
+    the total is NaN or infinite. A skipped AdamW update (non-finite
+    gradients) only warns, but the ``MAX_CONSECUTIVE_SKIPS``-th in a row
+    raises ``SkippedStepsError``, a ``NonFiniteLossError``.
     """
     mode = tcfg.mode
     loss_cfg = tcfg.loss_config()
@@ -337,7 +355,12 @@ def train_step(
         ad.backward(total)
         if tcfg.grad_clip > 0:
             clip_gradients(params, tcfg.grad_clip)
-        adamw_step(params, opt, lr_t, tcfg.weight_decay)
+        if adamw_step(params, opt, lr_t, tcfg.weight_decay):
+            opt.skipped = 0
+        else:
+            opt.skipped += 1
+            if opt.skipped >= MAX_CONSECUTIVE_SKIPS:
+                raise SkippedStepsError(step, opt.skipped)
     return LossReport(total=total.item(), **{k: v.item() for k, v in parts.items()})
 
 

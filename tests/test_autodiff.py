@@ -1,6 +1,8 @@
 """Engine-level tests: op semantics, tape backward rules, gradient checking."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +152,20 @@ class TestDropout:
         out = ad.dropout_apply(x, 0.9, seed=3, train_mode=False)
         np.testing.assert_array_equal(out.data, x.data)
 
+    @pytest.mark.parametrize("rate, train_mode", [(0.9, False), (0.0, True)])
+    def test_identity_returns_input_and_passes_gradients(self, rng, rate, train_mode):
+        x = Tensor(rng.standard_normal((5, 5)).astype(np.float32), requires_grad=True)
+        c = rng.standard_normal((5, 5)).astype(np.float32)
+        with ad.Tape() as tape:
+            out = ad.dropout_apply(x, rate, seed=3, train_mode=train_mode)
+            assert out is x and not tape.nodes
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(c))))
+        np.testing.assert_array_equal(x.grad, c)
+
+    def test_rate_validated_before_identity(self):
+        with pytest.raises(ValueError, match="rate"):
+            ad.dropout_apply(Tensor(np.ones(3)), 1.5, seed=0, train_mode=False)
+
     def test_statistics_and_determinism(self):
         x = Tensor(np.ones((400, 250), dtype=np.float32))  # 1e5 elements
         a = ad.dropout_apply(x, 0.1, seed=77, train_mode=True)
@@ -267,6 +283,27 @@ class TestBackward:
         np.testing.assert_array_equal(c.grad, [1.0, 1.0])
 
 
+class TestTapeLifetime:
+    def test_tape_is_freed_without_the_cycle_collector(self, rng):
+        """No node may reach itself, so a tape's arrays go when its last reference does."""
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(5), requires_grad=True), Tensor(np.zeros(5), requires_grad=True)
+        gc.disable()
+        try:
+            with ad.Tape():
+                hid = ad.layer_norm(ad.add_bias(ad.matmul(x, w), beta), gamma, beta)
+                alive = [weakref.ref(hid.data)]
+                root = ad.sum_all(ad.dropout_apply(hid, 0.5, seed=1, train_mode=True))
+                alive.append(weakref.ref(root.data))
+                ad.grad_of(root, hid)
+                ad.backward(root)
+            del hid, root
+            assert all(ref() is None for ref in alive)
+        finally:
+            gc.enable()
+
+
 class TestGradOf:
     def _graph(self, rng):
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -309,6 +346,87 @@ class TestGradOf:
             w, x, seam, root = self._graph(rng)
             with pytest.raises(ValueError, match="scalar"):
                 ad.grad_of(seam, x)
+
+
+class TestMatmulPrecision:
+    """Products that sum no padded axis run in float32 BLAS; the rest accumulate in float64."""
+
+    @staticmethod
+    def _f64(a, b):
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.float32)
+
+    def _run(self, a, b, g):
+        """Forward data and both grads of ``matmul``, with ``g`` as the output gradient."""
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        with ad.Tape():
+            out = ad.matmul(ta, tb)
+            # sum_all hands mul a gradient of ones, so out receives exactly g
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+        return out.data, ta.grad, tb.grad
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_unbatched_forward_and_input_grad_are_float32_blas(self, rng, lead):
+        k = 64  # long enough that float32 and float64 accumulation disagree somewhere
+        a = rng.standard_normal(lead + (40, k)).astype(np.float32)
+        b = rng.standard_normal((k, 48)).astype(np.float32)
+        g = rng.standard_normal(lead + (40, 48)).astype(np.float32)
+        out, ga, gb = self._run(a, b, g)
+        a2, g2 = a.reshape(-1, k), g.reshape(-1, 48)
+        assert not np.array_equal(np.matmul(a2, b), self._f64(a2, b))
+        assert out.tobytes() == np.matmul(a2, b).reshape(out.shape).tobytes()
+        assert ga.tobytes() == np.matmul(g2, b.T).reshape(a.shape).tobytes()
+        # the parameter gradient sums over every row: float64, rounded once
+        assert gb.tobytes() == self._f64(a2.T, g2).tobytes()
+
+    def test_batched_products_accumulate_in_float64(self, rng):
+        a = rng.standard_normal((2, 3, 40, 64)).astype(np.float32)
+        b = rng.standard_normal((2, 3, 64, 40)).astype(np.float32)
+        g = rng.standard_normal((2, 3, 40, 40)).astype(np.float32)
+        out, ga, gb = self._run(a, b, g)
+        assert not np.array_equal(np.matmul(a, b), self._f64(a, b))
+        assert out.tobytes() == self._f64(a, b).tobytes()
+        assert ga.tobytes() == self._f64(g, np.swapaxes(b, -1, -2)).tobytes()
+        assert gb.tobytes() == self._f64(np.swapaxes(a, -1, -2), g).tobytes()
+
+    def test_float64_forward_keeps_every_product_float64(self, rng):
+        a = rng.standard_normal((5, 64)).astype(np.float32)
+        b = rng.standard_normal((64, 6)).astype(np.float32)
+        g = rng.standard_normal((5, 6)).astype(np.float32)
+        want = np.matmul(a.astype(np.float64), b.astype(np.float64))
+        with ad._float64_forward():
+            out = ad.matmul(Tensor(a), Tensor(b)).data
+            ga = ad._matmul_grad_a(g, b)
+            gb = ad._matmul_grad_b(a, g)
+        assert out.dtype == ga.dtype == gb.dtype == np.float64
+        assert out.tobytes() == want.tobytes()
+        assert ga.tobytes() == np.matmul(g.astype(np.float64), b.T.astype(np.float64)).tobytes()
+        assert gb.tobytes() == np.matmul(a.T.astype(np.float64), g.astype(np.float64)).tobytes()
+
+
+class TestSeamWalkSkipsParameters:
+    def test_grad_of_computes_no_matmul_parameter_product(self, rng, monkeypatch):
+        x = Tensor(rng.standard_normal((4, 3, 8)), requires_grad=True)
+        w1 = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
+        b1 = Tensor(rng.standard_normal(8), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(8), requires_grad=True)
+        beta = Tensor(rng.standard_normal(8), requires_grad=True)
+        w2 = Tensor(rng.standard_normal((8, 2)), requires_grad=True)
+        with ad.Tape():
+            seam = ad.scale(x, 1.0)
+            hid = ad.layer_norm(ad.add_bias(ad.matmul(seam, w1), b1), gamma, beta)
+            root = ad.sum_all(ad.tanh(ad.matmul(hid, w2)))
+            product = ad._matmul_grad_b
+
+            def forbidden(a_d, g):
+                raise AssertionError("grad_of computed a parameter gradient")
+
+            monkeypatch.setattr(ad, "_matmul_grad_b", forbidden)
+            got = ad.grad_of(root, seam)
+            monkeypatch.setattr(ad, "_matmul_grad_b", product)
+            ad.backward(root)
+        assert got.tobytes() == seam.grad.tobytes()
+        for p in (w1, b1, gamma, beta, w2):
+            assert p.grad is not None and np.any(p.grad != 0)
 
 
 class TestGradCheck:

@@ -9,6 +9,7 @@ import pytest
 from callab.cli import (
     EXIT_BAD_INPUT,
     EXIT_CKPT_MISMATCH,
+    EXIT_NONFINITE,
     EXIT_OK,
     EXIT_SELFCHECK,
     main,
@@ -118,8 +119,19 @@ class TestTrain:
         scal_steps = [l.split("\t") for l in (scal_dir / "steps.tsv").read_text().splitlines()]
         ce_steps = [l.split("\t") for l in (ce_dir / "steps.tsv").read_text().splitlines()]
         assert len(scal_steps) == len(ce_steps) > 0
+
+        def units(printed):  # "0.693147" -> 693147, the loss in units of its last printed digit
+            return int(printed.replace(".", ""))
+
         for srow, crow in zip(scal_steps, ce_steps):
-            assert abs(float(srow[2]) - float(crow[2])) <= 1e-6
+            assert abs(units(srow[2]) - units(crow[2])) <= 1
+
+    def test_consecutive_skipped_updates_exit_3(self, workspace, tmp_path, monkeypatch, capsys):
+        import callab.trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "adamw_step", lambda *args: False)
+        assert _train(workspace, tmp_path / "skip", mode="ce") == EXIT_NONFINITE
+        assert "3 consecutive optimizer steps skipped" in capsys.readouterr().err
 
     def test_uscal_single_line_corpus_terminates_with_zero_losses(self, workspace, tmp_path):
         one = tmp_path / "one.txt"

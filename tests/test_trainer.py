@@ -33,9 +33,11 @@ from callab.trainer import (
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    MAX_CONSECUTIVE_SKIPS,
     NonFiniteLossError,
     OptimizerState,
     RunLog,
+    SkippedStepsError,
     TRAIN_MODES,
     TrainConfig,
     adamw_step,
@@ -113,6 +115,24 @@ class TestAdamW:
         for name, arr in params.copy_values().items():
             np.testing.assert_array_equal(arr, before[name])
         assert any("skipped" in r.message for r in caplog.records)
+
+
+class TestSkippedUpdates:
+    """train_step counts AdamW updates skipped in a row and stops the run at the bound."""
+
+    def test_third_consecutive_skip_raises(self, monkeypatch):
+        cfg, params, batch = toy_setup(num_classes=3, batch=4)
+        opt = OptimizerState(params)
+        tcfg = TrainConfig(mode="ce", lr=1e-3)
+        applied = iter([False, False, True, False, False, False])
+        monkeypatch.setattr(trainer_mod, "adamw_step", lambda *args: next(applied))
+        for step in range(5):  # a single skip, or two in a row, only warn
+            train_step(batch, params, opt, tcfg, 11, 1e-3, step=step)
+        assert opt.skipped == 2
+        with pytest.raises(SkippedStepsError, match="3 consecutive") as exc:
+            train_step(batch, params, opt, tcfg, 11, 1e-3, step=5)
+        assert MAX_CONSECUTIVE_SKIPS == 3
+        assert isinstance(exc.value, NonFiniteLossError) and exc.value.step == 5
 
 
 class TestSchedule:
@@ -514,10 +534,23 @@ def seams(monkeypatch):
     return got
 
 
+def _mixed_length_rows(n: int, seed: int) -> list[LabeledExample]:
+    """``n`` labeled rows of 1-17 words over a 20-word vocabulary, some of them pairs."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(20)]
+
+    def text(lo, hi):
+        return " ".join(rng.choice(words, size=int(rng.integers(lo, hi + 1))))
+
+    return [
+        LabeledExample(int(rng.integers(0, 2)), text(1, 12), text(1, 5) if i % 4 == 3 else None)
+        for i in range(n)
+    ]
+
+
 class TestDynamicPadding:
     """A batch trimmed to its longest row trains exactly like one padded to max_len."""
 
-    MAX_LEN = 16
     VOCAB = Vocab(["a", "b", "c", "d", "e", "f", "g"])
     ROWS = [
         LabeledExample(0, "a b"),
@@ -525,6 +558,12 @@ class TestDynamicPadding:
         LabeledExample(0, "b"),
         LabeledExample(1, "a c e", "b d"),
     ]
+    SMALL = dict(hidden=16, layers=2, heads=2, ffn_dim=32, max_len=16)
+    # the pinned default size: its products sum over enough padded positions
+    # that float32 accumulation there would make the width visible
+    DEFAULT = dict(hidden=64, layers=2, heads=4, ffn_dim=256, max_len=32)
+    DEFAULT_ROWS = _mixed_length_rows(32, seed=7)
+    DEFAULT_VOCAB = build_vocab(r.text_a + " " + (r.text_b or "") for r in DEFAULT_ROWS)
 
     @staticmethod
     def _pad_to(batch: Batch, width: int) -> Batch:
@@ -535,9 +574,9 @@ class TestDynamicPadding:
         mask[:, :l] = batch.attn_mask
         return Batch(ids, mask, labels=batch.labels)
 
-    def _run(self, mode, batch, seams):
-        cfg = EncoderConfig(vocab_size=len(self.VOCAB), hidden=16, layers=2, heads=2, ffn_dim=32,
-                            dropout=0.1, max_len=self.MAX_LEN, num_classes=2)
+    @staticmethod
+    def _run(mode, batch, seams, vocab, size):
+        cfg = EncoderConfig(vocab_size=len(vocab), dropout=0.1, num_classes=2, **size)
         params = EncoderParams.init_random(cfg, seed=0)
         tcfg = TrainConfig(mode=mode, lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15)
         seams.clear()
@@ -547,15 +586,15 @@ class TestDynamicPadding:
         grads = {name: t.grad for name, t in params.named()}
         return report, grads, params.copy_values(), list(seams)
 
-    @pytest.mark.parametrize("mode", TRAIN_MODES)
-    def test_one_step_bit_identical(self, mode, seams):
-        trim = encode_batch(self.ROWS, self.VOCAB, self.MAX_LEN)
+    def _check_width_invariance(self, mode, seams, rows, vocab, size):
+        max_len, hidden = size["max_len"], size["hidden"]
+        trim = encode_batch(rows, vocab, max_len)
         width = trim.token_ids.shape[1]
-        assert width == 8 < self.MAX_LEN
-        full = self._pad_to(trim, self.MAX_LEN)
+        assert width < max_len
+        full = self._pad_to(trim, max_len)
 
-        rep_f, grads_f, after_f, seams_f = self._run(mode, full, seams)
-        rep_t, grads_t, after_t, seams_t = self._run(mode, trim, seams)
+        rep_f, grads_f, after_f, seams_f = self._run(mode, full, seams, vocab, size)
+        rep_t, grads_t, after_t, seams_t = self._run(mode, trim, seams, vocab, size)
 
         assert rep_f == rep_t
         for name, g in grads_f.items():
@@ -563,14 +602,28 @@ class TestDynamicPadding:
             assert after_f[name].tobytes() == after_t[name].tobytes(), name
         assert len(seams_f) == len(seams_t) >= 1
         real = trim.attn_mask > 0
+        b = len(rows)
         for emb_f, emb_t in zip(seams_f, seams_t):
-            assert emb_f.shape == (4, self.MAX_LEN, 16) and emb_t.shape == (4, width, 16)
+            assert emb_f.shape == (b, max_len, hidden) and emb_t.shape == (b, width, hidden)
             assert emb_f.data[:, :width][real].tobytes() == emb_t.data[real].tobytes()
             assert (emb_f.grad is None) == (emb_t.grad is None)
             if emb_f.grad is not None:
                 assert emb_f.grad[:, :width][real].tobytes() == emb_t.grad[real].tobytes()
                 assert not emb_f.grad[full.attn_mask == 0].any()
                 assert not emb_t.grad[trim.attn_mask == 0].any()
+        return width
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_one_step_bit_identical(self, mode, seams):
+        width = self._check_width_invariance(mode, seams, self.ROWS, self.VOCAB, self.SMALL)
+        assert width == 8
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_one_step_bit_identical_at_default_size(self, mode, seams):
+        width = self._check_width_invariance(
+            mode, seams, self.DEFAULT_ROWS, self.DEFAULT_VOCAB, self.DEFAULT
+        )
+        assert width <= 20
 
 
 class TestSeamGradient:
@@ -602,6 +655,28 @@ class TestSeamGradient:
             backward(parts["ct_views"])
         assert got.tobytes() == view1.grad.tobytes()
         assert np.any(got != 0)
+
+    def test_seam_walk_computes_only_attention_operand_products(self, seams, monkeypatch):
+        """On the uscal main tape, every right-operand product grad_of runs is a batched one."""
+        import callab.autodiff as ad_mod
+
+        cfg, params, batch = toy_setup(num_classes=0, batch=4, layers=2)
+        tcfg = TrainConfig(mode="uscal", epsilon=0.3, dev_metric="spearman")
+        product = ad_mod._matmul_grad_b
+        ranks = []
+
+        def recording(a_d, g):
+            ranks.append(a_d.ndim)
+            return product(a_d, g)
+
+        with Tape():
+            _, parts = loss_graph("views", batch, params, None, tcfg.loss_config(), 11, True)
+            monkeypatch.setattr(ad_mod, "_matmul_grad_b", recording)
+            grad_of(parts["ct_views"], seams[0])
+            assert ranks and set(ranks) == {4}  # k^T and v of each layer's attention
+            ranks.clear()
+            backward(parts["ct_views"])
+        assert 2 in ranks  # the weight matrices' products, which backward does need
 
     @pytest.mark.parametrize("negative_mode", ["adv-keys", "clean-keys"])
     @pytest.mark.parametrize("kind", ["fgm", "fgsm"])
