@@ -436,18 +436,21 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def select_row(a: Tensor, index: int) -> Tensor:
-    """Row ``index`` along axis 0; gradient scatters back into that row."""
-    if not 0 <= index < a.data.shape[0]:
-        raise ValueError(f"select_row: index {index} out of range for shape {a.data.shape}")
+def first_position(a: Tensor) -> Tensor:
+    """Position 0 along axis 1, kept as a length-1 axis: (B, L, ...) -> (B, 1, ...).
+
+    The gradient scatters back into position 0.
+    """
     shape = a.data.shape
+    if len(shape) < 2 or shape[1] < 1:
+        raise ValueError(f"first_position: needs a non-empty axis 1, got shape {shape}")
 
     def bwd(g):
         full = np.zeros(shape, dtype=_F32)
-        full[index] = g
+        full[:, :1] = g
         return (full,)
 
-    return _record((a,), a.data[index].copy(), bwd)
+    return _record((a,), a.data[:, :1].copy(), bwd)
 
 
 def slice_rows(a: Tensor, n: int) -> Tensor:

@@ -6,7 +6,10 @@ injected and where their driving gradients are read), and
 ``encode_from_embeddings`` runs the transformer stack from any embedding
 matrix. The [CLS]-position hidden vector ``h`` is the sentence
 representation; a dense+tanh pooler maps it to the contrastive space ``z``
-and an affine head produces classification logits.
+and an affine head produces classification logits. Because nothing else of
+the last layer is read, that layer computes K and V at every position and
+everything else at [CLS] alone; the values equal position 0 of a
+full-width layer.
 
 All branches of a training step (clean, adversarial, both dropout views)
 share one ``EncoderParams`` object, so one optimizer update is seen by all.
@@ -206,11 +209,15 @@ def embed_tokens(
     return x
 
 
-def _attention_mask_bias(attn_mask: np.ndarray, heads: int) -> Tensor:
-    """Additive mask (B x heads x L x L): 0 on real keys, -1e9 on padding."""
+def _attention_mask_bias(attn_mask: np.ndarray, heads: int, rows: int) -> Tensor:
+    """Additive mask (B x heads x rows x L): 0 on real keys, -1e9 on padding.
+
+    ``rows`` is the number of query positions: L in a full-width layer, 1 in
+    the last layer, which queries from [CLS] alone.
+    """
     b, l = attn_mask.shape
     bias = np.where(attn_mask[:, None, None, :] > 0, 0.0, _NEG_MASK).astype(np.float32)
-    return Tensor(np.broadcast_to(bias, (b, heads, l, l)).copy())
+    return Tensor(np.broadcast_to(bias, (b, heads, rows, l)).copy())
 
 
 def encode_from_embeddings(
@@ -220,45 +227,66 @@ def encode_from_embeddings(
     dropout_seed: int,
     train_mode: bool,
 ) -> Tensor:
-    """Run the transformer stack and return the [CLS]-position vectors (B x H)."""
+    """Run the transformer stack and return the [CLS]-position vectors (B x H).
+
+    Every layer but the last runs at all L positions. The last layer's output
+    is read only at [CLS] (position 0), so it computes K and V at every
+    position and everything else at position 0 alone: Q from a [CLS] slice
+    of its input, scores, softmax and dropout at B x heads x 1 x L, then
+    context, ``wo``, the residual (a second [CLS] slice), both layer norms
+    and the FFN at B x 1 x H. Dropout masks are drawn at full shape and
+    cropped to the leading corner, so every value equals position 0 of the
+    full-width computation.
+    """
     cfg = params.config
     b, l, h = emb.shape
     if h != cfg.hidden:
         raise ValueError(f"embedding width {h} does not match hidden {cfg.hidden}")
     if l > cfg.max_len:
         raise ValueError(f"sequence length {l} exceeds max_len {cfg.max_len}")
+    if attn_mask.shape != (b, l):
+        raise ValueError(
+            f"attention mask shape {attn_mask.shape} does not match embeddings {(b, l)}"
+        )
     heads = cfg.heads
     dh = h // heads
     inv_sqrt = 1.0 / math.sqrt(dh)
-    mask_bias = _attention_mask_bias(attn_mask, heads)
+    mask_full = _attention_mask_bias(attn_mask, heads, l) if cfg.layers > 1 else None
+    mask_cls = _attention_mask_bias(attn_mask, heads, 1)
     full_act = (b, cfg.max_len, h)
     full_probs = (b, heads, cfg.max_len, cfg.max_len)
+
+    def split_heads(t: Tensor) -> Tensor:
+        return ad.transpose(ad.reshape(t, (b, t.shape[1], heads, dh)), (0, 2, 1, 3))
 
     x = emb
     for i in range(cfg.layers):
         p = f"layer{i}."
         lseed = derive_seed(dropout_seed, "layer", i)
+        last = i == cfg.layers - 1
+        # slice Q's input before K and V and the residual after attention, so
+        # the input's gradient sums in the same order as at full width
+        x_q = ad.first_position(x) if last else x
+        n = x_q.shape[1]
 
-        def split_heads(t: Tensor) -> Tensor:
-            return ad.transpose(ad.reshape(t, (b, l, heads, dh)), (0, 2, 1, 3))
-
-        q = split_heads(_linear(x, params[p + "wq"], params[p + "bq"]))
+        q = split_heads(_linear(x_q, params[p + "wq"], params[p + "bq"]))
         k = split_heads(_linear(x, params[p + "wk"], params[p + "bk"]))
         v = split_heads(_linear(x, params[p + "wv"], params[p + "bv"]))
 
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), inv_sqrt)
-        scores = ad.add(scores, mask_bias)
+        scores = ad.add(scores, mask_cls if last else mask_full)
         probs = ad.softmax_rows(scores)
         probs = ad.dropout_apply(
             probs, cfg.dropout, derive_seed(lseed, "attn_probs"), train_mode, full_probs
         )
         ctx = ad.matmul(probs, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, l, h))
+        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, n, h))
         attn_out = _linear(ctx, params[p + "wo"], params[p + "bo"])
         attn_out = ad.dropout_apply(
             attn_out, cfg.dropout, derive_seed(lseed, "attn_out"), train_mode, full_act
         )
-        x = ad.layer_norm(ad.add(x, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
+        x_res = ad.first_position(x) if last else x
+        x = ad.layer_norm(ad.add(x_res, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
 
         ffn = _linear(ad.relu(_linear(x, params[p + "w1"], params[p + "b1"])),
                       params[p + "w2"], params[p + "b2"])
@@ -267,8 +295,8 @@ def encode_from_embeddings(
         )
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
 
-    # [CLS] sits at position 0 of every sequence
-    return ad.select_row(ad.transpose(x, (1, 0, 2)), 0)
+    # the last layer ran at [CLS] alone: B x 1 x H
+    return ad.reshape(x, (b, h))
 
 
 def pool(h: Tensor, params: EncoderParams) -> Tensor:

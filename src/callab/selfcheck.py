@@ -68,7 +68,8 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
         "matmul": (lambda t: ad.mean_all(ad.mul(ad.matmul(t, w), ad.matmul(t, w))), x),
         "transpose": (lambda t: ad.mean_all(ad.mul(ad.transpose(t), ad.transpose(t))), x),
         "reshape": (lambda t: ad.mean_all(ad.mul(ad.reshape(t, (2, 12)), ad.reshape(t, (2, 12)))), x),
-        "select_row": (lambda t: ad.mean_all(ad.mul(ad.select_row(t, 1), ad.select_row(t, 1))), x),
+        "first_position": (lambda t: ad.mean_all(ad.mul(ad.first_position(t), ad.first_position(t))),
+                           x.reshape(2, 2, 6)),
         "slice_rows": (lambda t: ad.mean_all(ad.mul(ad.slice_rows(t, 2), ad.slice_rows(t, 2))), x),
         "add_bias": (lambda t: ad.mean_all(ad.mul(ad.add_bias(ad.matmul(t, w), b),
                                                   ad.add_bias(ad.matmul(t, w), b))), x),

@@ -73,9 +73,9 @@ class TestElementwiseAndLinear:
         for i in range(4):
             np.testing.assert_allclose(got[i], a[i] @ b[i], atol=1e-5)
 
-    def test_select_row(self, rng):
-        a = rng.standard_normal((3, 3)).astype(np.float32)
-        np.testing.assert_array_equal(ad.select_row(Tensor(a), 2).data, a[2])
+    def test_first_position(self, rng):
+        a = rng.standard_normal((3, 4, 2)).astype(np.float32)
+        np.testing.assert_array_equal(ad.first_position(Tensor(a)).data, a[:, :1])
 
     def test_transpose_roundtrip(self, rng):
         a = rng.standard_normal((2, 3, 4)).astype(np.float32)

@@ -1,5 +1,7 @@
 """Encoder tests: shapes, determinism, masking, weight sharing, oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from callab.autodiff import Tensor, derive_seed
 from callab.encoder import (
     EncoderConfig,
     EncoderParams,
+    _attention_mask_bias,
+    _linear,
     classify,
     embed_tokens,
     encode_from_embeddings,
@@ -129,6 +133,12 @@ class TestEncodeFromEmbeddings:
         with pytest.raises(ValueError, match="width"):
             encode_from_embeddings(bad, batch.attn_mask, params, 0, False)
 
+    def test_mask_shape_mismatch_rejected(self):
+        cfg, params, batch = toy_setup(hidden=16, max_len=6)
+        emb = Tensor(np.zeros((2, 5, 16), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"\(2, 6\).*\(2, 5\)"):
+            encode_from_embeddings(emb, batch.attn_mask, params, 0, False)
+
     def test_wider_than_max_len_rejected(self):
         cfg, params, batch = toy_setup(hidden=16, max_len=6)
         wide = Tensor(np.zeros((2, 7, 16), dtype=np.float32))
@@ -213,14 +223,132 @@ class TestForwardFull:
         after = {name: id(t) for name, t in params.named()}
         assert before == after  # every branch reads the same parameter objects
 
-    def test_full_graph_gradient_check(self):
-        cfg, params, batch = toy_setup(batch=2, seed=11)
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_full_graph_gradient_check(self, layers):
+        # with 2 layers the first runs at full width and the last at [CLS] alone
+        cfg, params, batch = toy_setup(batch=2, seed=11, layers=layers)
 
         def f(_t):
             out = forward_full(batch, params, seed=8, train_mode=True)
             return cross_entropy(out.logits, batch.labels)
 
         rng = np.random.default_rng(0)
-        for name in ("tok_emb", "layer0.wq", "layer0.w1", "cls_w", "emb_ln_g"):
+        names = ("tok_emb", "layer0.wq", "layer0.w1", "cls_w", "emb_ln_g")
+        if layers == 2:
+            names += ("layer1.wq", "layer1.wk", "layer1.wv", "layer1.w1")
+        for name in names:
             err = ad.grad_check(f, params[name], sample=5, rng=rng)
             assert err < 1e-3, f"{name}: {err}"
+
+
+def _encode_full_width(emb, attn_mask, params, dropout_seed, train_mode):
+    """Reference stack: every layer at all positions, then position 0."""
+    cfg = params.config
+    b, l, h = emb.shape
+    heads, dh = cfg.heads, h // cfg.heads
+    mask_bias = _attention_mask_bias(attn_mask, heads, l)
+    full_act = (b, cfg.max_len, h)
+    full_probs = (b, heads, cfg.max_len, cfg.max_len)
+
+    def split_heads(t):
+        return ad.transpose(ad.reshape(t, (b, l, heads, dh)), (0, 2, 1, 3))
+
+    x = emb
+    for i in range(cfg.layers):
+        p = f"layer{i}."
+        lseed = derive_seed(dropout_seed, "layer", i)
+        q = split_heads(_linear(x, params[p + "wq"], params[p + "bq"]))
+        k = split_heads(_linear(x, params[p + "wk"], params[p + "bk"]))
+        v = split_heads(_linear(x, params[p + "wv"], params[p + "bv"]))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        probs = ad.softmax_rows(ad.add(scores, mask_bias))
+        probs = ad.dropout_apply(
+            probs, cfg.dropout, derive_seed(lseed, "attn_probs"), train_mode, full_probs
+        )
+        ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (b, l, h))
+        attn_out = ad.dropout_apply(
+            _linear(ctx, params[p + "wo"], params[p + "bo"]),
+            cfg.dropout, derive_seed(lseed, "attn_out"), train_mode, full_act,
+        )
+        x = ad.layer_norm(ad.add(x, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
+        ffn = _linear(ad.relu(_linear(x, params[p + "w1"], params[p + "b1"])),
+                      params[p + "w2"], params[p + "b2"])
+        ffn = ad.dropout_apply(ffn, cfg.dropout, derive_seed(lseed, "ffn"), train_mode, full_act)
+        x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
+    return ad.reshape(ad.first_position(x), (b, h))
+
+
+DEMO = dict(hidden=32, layers=1, heads=2, ffn_dim=64, max_len=16)
+DEFAULT = dict(hidden=64, layers=2, heads=4, ffn_dim=256, max_len=32)
+
+
+def _padded_batch(size, rows=8, seed=5):
+    """Mixed-length rows (some padded) trimmed below max_len, [CLS] first."""
+    rng = np.random.default_rng(seed)
+    width = size["max_len"] - 3
+    lens = rng.integers(2, width + 1, size=rows)
+    lens[0] = width
+    ids = rng.integers(4, 40, size=(rows, width))
+    ids[:, 0] = 2
+    mask = (np.arange(width)[None, :] < lens[:, None]).astype(np.float32)
+    ids[mask == 0] = 0
+    return Batch(ids, mask, labels=None)
+
+
+class TestClsOnlyLastLayer:
+    """The last layer computes [CLS] alone, equal to the full-width stack at position 0."""
+
+    @staticmethod
+    def _run(encode, size, train_mode):
+        cfg = EncoderConfig(vocab_size=40, dropout=0.1, num_classes=0, **size)
+        params = EncoderParams.init_random(cfg, seed=3)
+        batch = _padded_batch(size)
+        assert batch.attn_mask.min() == 0.0
+        weights = Tensor(np.random.default_rng(9).standard_normal((8, size["hidden"])))
+        with ad.Tape():
+            emb = embed_tokens(batch, params, 4, train_mode)
+            h = encode(emb, batch.attn_mask, params, 21, train_mode)
+            ad.backward(ad.sum_all(ad.mul(h, weights)))
+        # the pooler is off this graph and has no gradient
+        grads = {name: t.grad for name, t in params.named() if not name.startswith("pooler")}
+        grads["emb"] = emb.grad
+        return h.data, grads
+
+    @pytest.mark.parametrize("size", [DEMO, DEFAULT], ids=["demo", "default"])
+    @pytest.mark.parametrize("train_mode", [True, False], ids=["train", "eval"])
+    def test_matches_full_width_reference(self, size, train_mode):
+        h, grads = self._run(encode_from_embeddings, size, train_mode)
+        h_ref, grads_ref = self._run(_encode_full_width, size, train_mode)
+        assert h.tobytes() == h_ref.tobytes()
+        for name, g_ref in grads_ref.items():
+            if name.endswith(".bk"):
+                # zero in exact arithmetic: q.bk shifts a whole score row,
+                # which softmax ignores; both sides carry rounding noise only
+                assert np.abs(g_ref).max() < 1e-9 and np.abs(grads[name]).max() < 1e-9
+                continue
+            tol = 1e-5 * np.abs(g_ref).max()
+            assert tol > 0, name
+            np.testing.assert_allclose(grads[name], g_ref, rtol=0, atol=tol, err_msg=name)
+
+    def test_last_layer_products_have_one_row_per_sentence(self, monkeypatch):
+        cfg = EncoderConfig(vocab_size=40, dropout=0.1, num_classes=3, **DEFAULT)
+        params = EncoderParams.init_random(cfg, seed=3)
+        batch = _padded_batch(DEFAULT)
+        b, l = batch.token_ids.shape
+        by_weight = {id(t): name for name, t in params.named()}
+        rows = {}
+        real_matmul = ad.matmul
+
+        def recording_matmul(a, w):
+            if id(w) in by_weight:
+                rows[by_weight[id(w)]] = a.shape[0]
+            return real_matmul(a, w)
+
+        monkeypatch.setattr(ad, "matmul", recording_matmul)
+        forward_full(batch, params, seed=1, train_mode=False)
+        for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
+            assert rows["layer0." + name] == b * l, name
+        for name in ("wq", "wo", "w1", "w2"):
+            assert rows["layer1." + name] == b, name
+        for name in ("wk", "wv"):
+            assert rows["layer1." + name] == b * l, name
