@@ -6,29 +6,38 @@ which keeps finite-difference gradient checks tight on deep graphs.
 
 Matrix products follow one precision rule. A product that contracts only a
 feature axis runs in storage precision (float32 BLAS, no casts): the forward
-and input-gradient products of 2-D and 3-D@2-D matmuls, which are every
-linear layer, the pooler, the classifier and the InfoNCE similarities. A
-product that may sum over padded positions accumulates in float64 and
-rounds once: the parameter gradient ``a^T g`` (it sums over every batch row
-and position) and all three products of a batched (attention) matmul. In
-float32 such sums depend on how many padding zeros they run over, so a batch
-trimmed to its longest row would train differently from one padded to
-``max_len``; in float64 the rounded result does not see the width. Under
-``_float64_forward`` (the gradient checker's oracle) every product is
-float64.
+and input-gradient products of 2-D and 3-D@2-D matmuls and of ``linear``,
+which are every linear layer, the pooler, the classifier and the InfoNCE
+similarities. A product that may sum over padded positions accumulates in
+float64 and rounds once: the parameter gradient ``a^T g`` (it sums over
+every batch row and position), the bias gradient of ``linear``, and all
+three products of a batched matmul, which in ``attention`` are the scores,
+the context and their gradients. In float32 such sums depend on how many
+padding zeros they run over, so a batch trimmed to its longest row would
+train differently from one padded to ``max_len``; in float64 the rounded
+result does not see the width. Under ``_float64_forward`` (the gradient
+checker's oracle) every product is float64.
+
+``linear`` and ``attention`` are fused: each is one tape node whose
+hand-written backward runs the same numpy operations, on the same operand
+layouts, as the op-by-op chain it replaces (reshape, matmul, add_bias; head
+split, scores, scale, mask, softmax, dropout, context, head merge), so both
+give the chain's bytes with a fraction of its nodes.
 
 Operations record onto an explicit tape (define-by-run) only while a
 ``Tape`` context is active and at least one input requires grad; outside a
 tape everything is plain numpy, which is what evaluation paths use. A
 reverse walk tells each node which of its inputs it keeps, and matmul,
-add_bias and layer_norm compute no gradient for an input that is not kept,
-so ``grad_of`` differentiates no parameter on its way to the seam.
+add_bias, layer_norm, linear and attention compute no gradient for an input
+that is not kept, so ``grad_of`` differentiates no parameter on its way to
+the seam.
 
 Single-threaded by design: one tape per worker, rebuilt every step.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Callable, Optional, Sequence
 
@@ -288,8 +297,8 @@ def grad_of(root: Tensor, wrt: Tensor) -> np.ndarray:
 
     Only nodes downstream of ``wrt`` are walked, so nothing upstream of it
     is differentiated, and the walk keeps no input that is not downstream
-    of ``wrt``: matmul, add_bias and layer_norm skip the gradients of the
-    parameters they read. Zeros when ``root`` does not depend on ``wrt``
+    of ``wrt``: the selective ops (matmul, add_bias, layer_norm, linear,
+    attention) skip the gradients of the parameters they read. Zeros when ``root`` does not depend on ``wrt``
     through the tape.
     """
     tape = _tape_or_raise("grad_of")
@@ -410,6 +419,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record((a, b), out, bwd, selective=True)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of a 2-D or 3-D ``x``, recorded as one node.
+
+    x's rows form one 2-D product, so the precision rule is matmul's: the
+    forward and x's gradient in storage precision, w's gradient and the bias
+    sum over every row in float64.
+    """
+    x_d, w_d, b_d = x.data, w.data, b.data
+    if x_d.ndim not in (2, 3):
+        raise ValueError(f"linear: input must be 2-D or 3-D, got shape {x_d.shape}")
+    if w_d.ndim != 2 or w_d.shape[0] != x_d.shape[-1] or b_d.shape != w_d.shape[1:]:
+        raise ValueError(
+            f"linear: weight {w_d.shape} and bias {b_d.shape} do not fit input {x_d.shape}"
+        )
+    x_m = x_d.reshape(-1, x_d.shape[-1])
+    out = (_st_matmul(x_m, w_d) + b_d).reshape(x_d.shape[:-1] + w_d.shape[1:])
+
+    def bwd(g, keep):
+        g = g.reshape(-1, g.shape[-1])
+        gx = _matmul_grad_a(g, w_d) if keep[0] else None
+        gw = _matmul_grad_b(x_m, g) if keep[1] else None
+        gb = g.sum(axis=0, dtype=_F64).astype(_F32) if keep[2] else None
+        return gx, gw, gb
+
+    return _record((x, w, b), out, bwd, selective=True)
 
 
 def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -550,18 +586,21 @@ def relu(a: Tensor) -> Tensor:
     return _record((a,), out, lambda g: (g * pos,))
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by per-row max subtraction."""
-    x = a.data
+def _softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted, dtype=_F64)
-    out = (e / e.sum(axis=-1, keepdims=True)).astype(_st())
+    return (e / e.sum(axis=-1, keepdims=True)).astype(_st())
 
-    def bwd(g):
-        dot = np.sum(g.astype(_F64) * out, axis=-1, keepdims=True)
-        return ((out.astype(_F64) * (g - dot)).astype(_F32),)
 
-    return _record((a,), out, bwd)
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    dot = np.sum(g.astype(_F64) * out, axis=-1, keepdims=True)
+    return (out.astype(_F64) * (g - dot)).astype(_F32)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Softmax over the last axis, stabilized by per-row max subtraction."""
+    out = _softmax(a.data)
+    return _record((a,), out, lambda g: (_softmax_grad(g, out),))
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
@@ -636,19 +675,105 @@ def dropout_apply(
     far the tensor was trimmed (sequences padded only to the batch's longest
     row draw the same masks as at full width).
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout_apply: rate must be in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
+    mask = _dropout_mask("dropout_apply", a.data.shape, rate, seed, train_mode, full_shape)
+    if mask is None:
         return a
-    shape = a.data.shape
+    return _record((a,), a.data * mask, lambda g: (g * mask,))
+
+
+def _dropout_mask(
+    op: str,
+    shape: tuple,
+    rate: float,
+    seed: int,
+    train_mode: bool,
+    full_shape: Optional[Sequence[int]],
+) -> Optional[np.ndarray]:
+    """The float32 keep/(1 - rate) mask for ``shape``, or None when nothing drops.
+
+    Drawn from Philox keyed by ``seed`` at ``full_shape`` (default ``shape``)
+    and cropped to the leading corner.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"{op}: rate must be in [0, 1), got {rate}")
+    if not train_mode or rate == 0.0:
+        return None
     full_shape = shape if full_shape is None else tuple(full_shape)
     if len(full_shape) != len(shape) or any(f < s for f, s in zip(full_shape, shape)):
-        raise ValueError(f"dropout_apply: cannot crop {full_shape} to {shape}")
+        raise ValueError(f"{op}: cannot crop {full_shape} to {shape}")
     crop = tuple(slice(0, s) for s in shape)
     keep = rng_from_seed(seed).random(full_shape)[crop] >= rate
-    scale_ = _F32(1.0 / (1.0 - rate))
-    mask = keep.astype(_F32) * scale_
-    return _record((a,), a.data * mask, lambda g: (g * mask,))
+    return keep.astype(_F32) * _F32(1.0 / (1.0 - rate))
+
+
+_NEG_MASK = _F32(-1e9)
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    key_mask: np.ndarray,
+    heads: int,
+    rate: float,
+    seed: int,
+    train_mode: bool,
+    full_shape: Optional[Sequence[int]] = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention, recorded as one node.
+
+    ``q`` is (B, n, H); ``k`` and ``v`` are (B, L, H). Splits H into
+    ``heads``, scores ``q k^T / sqrt(H / heads)``, adds -1e9 at keys whose
+    ``key_mask`` (B, L) entry is not positive, takes the softmax over keys,
+    drops probabilities as ``dropout_apply`` does (mask drawn at
+    ``full_shape`` and cropped) and merges the heads of ``probs @ v`` back to
+    (B, n, H). All three batched products accumulate in float64, forward and
+    backward. Values equal the op-by-op chain's bit for bit.
+    """
+    q_d, k_d, v_d = q.data, k.data, v.data
+    if k_d.ndim != 3 or k_d.shape != v_d.shape:
+        raise ValueError(f"attention: keys {k_d.shape} and values {v_d.shape} differ or are not 3-D")
+    b, l, h = k_d.shape
+    if q_d.ndim != 3 or q_d.shape[0] != b or q_d.shape[2] != h:
+        raise ValueError(f"attention: queries {q_d.shape} do not fit keys {k_d.shape}")
+    if heads < 1 or h % heads:
+        raise ValueError(f"attention: width of {k_d.shape} is not divisible by heads={heads}")
+    if key_mask.shape != (b, l):
+        raise ValueError(f"attention: key mask {key_mask.shape} is not (B, L) = {(b, l)}")
+    n, dh = q_d.shape[1], h // heads
+    c = _F32(1.0 / math.sqrt(dh))
+    # contiguous heads-major operands: a product's rounding depends on its
+    # operands' layout, and these are the layouts of the op-by-op chain
+    qh = np.ascontiguousarray(q_d.reshape(b, n, heads, dh).transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(k_d.reshape(b, l, heads, dh).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray(v_d.reshape(b, l, heads, dh).transpose(0, 2, 1, 3))
+    bias = np.where(key_mask[:, None, None, :] > 0, _F32(0.0), _NEG_MASK)
+    probs = _softmax(_f64_matmul(qh, kt) * c + bias)
+    drop = _dropout_mask("attention", probs.shape, rate, seed, train_mode, full_shape)
+    p = probs if drop is None else probs * drop
+    out = _f64_matmul(p, vh).transpose(0, 2, 1, 3).reshape(b, n, h)
+
+    def merge(t, axes):  # (B, heads, ., .) back to (B, rows, H)
+        return t.transpose(axes).reshape(b, -1, h)
+
+    def bwd(g, keep):
+        g = np.ascontiguousarray(g.reshape(b, n, heads, dh).transpose(0, 2, 1, 3))
+        gq = gk = gv = None
+        if keep[2]:
+            gv = merge(_matmul_grad_b(p, g), (0, 2, 1, 3))
+        if keep[0] or keep[1]:
+            # the chain hands float32 gradients from node to node
+            gp = _matmul_grad_a(g, vh).astype(_F32, copy=False)
+            if drop is not None:
+                gp = gp * drop
+            gs = _softmax_grad(gp, probs) * c
+            if keep[0]:
+                gq = merge(_matmul_grad_a(gs, kt), (0, 2, 1, 3))
+            if keep[1]:
+                gk = merge(_matmul_grad_b(qh, gs), (0, 3, 1, 2))
+        return gq, gk, gv
+
+    return _record((q, k, v), out, bwd, selective=True)
 
 
 def l2_normalize_rows(a: Tensor, guard: float = 1e-12) -> Tensor:

@@ -6,10 +6,11 @@ injected and where their driving gradients are read), and
 ``encode_from_embeddings`` runs the transformer stack from any embedding
 matrix. The [CLS]-position hidden vector ``h`` is the sentence
 representation; a dense+tanh pooler maps it to the contrastive space ``z``
-and an affine head produces classification logits. Because nothing else of
-the last layer is read, that layer computes K and V at every position and
-everything else at [CLS] alone; the values equal position 0 of a
-full-width layer.
+and an affine head produces classification logits. Every projection is the
+engine's fused ``linear`` and every self-attention its fused ``attention``,
+one tape node each. Because nothing else of the last layer is read, that
+layer computes K and V at every position and everything else at [CLS]
+alone; the values equal position 0 of a full-width layer.
 
 All branches of a training step (clean, adversarial, both dropout views)
 share one ``EncoderParams`` object, so one optimizer update is seen by all.
@@ -17,7 +18,6 @@ share one ``EncoderParams`` object, so one optimizer update is seen by all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -26,8 +26,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, derive_seed, rng_from_seed
 from .text import Batch
-
-_NEG_MASK = -1e9
 
 
 @dataclass
@@ -167,16 +165,6 @@ class EncoderParams:
             t.data = np.ascontiguousarray(arr, dtype=np.float32)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map over the last axis of a 2-D or 3-D activation."""
-    if x.ndim == 2:
-        return ad.add_bias(ad.matmul(x, w), b)
-    lead = x.shape[:-1]
-    flat = ad.reshape(x, (-1, x.shape[-1]))
-    out = ad.add_bias(ad.matmul(flat, w), b)
-    return ad.reshape(out, lead + (w.shape[1],))
-
-
 def embed_tokens(
     batch: Batch, params: EncoderParams, dropout_seed: int, train_mode: bool
 ) -> Tensor:
@@ -209,17 +197,6 @@ def embed_tokens(
     return x
 
 
-def _attention_mask_bias(attn_mask: np.ndarray, heads: int, rows: int) -> Tensor:
-    """Additive mask (B x heads x rows x L): 0 on real keys, -1e9 on padding.
-
-    ``rows`` is the number of query positions: L in a full-width layer, 1 in
-    the last layer, which queries from [CLS] alone.
-    """
-    b, l = attn_mask.shape
-    bias = np.where(attn_mask[:, None, None, :] > 0, 0.0, _NEG_MASK).astype(np.float32)
-    return Tensor(np.broadcast_to(bias, (b, heads, rows, l)).copy())
-
-
 def encode_from_embeddings(
     emb: Tensor,
     attn_mask: np.ndarray,
@@ -229,14 +206,17 @@ def encode_from_embeddings(
 ) -> Tensor:
     """Run the transformer stack and return the [CLS]-position vectors (B x H).
 
-    Every layer but the last runs at all L positions. The last layer's output
-    is read only at [CLS] (position 0), so it computes K and V at every
-    position and everything else at position 0 alone: Q from a [CLS] slice
-    of its input, scores, softmax and dropout at B x heads x 1 x L, then
-    context, ``wo``, the residual (a second [CLS] slice), both layer norms
-    and the FFN at B x 1 x H. Dropout masks are drawn at full shape and
-    cropped to the leading corner, so every value equals position 0 of the
-    full-width computation.
+    A layer is three ``linear`` projections, one fused ``attention`` over
+    the keys ``attn_mask`` marks real, the ``wo`` projection, and a
+    ``linear``-relu-``linear`` FFN, each sublayer dropped out, added to its
+    input and layer-normed. Every layer but the last runs at all L
+    positions. The last layer's output is read only at [CLS] (position 0),
+    so it computes K and V at every position and everything else at
+    position 0 alone: Q from a [CLS] slice of its input, attention at
+    B x heads x 1 x L, then ``wo``, the residual (a second [CLS] slice),
+    both layer norms and the FFN at B x 1 x H. Dropout masks are drawn at
+    full shape and cropped to the leading corner, so every value equals
+    position 0 of the full-width computation.
     """
     cfg = params.config
     b, l, h = emb.shape
@@ -244,20 +224,8 @@ def encode_from_embeddings(
         raise ValueError(f"embedding width {h} does not match hidden {cfg.hidden}")
     if l > cfg.max_len:
         raise ValueError(f"sequence length {l} exceeds max_len {cfg.max_len}")
-    if attn_mask.shape != (b, l):
-        raise ValueError(
-            f"attention mask shape {attn_mask.shape} does not match embeddings {(b, l)}"
-        )
-    heads = cfg.heads
-    dh = h // heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
-    mask_full = _attention_mask_bias(attn_mask, heads, l) if cfg.layers > 1 else None
-    mask_cls = _attention_mask_bias(attn_mask, heads, 1)
     full_act = (b, cfg.max_len, h)
-    full_probs = (b, heads, cfg.max_len, cfg.max_len)
-
-    def split_heads(t: Tensor) -> Tensor:
-        return ad.transpose(ad.reshape(t, (b, t.shape[1], heads, dh)), (0, 2, 1, 3))
+    full_probs = (b, cfg.heads, cfg.max_len, cfg.max_len)
 
     x = emb
     for i in range(cfg.layers):
@@ -267,29 +235,22 @@ def encode_from_embeddings(
         # slice Q's input before K and V and the residual after attention, so
         # the input's gradient sums in the same order as at full width
         x_q = ad.first_position(x) if last else x
-        n = x_q.shape[1]
-
-        q = split_heads(_linear(x_q, params[p + "wq"], params[p + "bq"]))
-        k = split_heads(_linear(x, params[p + "wk"], params[p + "bk"]))
-        v = split_heads(_linear(x, params[p + "wv"], params[p + "bv"]))
-
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), inv_sqrt)
-        scores = ad.add(scores, mask_cls if last else mask_full)
-        probs = ad.softmax_rows(scores)
-        probs = ad.dropout_apply(
-            probs, cfg.dropout, derive_seed(lseed, "attn_probs"), train_mode, full_probs
+        q = ad.linear(x_q, params[p + "wq"], params[p + "bq"])
+        k = ad.linear(x, params[p + "wk"], params[p + "bk"])
+        v = ad.linear(x, params[p + "wv"], params[p + "bv"])
+        ctx = ad.attention(
+            q, k, v, attn_mask, cfg.heads, cfg.dropout, derive_seed(lseed, "attn_probs"),
+            train_mode, full_probs,
         )
-        ctx = ad.matmul(probs, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, n, h))
-        attn_out = _linear(ctx, params[p + "wo"], params[p + "bo"])
         attn_out = ad.dropout_apply(
-            attn_out, cfg.dropout, derive_seed(lseed, "attn_out"), train_mode, full_act
+            ad.linear(ctx, params[p + "wo"], params[p + "bo"]),
+            cfg.dropout, derive_seed(lseed, "attn_out"), train_mode, full_act,
         )
         x_res = ad.first_position(x) if last else x
         x = ad.layer_norm(ad.add(x_res, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
 
-        ffn = _linear(ad.relu(_linear(x, params[p + "w1"], params[p + "b1"])),
-                      params[p + "w2"], params[p + "b2"])
+        ffn = ad.linear(ad.relu(ad.linear(x, params[p + "w1"], params[p + "b1"])),
+                        params[p + "w2"], params[p + "b2"])
         ffn = ad.dropout_apply(
             ffn, cfg.dropout, derive_seed(lseed, "ffn"), train_mode, full_act
         )
@@ -301,7 +262,7 @@ def encode_from_embeddings(
 
 def pool(h: Tensor, params: EncoderParams) -> Tensor:
     """Dense + tanh projection into the contrastive space (B x H)."""
-    return ad.tanh(_linear(h, params["pooler_w"], params["pooler_b"]))
+    return ad.tanh(ad.linear(h, params["pooler_w"], params["pooler_b"]))
 
 
 def classify(h: Tensor, params: EncoderParams) -> Tensor:
@@ -311,7 +272,7 @@ def classify(h: Tensor, params: EncoderParams) -> Tensor:
             "classify: encoder was configured without a classifier head "
             f"(num_classes={params.config.num_classes})"
         )
-    return _linear(h, params["cls_w"], params["cls_b"])
+    return ad.linear(h, params["cls_w"], params["cls_b"])
 
 
 @dataclass

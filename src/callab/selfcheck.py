@@ -59,6 +59,23 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
     beta = Tensor(rng.standard_normal(6).astype(np.float32))
     other = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
     table_ids = rng.integers(0, 4, size=(3, 2))
+    # attention over two rows of four keys, the second row's last two padding
+    qkv = {name: rng.standard_normal((2, 4, 4)) for name in "qkv"}
+    key_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float32)
+
+    def attention_case(wrt: str, n: int):
+        fixed = {name: Tensor(a[:, :n] if name == "q" else a) for name, a in qkv.items()}
+
+        def f(t):
+            args = {**fixed, wrt: t}
+            out = ad.attention(args["q"], args["k"], args["v"], key_mask, heads=2, rate=0.2,
+                               seed=3, train_mode=True, full_shape=(2, 2, 5, 5))
+            return ad.mean_all(ad.mul(out, out))
+
+        return f, qkv[wrt][:, :n] if wrt == "q" else qkv[wrt]
+
+    attention_cases = {f"attention_{wrt}_n{n}": attention_case(wrt, n)
+                       for n in (1, 4) for wrt in "qkv"}
 
     return {
         "add": (lambda t: ad.mean_all(ad.add(t, other)), x),
@@ -86,6 +103,9 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
                                                            ad.l2_normalize_rows(t))), x),
         "embedding_lookup": (lambda t: ad.mean_all(ad.mul(ad.embedding_lookup(t, table_ids),
                                                           ad.embedding_lookup(t, table_ids))), x),
+        "linear": (lambda t: ad.mean_all(ad.mul(ad.linear(t, w, b), ad.linear(t, w, b))),
+                   x.reshape(2, 2, 6)),
+        **attention_cases,
     }
 
 

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from callab import autodiff as ad
+from callab.autodiff import Tensor
 from callab.encoder import EncoderConfig, EncoderParams
 from callab.text import Batch
 
@@ -23,6 +27,31 @@ def toy_setup(seed: int = 0, num_classes: int = 3, batch: int = 2,
     ids[0, -1] = 0
     labels = rng.integers(0, num_classes, size=batch) if num_classes else None
     return cfg, params, Batch(token_ids=ids, attn_mask=mask, labels=labels)
+
+
+def linear_chain(x, w, b):
+    """Reference for ``ad.linear``: reshape, matmul, add_bias, reshape, one node each."""
+    if x.ndim == 2:
+        return ad.add_bias(ad.matmul(x, w), b)
+    flat = ad.reshape(x, (-1, x.shape[-1]))
+    return ad.reshape(ad.add_bias(ad.matmul(flat, w), b), x.shape[:-1] + (w.shape[1],))
+
+
+def attention_chain(q, k, v, key_mask, heads, rate, seed, train_mode, full_shape=None):
+    """Reference for ``ad.attention`` built op by op, the mask as a full-size additive tensor."""
+    b, n, h = q.shape
+    dh = h // heads
+
+    def split_heads(t):
+        return ad.transpose(ad.reshape(t, (b, t.shape[1], heads, dh)), (0, 2, 1, 3))
+
+    bias = np.where(key_mask[:, None, None, :] > 0, 0.0, -1e9).astype(np.float32)
+    bias = Tensor(np.broadcast_to(bias, (b, heads, n, k.shape[1])).copy())
+    scores = ad.matmul(split_heads(q), ad.transpose(split_heads(k), (0, 1, 3, 2)))
+    probs = ad.softmax_rows(ad.add(ad.scale(scores, 1.0 / math.sqrt(dh)), bias))
+    probs = ad.dropout_apply(probs, rate, seed, train_mode, full_shape)
+    ctx = ad.transpose(ad.matmul(probs, split_heads(v)), (0, 2, 1, 3))
+    return ad.reshape(ctx, (b, n, h))
 
 
 @pytest.fixture

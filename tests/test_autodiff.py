@@ -1,5 +1,6 @@
 """Engine-level tests: op semantics, tape backward rules, gradient checking."""
 
+import contextlib
 import gc
 import math
 import weakref
@@ -9,6 +10,8 @@ import pytest
 
 from callab import autodiff as ad
 from callab.autodiff import Tensor
+
+from conftest import attention_chain, linear_chain
 
 
 @pytest.fixture(autouse=True)
@@ -427,6 +430,75 @@ class TestSeamWalkSkipsParameters:
         assert got.tobytes() == seam.grad.tobytes()
         for p in (w1, b1, gamma, beta, w2):
             assert p.grad is not None and np.any(p.grad != 0)
+
+
+class TestFusedOps:
+    """``linear`` and ``attention`` give the op-by-op chain's bytes, forward and backward."""
+
+    @staticmethod
+    def _run(op, arrays, g, **kwargs):
+        """Output bytes of ``op`` and every input's gradient, with ``g`` as the output gradient."""
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        with ad.Tape():
+            out = op(*ts, **kwargs)
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+    @pytest.mark.parametrize("f64", [False, True], ids=["f32", "f64"])
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)], ids=["2d", "3d"])
+    def test_linear_matches_chain(self, rng, lead, f64):
+        arrays = [rng.standard_normal(lead + (48,)), rng.standard_normal((48, 40)),
+                  rng.standard_normal(40)]
+        g = rng.standard_normal(lead + (40,))
+        with ad._float64_forward() if f64 else contextlib.nullcontext():
+            assert self._run(ad.linear, arrays, g) == self._run(linear_chain, arrays, g)
+
+    @pytest.mark.parametrize("f64", [False, True], ids=["f32", "f64"])
+    @pytest.mark.parametrize("train_mode", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_attention_matches_chain(self, rng, n, train_mode, f64):
+        b, l, h = 3, 9, 32
+        arrays = [rng.standard_normal((b, n, h))] + [rng.standard_normal((b, l, h)) for _ in "kv"]
+        key_mask = (np.arange(l)[None, :] < np.array([[9], [5], [2]])).astype(np.float32)
+        g = rng.standard_normal((b, n, h))
+        kwargs = dict(key_mask=key_mask, heads=4, rate=0.3, seed=17, train_mode=train_mode,
+                      full_shape=(b, 4, 12, 12))
+        with ad._float64_forward() if f64 else contextlib.nullcontext():
+            fused = self._run(ad.attention, arrays, g, **kwargs)
+            assert fused == self._run(attention_chain, arrays, g, **kwargs)
+        # padded keys get no gradient
+        for grad in fused[2:]:
+            grad = np.frombuffer(grad, dtype=np.float32).reshape(b, l, h)
+            assert not np.any(grad[key_mask == 0]) and np.any(grad[key_mask == 1])
+
+    @pytest.mark.parametrize("w_shape, b_shape", [((5, 3), (3,)), ((4, 3), (2,)), ((4,), (4,))])
+    def test_linear_rejects_misfit_weight_or_bias(self, w_shape, b_shape):
+        x = Tensor(np.zeros((2, 6, 4)))
+        with pytest.raises(ValueError, match=r"linear: .*\(2, 6, 4\)"):
+            ad.linear(x, Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
+
+    @pytest.mark.parametrize("case, match", [
+        ("heads", r"\(2, 5, 6\) is not divisible by heads=4"),
+        ("kv", r"keys \(2, 5, 6\) and values \(2, 4, 6\)"),
+        ("q_batch", r"queries \(3, 1, 6\) do not fit keys \(2, 5, 6\)"),
+        ("q_width", r"queries \(2, 1, 4\) do not fit keys \(2, 5, 6\)"),
+        ("mask", r"key mask \(2, 4\) is not \(B, L\) = \(2, 5\)"),
+    ])
+    def test_attention_names_the_shapes(self, case, match):
+        q, k, v = np.zeros((2, 1, 6)), np.zeros((2, 5, 6)), np.zeros((2, 5, 6))
+        mask, heads = np.ones((2, 5)), 2
+        if case == "heads":
+            heads = 4
+        elif case == "kv":
+            v = np.zeros((2, 4, 6))
+        elif case == "q_batch":
+            q = np.zeros((3, 1, 6))
+        elif case == "q_width":
+            q = np.zeros((2, 1, 4))
+        else:
+            mask = np.ones((2, 4))
+        with pytest.raises(ValueError, match=match):
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), mask, heads, 0.1, 0, True)
 
 
 class TestGradCheck:

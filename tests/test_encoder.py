@@ -1,7 +1,5 @@
 """Encoder tests: shapes, determinism, masking, weight sharing, oracles."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from callab.autodiff import Tensor, derive_seed
 from callab.encoder import (
     EncoderConfig,
     EncoderParams,
-    _attention_mask_bias,
-    _linear,
     classify,
     embed_tokens,
     encode_from_embeddings,
@@ -21,7 +17,7 @@ from callab.encoder import (
 from callab.objectives import cross_entropy
 from callab.text import Batch
 
-from conftest import toy_setup
+from conftest import attention_chain, linear_chain, toy_setup
 
 
 class TestConfig:
@@ -242,37 +238,28 @@ class TestForwardFull:
 
 
 def _encode_full_width(emb, attn_mask, params, dropout_seed, train_mode):
-    """Reference stack: every layer at all positions, then position 0."""
+    """Reference stack: every layer at all positions, op by op, then position 0."""
     cfg = params.config
     b, l, h = emb.shape
-    heads, dh = cfg.heads, h // cfg.heads
-    mask_bias = _attention_mask_bias(attn_mask, heads, l)
     full_act = (b, cfg.max_len, h)
-    full_probs = (b, heads, cfg.max_len, cfg.max_len)
-
-    def split_heads(t):
-        return ad.transpose(ad.reshape(t, (b, l, heads, dh)), (0, 2, 1, 3))
+    full_probs = (b, cfg.heads, cfg.max_len, cfg.max_len)
 
     x = emb
     for i in range(cfg.layers):
         p = f"layer{i}."
         lseed = derive_seed(dropout_seed, "layer", i)
-        q = split_heads(_linear(x, params[p + "wq"], params[p + "bq"]))
-        k = split_heads(_linear(x, params[p + "wk"], params[p + "bk"]))
-        v = split_heads(_linear(x, params[p + "wv"], params[p + "bv"]))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        probs = ad.softmax_rows(ad.add(scores, mask_bias))
-        probs = ad.dropout_apply(
-            probs, cfg.dropout, derive_seed(lseed, "attn_probs"), train_mode, full_probs
-        )
-        ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (b, l, h))
+        q = linear_chain(x, params[p + "wq"], params[p + "bq"])
+        k = linear_chain(x, params[p + "wk"], params[p + "bk"])
+        v = linear_chain(x, params[p + "wv"], params[p + "bv"])
+        ctx = attention_chain(q, k, v, attn_mask, cfg.heads, cfg.dropout,
+                              derive_seed(lseed, "attn_probs"), train_mode, full_probs)
         attn_out = ad.dropout_apply(
-            _linear(ctx, params[p + "wo"], params[p + "bo"]),
+            linear_chain(ctx, params[p + "wo"], params[p + "bo"]),
             cfg.dropout, derive_seed(lseed, "attn_out"), train_mode, full_act,
         )
         x = ad.layer_norm(ad.add(x, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
-        ffn = _linear(ad.relu(_linear(x, params[p + "w1"], params[p + "b1"])),
-                      params[p + "w2"], params[p + "b2"])
+        ffn = linear_chain(ad.relu(linear_chain(x, params[p + "w1"], params[p + "b1"])),
+                           params[p + "w2"], params[p + "b2"])
         ffn = ad.dropout_apply(ffn, cfg.dropout, derive_seed(lseed, "ffn"), train_mode, full_act)
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
     return ad.reshape(ad.first_position(x), (b, h))
@@ -337,14 +324,13 @@ class TestClsOnlyLastLayer:
         b, l = batch.token_ids.shape
         by_weight = {id(t): name for name, t in params.named()}
         rows = {}
-        real_matmul = ad.matmul
+        real_linear = ad.linear
 
-        def recording_matmul(a, w):
-            if id(w) in by_weight:
-                rows[by_weight[id(w)]] = a.shape[0]
-            return real_matmul(a, w)
+        def recording_linear(x, w, bias):
+            rows[by_weight[id(w)]] = int(np.prod(x.shape[:-1]))
+            return real_linear(x, w, bias)
 
-        monkeypatch.setattr(ad, "matmul", recording_matmul)
+        monkeypatch.setattr(ad, "linear", recording_linear)
         forward_full(batch, params, seed=1, train_mode=False)
         for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
             assert rows["layer0." + name] == b * l, name
