@@ -298,8 +298,8 @@ def grad_of(root: Tensor, wrt: Tensor) -> np.ndarray:
     Only nodes downstream of ``wrt`` are walked, so nothing upstream of it
     is differentiated, and the walk keeps no input that is not downstream
     of ``wrt``: the selective ops (matmul, add_bias, layer_norm, linear,
-    attention) skip the gradients of the parameters they read. Zeros when ``root`` does not depend on ``wrt``
-    through the tape.
+    attention) skip the gradients of the parameters they read. Zeros when
+    ``root`` does not depend on ``wrt`` through the tape.
     """
     tape = _tape_or_raise("grad_of")
     downstream = {id(wrt)}
@@ -732,7 +732,7 @@ def attention(
     """
     q_d, k_d, v_d = q.data, k.data, v.data
     if k_d.ndim != 3 or k_d.shape != v_d.shape:
-        raise ValueError(f"attention: keys {k_d.shape} and values {v_d.shape} differ or are not 3-D")
+        raise ValueError(f"attention: keys {k_d.shape} and values {v_d.shape} differ or aren't 3-D")
     b, l, h = k_d.shape
     if q_d.ndim != 3 or q_d.shape[0] != b or q_d.shape[2] != h:
         raise ValueError(f"attention: queries {q_d.shape} do not fit keys {k_d.shape}")

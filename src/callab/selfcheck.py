@@ -64,7 +64,8 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
     key_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float32)
 
     def attention_case(wrt: str, n: int):
-        fixed = {name: Tensor(a[:, :n] if name == "q" else a) for name, a in qkv.items()}
+        data = {**qkv, "q": qkv["q"][:, :n]}
+        fixed = {name: Tensor(a) for name, a in data.items()}
 
         def f(t):
             args = {**fixed, wrt: t}
@@ -72,7 +73,7 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
                                seed=3, train_mode=True, full_shape=(2, 2, 5, 5))
             return ad.mean_all(ad.mul(out, out))
 
-        return f, qkv[wrt][:, :n] if wrt == "q" else qkv[wrt]
+        return f, data[wrt]
 
     attention_cases = {f"attention_{wrt}_n{n}": attention_case(wrt, n)
                        for n in (1, 4) for wrt in "qkv"}
