@@ -32,6 +32,13 @@ add_bias, layer_norm, linear and attention compute no gradient for an input
 that is not kept, so ``grad_of`` differentiates no parameter on its way to
 the seam.
 
+``backward`` consumes its tape. A node's output gradient is complete when
+the reverse walk reaches it, so the walk assigns it there, runs the node's
+backward and clears the node's closure, inputs and output: every saved
+array and intermediate gradient that the caller does not hold is freed
+during the walk rather than when the step ends. ``grad_of`` runs the same
+walk without clearing, dropping each gradient once it is used.
+
 Single-threaded by design: one tape per worker, rebuilt every step.
 """
 
@@ -182,11 +189,13 @@ class Tape:
 
     Use as a context manager: ops executed inside record themselves when any
     input requires grad. ``backward(root)`` then walks the record once in
-    reverse. Tapes are throwaway objects, rebuilt each training step.
+    reverse and consumes it. Tapes are throwaway objects, rebuilt each
+    training step.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.consumed = False  # set by backward(), whose walk clears every node
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -233,38 +242,56 @@ def _record(
 
 
 def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = None) -> dict:
-    """Gradients of ``root`` keyed by tensor id, from one reverse pass over ``nodes``.
+    """One reverse pass over ``nodes``; returns the gradients of the tensors no node produced.
 
-    Gradients sum across fan-out. With ``only`` (a set of tensor ids), grads
-    are kept for those tensors alone; each node learns which of its inputs
-    are kept before its backward runs. A backward may hand one array to two
-    inputs or pass its output's gradient through, so an entry's first array
-    may be held elsewhere too: the first sum into an entry makes a new
-    array, and only arrays made that way are summed into in place.
+    Gradients sum across fan-out, keyed by tensor id. A node's output
+    gradient is complete when the walk reaches it (its consumers come after
+    it), so the walk drops that entry there, runs the backward, and keeps
+    nothing of it past that point.
+
+    Without ``only`` the walk consumes the tape (``backward``): each node's
+    output gets its gradient as ``grad`` (zeros when the node is not on a
+    path to ``root``), and the node's closure, inputs and output are then
+    cleared, so its saved arrays go as soon as no caller holds them. With
+    ``only`` (a set of tensor ids, ``grad_of``), grads are kept for those
+    tensors alone, nothing is written to ``grad`` and the nodes are left
+    intact; each node learns which of its inputs are kept before its
+    backward runs.
+
+    A backward may hand one array to two inputs or pass its output's
+    gradient through, so an entry's first array may be held elsewhere too.
+    The first sum into an entry makes a new array that this entry owns, and
+    only owned entries are summed into in place.
     """
     if root.data.size != 1:
         raise ValueError(f"gradient root must be a scalar, got shape {root.data.shape}")
+    consume = only is None
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    sums: set[int] = set()  # ids of the arrays this walk allocated for a sum
+    owned: set[int] = set()  # ids of the entries whose array this walk allocated for them
     for node in reversed(nodes):
-        g_out = grads.get(id(node.output))
-        if g_out is None:
-            continue
-        node.keep[:] = [t.requires_grad and (only is None or id(t) in only) for t in node.inputs]
-        for t, kept, g in zip(node.inputs, node.keep, node.backward(g_out)):
-            if g is None or not kept:
-                continue
-            g = np.asarray(g, dtype=_F32)
-            if g.shape != t.data.shape:
-                g = g.reshape(t.data.shape)
-            acc = grads.get(id(t))
-            if acc is None:
-                grads[id(t)] = g
-            elif id(acc) in sums:
-                acc += g
-            else:
-                acc = grads[id(t)] = acc + g
-                sums.add(id(acc))
+        out = node.output
+        g_out = grads.pop(id(out), None)
+        if consume:
+            out.grad = g_out if g_out is not None else np.zeros_like(out.data)
+        if g_out is not None:
+            node.keep[:] = [t.requires_grad and (consume or id(t) in only) for t in node.inputs]
+            for t, kept, g in zip(node.inputs, node.keep, node.backward(g_out)):
+                if g is None or not kept:
+                    continue
+                g = np.asarray(g, dtype=_F32)
+                if g.shape != t.data.shape:
+                    g = g.reshape(t.data.shape)
+                key = id(t)
+                acc = grads.get(key)
+                if acc is None:
+                    grads[key] = g
+                elif key in owned:
+                    acc += g
+                else:
+                    grads[key] = acc + g
+                    owned.add(key)
+        if consume:
+            node.inputs, node.output, node.backward = (), None, None
     return grads
 
 
@@ -272,6 +299,8 @@ def _tape_or_raise(fn: str) -> Tape:
     tape = _active_tape()
     if tape is None:
         raise RuntimeError(f"{fn}() requires an active Tape context")
+    if tape.consumed:
+        raise RuntimeError(f"{fn}(): the tape was consumed by backward(); record a new Tape")
     return tape
 
 
@@ -282,14 +311,25 @@ def backward(root: Tensor) -> None:
     path to ``root`` receive zero grad. Existing ``grad`` fields of tape
     tensors are overwritten, not accumulated into. Two tensors' ``grad``
     fields may be one array; replace a ``grad``, never write into it.
+
+    The walk consumes the tape: each node's saved arrays and intermediate
+    gradients are freed as soon as its backward has run (unless the caller
+    holds them), leaves get their ``grad`` when the walk ends, and a second
+    ``backward`` or ``grad_of`` on the same tape raises ``RuntimeError``.
     """
     tape = _tape_or_raise("backward")
+    tape.consumed = True
+    produced = {id(node.output) for node in tape.nodes}
+    leaves = {
+        id(t): t
+        for node in tape.nodes
+        for t in node.inputs
+        if t.requires_grad and id(t) not in produced
+    }
     grads = _reverse_walk(root, tape.nodes)
-    for node in tape.nodes:
-        for t in (*node.inputs, node.output):
-            if t.requires_grad:
-                g = grads.get(id(t))
-                t.grad = g if g is not None else np.zeros_like(t.data)
+    for key, t in leaves.items():
+        g = grads.get(key)
+        t.grad = g if g is not None else np.zeros_like(t.data)
 
 
 def grad_of(root: Tensor, wrt: Tensor) -> np.ndarray:
@@ -298,8 +338,11 @@ def grad_of(root: Tensor, wrt: Tensor) -> np.ndarray:
     Only nodes downstream of ``wrt`` are walked, so nothing upstream of it
     is differentiated, and the walk keeps no input that is not downstream
     of ``wrt``: the selective ops (matmul, add_bias, layer_norm, linear,
-    attention) skip the gradients of the parameters they read. Zeros when
-    ``root`` does not depend on ``wrt`` through the tape.
+    attention) skip the gradients of the parameters they read. Each
+    intermediate gradient is dropped once its node has used it. The tape
+    stays intact, so ``backward`` may follow; after ``backward`` it raises
+    ``RuntimeError``. Zeros when ``root`` does not depend on ``wrt`` through
+    the tape.
     """
     tape = _tape_or_raise("grad_of")
     downstream = {id(wrt)}
@@ -582,8 +625,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    pos = (a.data > 0).astype(_F32)
-    return _record((a,), out, lambda g: (g * pos,))
+    # out > 0 exactly where a > 0 (NaN and -0.0 included), so no mask is saved
+    return _record((a,), out, lambda g: (g * (out > 0),))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from .attacks import AttackConfig
 from .encoder import EncoderConfig, EncoderParams
 from .metrics import (
+    MetricError,
     MetricReport,
     evaluate_classification,
     evaluate_similarity,
@@ -229,8 +230,15 @@ def cmd_train(args: argparse.Namespace) -> int:
             dev_rows = load_similarity_tsv(cfg.dev_file)
     except (OSError, DataFormatError) as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot load datasets: {exc}")
+    if not train_rows:
+        return _fail(EXIT_BAD_INPUT, f"empty train set ({cfg.train_file!r})")
     if not dev_rows:
         return _fail(EXIT_BAD_INPUT, "empty dev set")
+    if not supervised and len(dev_rows) < 2:
+        return _fail(
+            EXIT_BAD_INPUT,
+            f"similarity dev set needs at least 2 pairs, got {len(dev_rows)} ({cfg.dev_file!r})",
+        )
 
     num_classes = 0
     if supervised:
@@ -306,6 +314,15 @@ def _write_report(report: MetricReport, out_dir: str | None, stem: str) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    attack_cfg = None
+    if args.attack is not None:
+        if args.task == "similarity":
+            return _fail(EXIT_BAD_INPUT, "attack evaluation needs a labeled dataset")
+        attack_cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon)
+        try:
+            attack_cfg.validate()
+        except ValueError as exc:
+            return _fail(EXIT_BAD_INPUT, f"invalid config: {exc}")
     try:
         ckpt, vocab = _load_checkpoint_and_vocab(args)
     except (FileNotFoundError, OSError) as exc:
@@ -323,16 +340,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             report = evaluate_classification(params, rows, vocab, args.metric)
     except (OSError, DataFormatError) as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot load dataset: {exc}")
+    except MetricError as exc:
+        return _fail(EXIT_BAD_INPUT, f"cannot evaluate {args.data!r}: {exc}")
     _write_report(report, args.out_dir, "report")
 
-    if args.attack is not None:
-        if args.task == "similarity":
-            return _fail(EXIT_BAD_INPUT, "attack evaluation needs a labeled dataset")
-        attack_cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon)
-        try:
-            attack_cfg.validate()
-        except ValueError as exc:
-            return _fail(EXIT_BAD_INPUT, f"invalid config: {exc}")
+    if attack_cfg is not None:
         robust = evaluate_under_attack(params, rows, vocab, attack_cfg, args.metric)
         _write_report(robust, args.out_dir, "report_robust")
     return EXIT_OK

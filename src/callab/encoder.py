@@ -275,6 +275,21 @@ def classify(h: Tensor, params: EncoderParams) -> Tensor:
     return ad.linear(h, params["cls_w"], params["cls_b"])
 
 
+def embed_and_encode(
+    batch: Batch, params: EncoderParams, seed: int, train_mode: bool
+) -> tuple[Tensor, Tensor]:
+    """The seam tensor and the [CLS] vectors h: ``forward_full`` without its heads.
+
+    Readers that need only h or only the logits start here and skip the
+    pooler; the seeds are ``forward_full``'s, so every value is its value.
+    """
+    emb = embed_tokens(batch, params, derive_seed(seed, "embed"), train_mode)
+    h = encode_from_embeddings(
+        emb, batch.attn_mask, params, derive_seed(seed, "encode"), train_mode
+    )
+    return emb, h
+
+
 @dataclass
 class ForwardOut:
     emb: Tensor
@@ -287,10 +302,7 @@ def forward_full(
     batch: Batch, params: EncoderParams, seed: int, train_mode: bool
 ) -> ForwardOut:
     """Compose embed -> encode -> pool (-> classify) under one seed namespace."""
-    emb = embed_tokens(batch, params, derive_seed(seed, "embed"), train_mode)
-    h = encode_from_embeddings(
-        emb, batch.attn_mask, params, derive_seed(seed, "encode"), train_mode
-    )
+    emb, h = embed_and_encode(batch, params, seed, train_mode)
     z = pool(h, params)
     logits = classify(h, params) if params.config.num_classes >= 2 else None
     return ForwardOut(emb, h, z, logits)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .attacks import AttackConfig, gen_supervised_adv
 from .autodiff import derive_seed
-from .encoder import EncoderParams, classify, encode_from_embeddings, forward_full
+from .encoder import EncoderParams, classify, embed_and_encode, encode_from_embeddings
 from .text import LabeledExample, ScoredPair, Vocab, encode_batch
 
 
@@ -156,9 +156,9 @@ def _predict_batches(
     max_len = params.config.max_len
     for start in range(0, len(rows), batch_size):
         batch = encode_batch(rows[start : start + batch_size], vocab, max_len)
-        out = forward_full(batch, params, seed=0, train_mode=False)
+        _, h = embed_and_encode(batch, params, seed=0, train_mode=False)
         # argmax ties break toward the lowest class index
-        preds.append(np.argmax(out.logits.data, axis=1))
+        preds.append(np.argmax(classify(h, params).data, axis=1))
         labels.append(batch.labels)
     return np.concatenate(preds), np.concatenate(labels)
 
@@ -196,8 +196,8 @@ def encode_sentences(
     max_len = params.config.max_len
     for start in range(0, len(sentences), batch_size):
         batch = encode_batch(list(sentences[start : start + batch_size]), vocab, max_len)
-        out = forward_full(batch, params, seed=0, train_mode=False)
-        outs.append(out.h.data.copy())
+        _, h = embed_and_encode(batch, params, seed=0, train_mode=False)
+        outs.append(h.data)
     return np.concatenate(outs, axis=0)
 
 

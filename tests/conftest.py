@@ -54,6 +54,32 @@ def attention_chain(q, k, v, key_mask, heads, rate, seed, train_mode, full_shape
     return ad.reshape(ctx, (b, n, h))
 
 
+def reference_backward(root, tape):
+    """Reference for ``ad.backward``: a walk that never sums in place, then a second pass.
+
+    Every sum makes a new array, so no gradient can alias another, and the
+    nodes are left intact; the second pass writes ``grad`` on every
+    requires-grad tensor on the tape, zeros where the walk never reached.
+    """
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(tape.nodes):
+        g_out = grads.get(id(node.output))
+        if g_out is None:
+            continue
+        node.keep[:] = [t.requires_grad for t in node.inputs]
+        for t, g in zip(node.inputs, node.backward(g_out)):
+            if g is None or not t.requires_grad:
+                continue
+            g = np.asarray(g, dtype=np.float32).reshape(t.shape)
+            acc = grads.get(id(t))
+            grads[id(t)] = g if acc is None else acc + g
+    for node in tape.nodes:
+        for t in (*node.inputs, node.output):
+            if t.requires_grad:
+                g = grads.get(id(t))
+                t.grad = g if g is not None else np.zeros_like(t.data)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

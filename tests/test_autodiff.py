@@ -11,7 +11,7 @@ import pytest
 from callab import autodiff as ad
 from callab.autodiff import Tensor
 
-from conftest import attention_chain, linear_chain
+from conftest import attention_chain, linear_chain, reference_backward
 
 
 @pytest.fixture(autouse=True)
@@ -209,6 +209,17 @@ class TestActivations:
         out = ad.tanh(Tensor(rng.uniform(-6, 6, size=100)))
         assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
 
+    def test_relu_backward_bytes_at_negative_zero_and_nan(self, monkeypatch):
+        monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", False)  # NaN is the input under test
+        a = np.array([-0.0, 0.0, np.nan, -np.nan, 2.0, -3.0, np.inf, -np.inf], dtype=np.float32)
+        g = np.array([1.5, -2.0, 3.0, np.nan, -4.0, np.nan, 5.0, -6.0], dtype=np.float32)
+        x = Tensor(a, requires_grad=True)
+        with ad.Tape() as tape:
+            ad.relu(x)
+            (got,) = tape.nodes[-1].backward(g)
+        want = g * (a > 0).astype(np.float32)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
     def test_gradients(self, rng):
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         assert ad.grad_check(lambda t: ad.mean_all(ad.tanh(t)), x) < 1e-4
@@ -284,6 +295,87 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, [6.0, 6.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
         np.testing.assert_array_equal(c.grad, [1.0, 1.0])
+
+    def test_pass_through_gradient_is_not_summed_into(self):
+        """add() hands o's fan-in sum to x and y; x's later term must not reach y or o."""
+        x = Tensor(np.ones(2), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
+        with ad.Tape():
+            z = ad.scale(x, 7.0)
+            o = ad.add(x, y)
+            root = ad.add(ad.add(ad.sum_all(ad.scale(o, 2.0)), ad.sum_all(ad.scale(o, 3.0))),
+                          ad.sum_all(z))
+            want = ad.grad_of(root, y)
+            ad.backward(root)
+        np.testing.assert_array_equal(want, [5.0, 5.0])
+        np.testing.assert_array_equal(y.grad, [5.0, 5.0])
+        np.testing.assert_array_equal(o.grad, [5.0, 5.0])
+        np.testing.assert_array_equal(x.grad, [12.0, 12.0])
+        np.testing.assert_array_equal(z.grad, [1.0, 1.0])
+
+
+class TestConsumingBackward:
+    """``backward`` frees the tape as it walks and leaves the oracle's gradients."""
+
+    def test_unheld_intermediates_are_freed_during_the_walk(self, rng):
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        gc.disable()
+        try:
+            with ad.Tape():
+                hid = ad.relu(ad.matmul(x, w))
+                alive = [weakref.ref(hid.data)]
+                root = ad.sum_all(ad.dropout_apply(ad.tanh(hid), 0.5, seed=1, train_mode=True))
+                del hid
+                ad.backward(root)
+                assert all(ref() is None for ref in alive)
+                assert x.grad is not None and w.grad is not None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("second", ["backward", "grad_of"])
+    def test_consumed_tape_refuses_a_second_walk(self, rng, second):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        with ad.Tape():
+            root = ad.sum_all(ad.tanh(x))
+            ad.backward(root)
+            again = ad.backward if second == "backward" else (lambda r: ad.grad_of(r, x))
+            with pytest.raises(RuntimeError, match="consumed"):
+                again(root)
+
+    def test_grad_of_leaves_the_tape_for_backward(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        with ad.Tape():
+            root = ad.sum_all(ad.mul(ad.tanh(x), x))
+            first = ad.grad_of(root, x)
+            np.testing.assert_array_equal(ad.grad_of(root, x), first)
+            ad.backward(root)
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_every_held_grad_matches_the_reference_walk(self, rng):
+        def graph(t):
+            w = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4) / 7, requires_grad=True)
+            unused = Tensor(np.ones(3), requires_grad=True)
+            a = ad.matmul(t, w)
+            b = ad.relu(a)
+            c = ad.add(a, ad.scale(b, 2.0))
+            ad.mul(unused, unused)  # recorded, not on the path to the root
+            root = ad.sum_all(ad.mul(ad.tanh(c), b))
+            return [w, unused, a, b, c, root], root
+
+        data = rng.standard_normal((2, 3))
+        held = []
+        for walk in (ad.backward, None):
+            x = Tensor(data, requires_grad=True)
+            with ad.Tape() as tape:
+                tensors, root = graph(x)
+                if walk is None:
+                    reference_backward(root, tape)
+                else:
+                    walk(root)
+            held.append([x, *tensors])
+        for got, want in zip(*held):
+            assert got.grad.tobytes() == want.grad.tobytes()
 
 
 class TestTapeLifetime:

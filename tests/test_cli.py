@@ -193,6 +193,32 @@ class TestTrain:
         out = tmp_path / "jsonrun"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
 
+    def test_empty_train_file_exit_2_named(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        out = tmp_path / "noruns"
+        code = main([
+            "train", "--mode", "scal", "--train-file", str(empty),
+            "--dev-file", str(workspace / "dev.tsv"),
+            "--vocab-file", str(workspace / "vocab.txt"), "--out-dir", str(out), *TRAIN_FLAGS,
+        ])
+        assert code == EXIT_BAD_INPUT
+        assert "empty train set" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_pair_similarity_dev_exit_2_before_training(self, workspace, tmp_path, capsys):
+        one = tmp_path / "one_pair.tsv"
+        one.write_text("2.5\talpha0 alpha1\talpha1 alpha2\n")
+        out = tmp_path / "onepair"
+        code = main([
+            "train", "--mode", "uscal", "--train-file", str(workspace / "corpus.txt"),
+            "--dev-file", str(one), "--vocab-file", str(workspace / "uvocab.txt"),
+            "--out-dir", str(out), *TRAIN_FLAGS,
+        ])
+        assert code == EXIT_BAD_INPUT
+        assert "at least 2 pairs, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(workspace, tmp_path_factory):
@@ -289,6 +315,33 @@ class TestEval:
             "--vocab", str(workspace / "vocab.txt"),
             "--data", str(workspace / "dev.tsv"),
         ]) == EXIT_BAD_INPUT
+
+    def _eval(self, workspace, trained, data, *extra):
+        return main([
+            "eval", "--checkpoint", str(trained / "best.ckpt"),
+            "--vocab", str(workspace / "vocab.txt"), "--data", str(data), *extra,
+        ])
+
+    def test_empty_dataset_exit_2_named(self, workspace, trained, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        assert self._eval(workspace, trained, empty) == EXIT_BAD_INPUT
+        assert "empty dataset" in capsys.readouterr().err
+
+    def test_one_pair_similarity_exit_2_named(self, workspace, trained, tmp_path, capsys):
+        one = tmp_path / "one_pair.tsv"
+        one.write_text("2.5\td00 d01\td01 d02\n")
+        assert self._eval(workspace, trained, one, "--task", "similarity") == EXIT_BAD_INPUT
+        assert "at least 2 pairs" in capsys.readouterr().err
+
+    def test_attack_on_similarity_fails_before_writing(self, workspace, trained, tmp_path, capsys):
+        out = tmp_path / "simattack"
+        code = self._eval(workspace, trained, workspace / "sims.tsv", "--task", "similarity",
+                          "--attack", "fgm", "--out-dir", str(out))
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert "needs a labeled dataset" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestEmbed:

@@ -20,7 +20,8 @@ from callab.metrics import (
     mcc,
     spearman,
 )
-from callab.text import LabeledExample, ScoredPair, Vocab
+from callab.encoder import forward_full
+from callab.text import LabeledExample, ScoredPair, Vocab, encode_batch
 
 from conftest import toy_setup
 
@@ -180,6 +181,38 @@ class TestEvaluateSimilarity:
         gold = [p.score for p in pairs]
         report = evaluate_similarity(params, pairs, vocab)
         assert report.value == pytest.approx(spearman(cosines, gold), abs=1e-12)
+
+
+class TestReadPathComputesOnlyWhatItReads:
+    """``encode_sentences`` reads h and classification reads the logits, both as forward_full has them."""
+
+    def _reference(self, params, vocab, rows, batch_size):
+        outs = [
+            forward_full(encode_batch(rows[i : i + batch_size], vocab, params.config.max_len),
+                         params, seed=0, train_mode=False)
+            for i in range(0, len(rows), batch_size)
+        ]
+        return (np.concatenate([o.h.data for o in outs]),
+                np.concatenate([o.logits.data.argmax(axis=1) for o in outs]))
+
+    def test_outputs_equal_forward_full_without_its_unread_heads(self, monkeypatch):
+        import callab.encoder as encoder_mod
+        import callab.metrics as metrics_mod
+
+        params, vocab, rows = _tiny_eval_setup()
+        want_h, want_preds = self._reference(params, vocab, [r.text_a for r in rows], 16)
+        _, want_labelled_preds = self._reference(params, vocab, rows, 16)
+        assert (want_preds == want_labelled_preds).all()
+
+        def unread(*_args, **_kwargs):
+            raise AssertionError("the read path computed a head it does not read")
+
+        monkeypatch.setattr(encoder_mod, "pool", unread)
+        preds, _ = metrics_mod._predict_batches(params, rows, vocab, batch_size=16)
+        assert preds.tobytes() == want_preds.tobytes()
+        monkeypatch.setattr(metrics_mod, "classify", unread)
+        got_h = encode_sentences(params, [r.text_a for r in rows], vocab, batch_size=16)
+        assert got_h.dtype == want_h.dtype and got_h.tobytes() == want_h.tobytes()
 
 
 class TestEvaluateUnderAttack:

@@ -12,7 +12,7 @@ import pytest
 import callab.attacks as attacks_mod
 import callab.encoder as encoder_mod
 import callab.trainer as trainer_mod
-from callab.attacks import AttackConfig, gen_unsupervised_adv
+from callab.attacks import AttackConfig, gen_supervised_adv, gen_unsupervised_adv
 from callab.autodiff import Tape, backward, derive_seed, grad_of
 from callab.encoder import EncoderConfig, EncoderParams, classify, embed_tokens
 from callab.objectives import cross_entropy
@@ -50,7 +50,7 @@ from callab.trainer import (
     train_step,
 )
 
-from conftest import toy_setup
+from conftest import reference_backward, toy_setup
 
 
 class TestAdamW:
@@ -624,6 +624,49 @@ class TestDynamicPadding:
             mode, seams, self.DEFAULT_ROWS, self.DEFAULT_VOCAB, self.DEFAULT
         )
         assert width <= 20
+
+
+class TestConsumingBackwardOnLossGraphs:
+    """The consuming walk leaves every gradient the caller can see as the reference walk does."""
+
+    DEMO = dict(hidden=32, layers=1, heads=2, ffn_dim=64, max_len=16)
+    DEFAULT = TestDynamicPadding.DEFAULT
+    ROWS = TestDynamicPadding.DEFAULT_ROWS
+    VOCAB = TestDynamicPadding.DEFAULT_VOCAB
+
+    def _walked(self, walk, mode, size, seams):
+        cfg = EncoderConfig(vocab_size=len(self.VOCAB), dropout=0.1,
+                            num_classes=2 if mode == "scal" else 0, **size)
+        params = EncoderParams.init_random(cfg, seed=0)
+        batch = encode_batch(self.ROWS, self.VOCAB, size["max_len"])
+        tcfg = TrainConfig(mode=mode, alpha=0.5, epsilon=0.3, temperature=0.15)
+        step_seed = derive_seed(3, "step", 0)
+        if mode == "scal":
+            adv = gen_supervised_adv(batch, params, tcfg.attack_config(),
+                                     derive_seed(step_seed, "attack"))
+        else:
+            adv = gen_unsupervised_adv(batch, params, tcfg.loss_config(), tcfg.attack_config(),
+                                       derive_seed(step_seed, "view1"),
+                                       derive_seed(step_seed, "view2"))
+        seams.clear()
+        with Tape() as tape:
+            total, parts = loss_graph(mode, batch, params, adv.delta, tcfg.loss_config(),
+                                      step_seed, True)
+            walk(total, tape)
+        held = {f"param {name}": t for name, t in params.named()}
+        held.update({f"loss {name}": t for name, t in parts.items()}, total=total)
+        held.update({f"seam {i}": t for i, t in enumerate(seams)})
+        return held
+
+    @pytest.mark.parametrize("size", ["demo", "default"])
+    @pytest.mark.parametrize("mode", ["scal", "uscal"])
+    def test_held_grads_equal_the_reference_walk(self, mode, size, seams):
+        size = self.DEMO if size == "demo" else self.DEFAULT
+        got = self._walked(lambda root, _tape: backward(root), mode, size, seams)
+        want = self._walked(reference_backward, mode, size, seams)
+        assert got.keys() == want.keys() and len(got) > 20
+        for name, t in want.items():
+            assert got[name].grad.tobytes() == t.grad.tobytes(), name
 
 
 class TestSeamGradient:
