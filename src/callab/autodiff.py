@@ -32,12 +32,10 @@ add_bias, layer_norm, linear and attention compute no gradient for an input
 that is not kept, so ``grad_of`` differentiates no parameter on its way to
 the seam.
 
-``backward`` consumes its tape. A node's output gradient is complete when
-the reverse walk reaches it, so the walk assigns it there, runs the node's
-backward and clears the node's closure, inputs and output: every saved
-array and intermediate gradient that the caller does not hold is freed
-during the walk rather than when the step ends. ``grad_of`` runs the same
-walk without clearing, dropping each gradient once it is used.
+``backward`` consumes its tape: the reverse walk frees each node's saved
+arrays and intermediate gradients (those the caller does not hold) as soon
+as the node's backward has run, not when the step ends. ``grad_of`` runs
+the same walk and leaves the tape intact.
 
 Single-threaded by design: one tape per worker, rebuilt every step.
 """
@@ -244,23 +242,20 @@ def _record(
 def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = None) -> dict:
     """One reverse pass over ``nodes``; returns the gradients of the tensors no node produced.
 
-    Gradients sum across fan-out, keyed by tensor id. A node's output
-    gradient is complete when the walk reaches it (its consumers come after
-    it), so the walk drops that entry there, runs the backward, and keeps
-    nothing of it past that point.
+    Gradients sum across fan-out, keyed by tensor id. A node's consumers
+    come after it, so its output's gradient is complete when the walk
+    reaches it: the walk takes that entry out there and runs the backward.
 
-    Without ``only`` the walk consumes the tape (``backward``): each node's
-    output gets its gradient as ``grad`` (zeros when the node is not on a
-    path to ``root``), and the node's closure, inputs and output are then
-    cleared, so its saved arrays go as soon as no caller holds them. With
-    ``only`` (a set of tensor ids, ``grad_of``), grads are kept for those
-    tensors alone, nothing is written to ``grad`` and the nodes are left
-    intact; each node learns which of its inputs are kept before its
-    backward runs.
+    Without ``only`` (``backward``) the walk consumes the tape: it writes
+    each output's gradient to ``grad`` (zeros when the node is not on a path
+    to ``root``), then clears the node's closure, inputs and output. With
+    ``only`` (a set of tensor ids, ``grad_of``) grads are kept for those
+    tensors alone and nodes and ``grad`` fields are left as they are. Each
+    node learns which of its inputs are kept before its backward runs.
 
     A backward may hand one array to two inputs or pass its output's
     gradient through, so an entry's first array may be held elsewhere too.
-    The first sum into an entry makes a new array that this entry owns, and
+    The first sum into an entry makes a new array that the entry owns, and
     only owned entries are summed into in place.
     """
     if root.data.size != 1:
@@ -320,12 +315,8 @@ def backward(root: Tensor) -> None:
     tape = _tape_or_raise("backward")
     tape.consumed = True
     produced = {id(node.output) for node in tape.nodes}
-    leaves = {
-        id(t): t
-        for node in tape.nodes
-        for t in node.inputs
-        if t.requires_grad and id(t) not in produced
-    }
+    leaves = {id(t): t for node in tape.nodes for t in node.inputs
+              if t.requires_grad and id(t) not in produced}
     grads = _reverse_walk(root, tape.nodes)
     for key, t in leaves.items():
         g = grads.get(key)

@@ -324,11 +324,11 @@ class TestConsumingBackward:
         try:
             with ad.Tape():
                 hid = ad.relu(ad.matmul(x, w))
-                alive = [weakref.ref(hid.data)]
+                alive = weakref.ref(hid.data)
                 root = ad.sum_all(ad.dropout_apply(ad.tanh(hid), 0.5, seed=1, train_mode=True))
                 del hid
                 ad.backward(root)
-                assert all(ref() is None for ref in alive)
+                assert alive() is None
                 assert x.grad is not None and w.grad is not None
         finally:
             gc.enable()
@@ -343,15 +343,6 @@ class TestConsumingBackward:
             with pytest.raises(RuntimeError, match="consumed"):
                 again(root)
 
-    def test_grad_of_leaves_the_tape_for_backward(self, rng):
-        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        with ad.Tape():
-            root = ad.sum_all(ad.mul(ad.tanh(x), x))
-            first = ad.grad_of(root, x)
-            np.testing.assert_array_equal(ad.grad_of(root, x), first)
-            ad.backward(root)
-        np.testing.assert_array_equal(x.grad, first)
-
     def test_every_held_grad_matches_the_reference_walk(self, rng):
         def graph(t):
             w = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4) / 7, requires_grad=True)
@@ -365,14 +356,14 @@ class TestConsumingBackward:
 
         data = rng.standard_normal((2, 3))
         held = []
-        for walk in (ad.backward, None):
+        for reference in (False, True):
             x = Tensor(data, requires_grad=True)
             with ad.Tape() as tape:
                 tensors, root = graph(x)
-                if walk is None:
+                if reference:
                     reference_backward(root, tape)
                 else:
-                    walk(root)
+                    ad.backward(root)
             held.append([x, *tensors])
         for got, want in zip(*held):
             assert got.grad.tobytes() == want.grad.tobytes()
