@@ -4,6 +4,12 @@ Values are stored as contiguous float32 arrays; reductions (sums, means,
 norms) accumulate in float64 before rounding back to storage precision,
 which keeps finite-difference gradient checks tight on deep graphs.
 
+Scalars follow one rule: a 0-d tensor is stored as a 0-d float64 array.
+``sum_all`` and ``mean_all`` return their float64 accumulator unrounded,
+so loss values and the arithmetic on them (``add``, ``sub``, ``mul``,
+``scale``) are plain float64 numpy, and ``item()`` reads that value. The
+gradients flowing back through them are float32 like every other gradient.
+
 Matrix products follow one precision rule. A product that contracts only a
 feature axis runs in storage precision (float32 BLAS, no casts): the forward
 and input-gradient products of 2-D and 3-D@2-D matmuls and of ``linear``,
@@ -106,21 +112,23 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 class Tensor:
-    """Dense float32 value, optionally carrying a gradient of the same shape.
+    """Dense value, optionally carrying a gradient of the same shape.
 
-    Scalar outputs of reductions keep their unrounded float64 value in
-    ``f64``; scalar arithmetic propagates it so loss values (and the numeric
-    side of gradient checks) are not limited by float32 rounding.
+    Arrays are stored contiguous in float32 (float64 under
+    ``_float64_forward``). A 0-d tensor, such as a loss value, is stored as
+    a 0-d float64 array whatever the storage precision, so scalar results
+    are not limited by float32 rounding.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "f64")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(data, dtype=_st())
-        self.data: np.ndarray = arr
+        if np.ndim(data) == 0:
+            self.data: np.ndarray = np.asarray(data, dtype=_F64)
+        else:
+            self.data = np.ascontiguousarray(data, dtype=_st())
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.f64: Optional[float] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -137,35 +145,10 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a scalar tensor, got shape {self.data.shape}")
-        if self.f64 is not None:
-            return self.f64
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; all real work happens in the module-level ops.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class _Node:
@@ -356,45 +339,27 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
-def _shadow_of(t: Tensor) -> Optional[float]:
-    if t.f64 is not None:
-        return t.f64
-    if t.data.size == 1:
-        return float(t.data.reshape(()))
-    return None
-
-
-def _combine_shadows(out: Tensor, op, *ins: Tensor) -> Tensor:
-    if out.data.size == 1 and any(t.f64 is not None for t in ins):
-        vals = [_shadow_of(t) for t in ins]
-        if all(v is not None for v in vals):
-            out.f64 = float(op(*vals))
-    return out
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
-    out = _record((a, b), a.data + b.data, lambda g: (g, g))
-    return _combine_shadows(out, lambda x, y: x + y, a, b)
+    return _record((a, b), a.data + b.data, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
-    out = _record((a, b), a.data - b.data, lambda g: (g, -g))
-    return _combine_shadows(out, lambda x, y: x - y, a, b)
+    return _record((a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
     a_d, b_d = a.data, b.data
-    out = _record((a, b), a_d * b_d, lambda g: (g * b_d, g * a_d))
-    return _combine_shadows(out, lambda x, y: x * y, a, b)
+    return _record((a, b), a_d * b_d, lambda g: (g * b_d, g * a_d))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    """``a * c``: a 0-d value is scaled by ``c`` itself in float64, an array by ``float32(c)``."""
     c = float(c)
-    out = _record((a,), a.data * _F32(c), lambda g: (g * _F32(c),))
-    return _combine_shadows(out, lambda x: x * c, a)
+    out = a.data * (c if a.data.ndim == 0 else _F32(c))
+    return _record((a,), out, lambda g: (g * _F32(c),))
 
 
 def _matmul_grad_a(g: np.ndarray, b_d: np.ndarray) -> np.ndarray:
@@ -575,26 +540,18 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
+    """Sum of every element, accumulated and returned in float64 (a 0-d tensor)."""
     shape = a.data.shape
-    acc = float(a.data.sum(dtype=_F64))
-    out = _record(
-        (a,), np.asarray(acc, dtype=_st()), lambda g: (np.full(shape, g.reshape(()), dtype=_F32),)
-    )
-    out.f64 = acc
-    return out
+    return _record((a,), a.data.sum(dtype=_F64), lambda g: (np.full(shape, g, dtype=_F32),))
 
 
 def mean_all(a: Tensor) -> Tensor:
+    """Mean of every element, accumulated and returned in float64 (a 0-d tensor)."""
     shape = a.data.shape
     n = a.data.size
-    acc = float(a.data.sum(dtype=_F64) / n)
-    out = _record(
-        (a,),
-        np.asarray(acc, dtype=_st()),
-        lambda g: (np.full(shape, g.reshape(()) / _F32(n), dtype=_F32),),
+    return _record(
+        (a,), a.data.sum(dtype=_F64) / n, lambda g: (np.full(shape, g / _F32(n), dtype=_F32),)
     )
-    out.f64 = acc
-    return out
 
 
 def sum_last(a: Tensor) -> Tensor:

@@ -53,6 +53,10 @@ EXIT_NONFINITE = 3
 EXIT_CKPT_MISMATCH = 4
 
 
+# field annotations are strings under ``from __future__ import annotations``
+_FIELD_PARSERS = {"int": int, "float": float}
+
+
 @dataclass
 class RunConfig:
     """Flat union of dataset paths, encoder shape, and training settings."""
@@ -113,21 +117,23 @@ class RunConfig:
         return cfg.with_overrides(values)
 
     def with_overrides(self, values: dict) -> "RunConfig":
-        known = {f.name: f.type for f in fields(self)}
+        """Copy with ``values`` applied; each value is parsed from ``str(value)``.
+
+        File lines, JSON values and flags all take this one path, so a JSON
+        ``null``, a list or ``1.5`` for an int field is a ``ValueError``
+        naming the key, never a silent coercion.
+        """
+        parsers = {f.name: _FIELD_PARSERS.get(f.type, str) for f in fields(self)}
         out = dataclasses.replace(self)
         for key, value in values.items():
-            if key not in known:
+            if key not in parsers:
                 raise ValueError(f"unknown config field {key!r}")
-            current = getattr(out, key)
-            if isinstance(current, bool):
-                parsed = str(value).lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                parsed = int(value)
-            elif isinstance(current, float):
-                parsed = float(value)
-            else:
-                parsed = str(value)
-            setattr(out, key, parsed)
+            try:
+                setattr(out, key, parsers[key](str(value)))
+            except ValueError:
+                raise ValueError(
+                    f"config field {key!r}: cannot parse {value!r} as {parsers[key].__name__}"
+                ) from None
         return out
 
     def resolved_text(self) -> str:
@@ -238,6 +244,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         return _fail(
             EXIT_BAD_INPUT,
             f"similarity dev set needs at least 2 pairs, got {len(dev_rows)} ({cfg.dev_file!r})",
+        )
+    if not supervised and len({p.score for p in dev_rows}) < 2:
+        return _fail(
+            EXIT_BAD_INPUT,
+            f"similarity dev set has constant gold scores, so Spearman is undefined "
+            f"({cfg.dev_file!r})",
         )
 
     num_classes = 0
@@ -387,12 +399,7 @@ def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value or JSON config file")
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.type in ("int", int):
-            parser.add_argument(flag, type=int, default=None)
-        elif f.type in ("float", float):
-            parser.add_argument(flag, type=float, default=None)
-        else:
-            parser.add_argument(flag, type=str, default=None)
+        parser.add_argument(flag, type=_FIELD_PARSERS.get(f.type, str), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,19 +27,23 @@ from .metrics import accuracy, f1_binary, mcc, spearman
 EPSILON_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-def _toy_setup(seed: int = 0, num_classes: int = 3):
+def toy_setup(seed: int = 0, num_classes: int = 3, batch: int = 2,
+              vocab_size: int = 24, hidden: int = 16, layers: int = 1,
+              heads: int = 2, ffn_dim: int = 32, max_len: int = 6,
+              dropout: float = 0.1):
+    """Small encoder + random batch used across gradient, attack and metric checks."""
     cfg = EncoderConfig(
-        vocab_size=24, hidden=16, layers=1, heads=2, ffn_dim=32,
-        dropout=0.1, max_len=6, num_classes=num_classes,
+        vocab_size=vocab_size, hidden=hidden, layers=layers, heads=heads,
+        ffn_dim=ffn_dim, dropout=dropout, max_len=max_len, num_classes=num_classes,
     )
     params = EncoderParams.init_random(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    ids = rng.integers(4, cfg.vocab_size, size=(2, cfg.max_len))
+    ids = rng.integers(4, vocab_size, size=(batch, max_len))
     ids[:, 0] = 2
     mask = np.ones(ids.shape, dtype=np.float32)
     mask[0, -1] = 0
     ids[0, -1] = 0
-    labels = rng.integers(0, num_classes, size=2) if num_classes else None
+    labels = rng.integers(0, num_classes, size=batch) if num_classes else None
     return cfg, params, Batch(token_ids=ids, attn_mask=mask, labels=labels)
 
 
@@ -139,7 +143,7 @@ def check_info_nce_gradient(tolerance: float = 1e-4) -> Optional[str]:
 
 
 def _full_graph_error(kind: str, sample_per_tensor: int = 3) -> float:
-    cfg, params, batch = _toy_setup(seed=3, num_classes=3 if kind == "scal" else 0)
+    cfg, params, batch = toy_setup(seed=3, num_classes=3 if kind == "scal" else 0)
     lcfg = LossConfig(alpha=0.4)
     rng = np.random.default_rng(0)
     delta = (rng.standard_normal((2, cfg.max_len, cfg.hidden)) * 0.05).astype(np.float32)
@@ -202,7 +206,7 @@ def check_ascent_direction(draws: int = 100, eps: float = 1e-3) -> Optional[str]
     """CE of the perturbed forward must not fall below clean CE (eval mode)."""
     bad = 0
     for i in range(draws):
-        cfg, params, batch = _toy_setup(seed=100 + i)
+        cfg, params, batch = toy_setup(seed=100 + i)
         acfg = AttackConfig(kind="fgm", epsilon=eps)
         seed = derive_seed(55, "ascent", i)
         adv = gen_supervised_adv(batch, params, acfg, seed, train_mode=False)
@@ -332,7 +336,7 @@ def check_dropout_determinism() -> Optional[str]:
 
 
 def check_checkpoint_roundtrip() -> Optional[str]:
-    cfg, params, _ = _toy_setup(seed=9)
+    cfg, params, _ = toy_setup(seed=9)
     ckpt = Checkpoint.from_params(params, step=7, dev_metric_value=0.5, rng_seed=9)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "check.ckpt")

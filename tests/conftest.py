@@ -5,28 +5,7 @@ import pytest
 
 from callab import autodiff as ad
 from callab.autodiff import Tensor
-from callab.encoder import EncoderConfig, EncoderParams
-from callab.text import Batch
-
-
-def toy_setup(seed: int = 0, num_classes: int = 3, batch: int = 2,
-              vocab_size: int = 24, hidden: int = 16, layers: int = 1,
-              heads: int = 2, ffn_dim: int = 32, max_len: int = 6,
-              dropout: float = 0.1):
-    """Small encoder + random batch used across gradient and attack tests."""
-    cfg = EncoderConfig(
-        vocab_size=vocab_size, hidden=hidden, layers=layers, heads=heads,
-        ffn_dim=ffn_dim, dropout=dropout, max_len=max_len, num_classes=num_classes,
-    )
-    params = EncoderParams.init_random(cfg, seed=seed)
-    rng = np.random.default_rng(seed)
-    ids = rng.integers(4, vocab_size, size=(batch, max_len))
-    ids[:, 0] = 2
-    mask = np.ones(ids.shape, dtype=np.float32)
-    mask[0, -1] = 0
-    ids[0, -1] = 0
-    labels = rng.integers(0, num_classes, size=batch) if num_classes else None
-    return cfg, params, Batch(token_ids=ids, attn_mask=mask, labels=labels)
+from callab.selfcheck import toy_setup  # noqa: F401  (the one toy fixture, re-exported)
 
 
 def linear_chain(x, w, b):

@@ -39,6 +39,51 @@ class TestTensorBasics:
         assert x.grad.shape == x.data.shape
 
 
+class TestScalarRule:
+    """0-d tensors (loss values) are stored in float64; their gradients stay float32."""
+
+    def test_scalar_values_are_0d_float64(self, rng):
+        x = Tensor(rng.standard_normal((3, 5)))
+        s, m = ad.sum_all(x), ad.mean_all(x)
+        for t in (s, m, ad.add(s, m), ad.sub(s, m), ad.mul(s, m), ad.scale(s, 0.3),
+                  Tensor(np.float32(1.5))):
+            assert t.data.shape == () and t.data.dtype == np.float64
+        with ad._float64_forward():
+            assert ad.sum_all(x).data.dtype == np.float64
+
+    def test_item_is_the_float64_arithmetic(self, rng):
+        x = rng.standard_normal((5, 7)).astype(np.float32)
+        total = float(x.sum(dtype=np.float64))
+        mean = float(x.sum(dtype=np.float64) / x.size)
+        s, m = ad.sum_all(Tensor(x)), ad.mean_all(Tensor(x))
+        assert ad.scale(s, -1.0 / 7).item() == total * (-1.0 / 7)
+        assert ad.add(s, m).item() == total + mean
+        assert ad.sub(s, m).item() == total - mean
+        assert ad.mul(s, m).item() == total * mean
+
+    def test_scale_of_an_array_rounds_c_to_float32(self, rng):
+        x = rng.standard_normal((4, 6)).astype(np.float32)
+        got = ad.scale(Tensor(x), 1.0 / 3).data
+        assert got.dtype == np.float32
+        assert got.tobytes() == (x * np.float32(1.0 / 3)).tobytes()
+
+    def test_gradient_through_the_scalar_chain_is_float32(self, rng):
+        """x's gradient has float32 bytes: c rounded to float32, each step rounded in float32.
+
+        0.3 / 15 is one case where that differs from rounding the float64 quotient.
+        """
+        x_d = rng.standard_normal((3, 5)).astype(np.float32)
+        x = Tensor(x_d, requires_grad=True)
+        with ad.Tape():
+            loss = ad.add(ad.scale(ad.mean_all(ad.mul(x, x)), 0.3), ad.scale(ad.sum_all(x), -0.01))
+            ad.backward(loss)
+        g_mean = np.full(x_d.shape, np.float32(0.3) / np.float32(15), dtype=np.float32)
+        # the walk reaches x through sum_all first, then twice through mul
+        want = (np.float32(-0.01) + g_mean * x_d) + g_mean * x_d
+        assert x.grad.dtype == np.float32
+        assert x.grad.tobytes() == want.tobytes()
+
+
 class TestElementwiseAndLinear:
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)

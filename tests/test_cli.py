@@ -219,6 +219,39 @@ class TestTrain:
         assert "at least 2 pairs, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_constant_gold_similarity_dev_exit_2_before_training(self, workspace, tmp_path,
+                                                                 capsys):
+        flat = tmp_path / "flat.tsv"
+        flat.write_text("".join(f"2.5\talpha{i} alpha1\talpha1 alpha2\n" for i in range(3)))
+        out = tmp_path / "flatrun"
+        code = main([
+            "train", "--mode", "uscal", "--train-file", str(workspace / "corpus.txt"),
+            "--dev-file", str(flat), "--vocab-file", str(workspace / "uvocab.txt"),
+            "--out-dir", str(out), *TRAIN_FLAGS,
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_INPUT
+        assert "constant gold scores" in err and str(flat) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("lr", None), ("hidden", [16]), ("max_steps", 1.5)])
+    def test_json_value_of_wrong_type_exit_2_named(self, workspace, tmp_path, capsys,
+                                                   key, value):
+        cfg = tmp_path / "bad.json"
+        out = tmp_path / "badjson"
+        cfg.write_text(json.dumps({
+            "mode": "scal", key: value,
+            "train_file": str(workspace / "train.tsv"),
+            "dev_file": str(workspace / "dev.tsv"),
+            "vocab_file": str(workspace / "vocab.txt"),
+            "out_dir": str(out),
+        }))
+        assert main(["train", "--config", str(cfg)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(workspace, tmp_path_factory):
