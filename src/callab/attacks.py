@@ -54,15 +54,12 @@ class AdvResult:
 class AttackConfig:
     kind: str = "fgm"
     epsilon: float = 0.3          # typical sweep is 0.1..0.5; 0 disables the attack
-    zero_grad_guard: float = 1e-12
 
     def validate(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"attack kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.zero_grad_guard <= 0:
-            raise ValueError("zero_grad_guard must be > 0")
 
 
 def fgsm_perturb(emb: np.ndarray, grad_emb: np.ndarray, epsilon: float) -> np.ndarray:
@@ -106,7 +103,7 @@ def fgm_perturb(
 def _perturb(emb: np.ndarray, grad: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     if cfg.kind == "fgsm":
         return fgsm_perturb(emb, grad, cfg.epsilon)
-    return fgm_perturb(emb, grad, cfg.epsilon, cfg.zero_grad_guard)
+    return fgm_perturb(emb, grad, cfg.epsilon)
 
 
 def seam_attack(
@@ -168,5 +165,5 @@ def gen_unsupervised_adv(
     with ad.Tape():
         view1 = forward_full(batch, params, seed_view1, train_mode)
         view2 = forward_full(batch, params, seed_view2, train_mode)
-        ct = info_nce(view1.z, view2.z, loss_cfg.temperature, loss_cfg.norm_guard)
+        ct = info_nce(view1.z, view2.z, loss_cfg.temperature)
         return seam_attack(ct, view1.emb, attack_cfg)

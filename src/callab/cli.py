@@ -2,9 +2,13 @@
 
 Exit codes are stable: 0 success, 1 selfcheck property failure, 2 invalid
 config or unreadable input, 3 non-finite training loss, 4 checkpoint/config
-mismatch. The environment variable CAL_SEED overrides the configured seed.
-Every training run directory is self-describing: the resolved configuration
-plus the seed reproduce the run.
+mismatch. The environment variable CAL_SEED, an integer, overrides the
+configured seed. Every training run directory is self-describing: the
+resolved configuration plus the seed reproduce the run.
+
+``RunConfig`` declares only the run's paths; its other fields, the ``train``
+flags and ``config.resolved.txt`` derive from ``TrainConfig``/``EncoderConfig``,
+and every value is parsed by its field's type (``encoder.parse_field``).
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 
-from .attacks import AttackConfig
-from .encoder import EncoderConfig, EncoderParams
+from .attacks import ATTACK_KINDS, AttackConfig
+from .encoder import FIELD_TYPES, EncoderConfig, EncoderParams, parse_field
 from .metrics import (
     MetricError,
     MetricReport,
@@ -53,48 +57,15 @@ EXIT_NONFINITE = 3
 EXIT_CKPT_MISMATCH = 4
 
 
-# field annotations are strings under ``from __future__ import annotations``
-_FIELD_PARSERS = {"int": int, "float": float}
-
-
 @dataclass
-class RunConfig:
-    """Flat union of dataset paths, encoder shape, and training settings."""
+class _RunPaths:
+    """Dataset and output paths; ``RunConfig`` adds every ``TrainConfig`` and
+    ``EncoderConfig`` field but ``vocab_size`` (the vocab file sets it)."""
 
-    mode: str = "scal"               # scal | uscal | ce | views
     train_file: str = ""
     dev_file: str = ""
     vocab_file: str = ""
     out_dir: str = "run"
-    # encoder
-    hidden: int = 64
-    layers: int = 2
-    heads: int = 4
-    ffn_dim: int = 256
-    dropout: float = 0.1
-    max_len: int = 32
-    num_classes: int = 0             # 0 = infer from labels for supervised modes
-    # optimization
-    lr: float = 3e-5
-    weight_decay: float = 0.01
-    warmup_ratio: float = 0.1
-    batch_size: int = 32
-    max_epochs: int = 15
-    max_steps: int = 0
-    early_stop_patience: int = 3
-    eval_interval_steps: int = 250
-    seed: int = 42
-    alpha: float = 0.3
-    epsilon: float = 0.3
-    temperature: float = 0.05
-    attack_kind: str = "fgm"
-    negative_mode: str = "adv-keys"
-    dev_metric: str = "accuracy"
-    grad_clip: float = 0.0
-
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -113,72 +84,57 @@ class RunConfig:
                 if not sep:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 values[key.strip()] = value.strip()
-        cfg = cls()
-        return cfg.with_overrides(values)
+        return cls().with_overrides(values)
 
     def with_overrides(self, values: dict) -> "RunConfig":
-        """Copy with ``values`` applied; each value is parsed from ``str(value)``.
+        """Copy with ``values`` applied, each parsed by ``encoder.parse_field``.
 
         File lines, JSON values and flags all take this one path, so a JSON
         ``null``, a list or ``1.5`` for an int field is a ``ValueError``
         naming the key, never a silent coercion.
         """
-        parsers = {f.name: _FIELD_PARSERS.get(f.type, str) for f in fields(self)}
-        out = dataclasses.replace(self)
-        for key, value in values.items():
-            if key not in parsers:
+        by_name = {f.name: f for f in fields(self)}
+        for key in values:
+            if key not in by_name:
                 raise ValueError(f"unknown config field {key!r}")
-            try:
-                setattr(out, key, parsers[key](str(value)))
-            except ValueError:
-                raise ValueError(
-                    f"config field {key!r}: cannot parse {value!r} as {parsers[key].__name__}"
-                ) from None
-        return out
+        parsed = {key: parse_field(by_name[key], value) for key, value in values.items()}
+        return dataclasses.replace(self, **parsed)
 
     def resolved_text(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
+    def _copy_into(self, cls: type, **given):
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
+        return cls(**shared, **given)
+
     def encoder_config(self, vocab_size: int, num_classes: int) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=vocab_size,
-            hidden=self.hidden,
-            layers=self.layers,
-            heads=self.heads,
-            ffn_dim=self.ffn_dim,
-            dropout=self.dropout,
-            max_len=self.max_len,
-            num_classes=num_classes,
-        )
+        return self._copy_into(EncoderConfig, vocab_size=vocab_size, num_classes=num_classes)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            mode=self.mode,
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-            warmup_ratio=self.warmup_ratio,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            max_steps=self.max_steps,
-            early_stop_patience=self.early_stop_patience,
-            eval_interval_steps=self.eval_interval_steps,
-            seed=self.seed,
-            alpha=self.alpha,
-            epsilon=self.epsilon,
-            temperature=self.temperature,
-            attack_kind=self.attack_kind,
-            negative_mode=self.negative_mode,
-            dev_metric=self.dev_metric,
-            grad_clip=self.grad_clip,
-        )
+        return self._copy_into(TrainConfig)
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, f.default)
+        for f in (*fields(TrainConfig), *fields(EncoderConfig))
+        if f.name != "vocab_size"
+    ],
+    bases=(_RunPaths,),
+    namespace={"__module__": __name__, "__doc__": "Flat union of run paths and settings."},
+)
 
 
 def _apply_env_seed(cfg: RunConfig) -> RunConfig:
     env = os.environ.get("CAL_SEED")
-    if env is not None:
-        cfg = dataclasses.replace(cfg, seed=int(env))
-    return cfg
+    if env is None:
+        return cfg
+    try:
+        return dataclasses.replace(cfg, seed=int(env))
+    except ValueError:
+        raise ValueError(f"CAL_SEED must be an integer, got {env!r}") from None
 
 
 def _fail(code: int, message: str) -> int:
@@ -207,9 +163,9 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {
-        name: getattr(args, name)
-        for name in RunConfig.field_names()
-        if hasattr(args, name) and getattr(args, name) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name) is not None
     }
     cfg = cfg.with_overrides(overrides)
     return _apply_env_seed(cfg)
@@ -399,7 +355,7 @@ def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value or JSON config file")
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, type=_FIELD_PARSERS.get(f.type, str), default=None)
+        parser.add_argument(flag, type=FIELD_TYPES[f.type], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--task", choices=("classification", "similarity"), default="classification")
     p.add_argument("--metric", choices=("accuracy", "f1", "mcc"), default="accuracy")
-    p.add_argument("--attack", choices=("fgsm", "fgm"), default=None)
-    p.add_argument("--epsilon", type=float, default=0.3)
+    p.add_argument("--attack", choices=ATTACK_KINDS, default=None)
+    p.add_argument("--epsilon", type=float, default=AttackConfig.epsilon)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_eval)
 

@@ -18,7 +18,7 @@ share one ``EncoderParams`` object, so one optimizer update is seen by all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import Field, asdict, dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
@@ -26,6 +26,25 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, derive_seed, rng_from_seed
 from .text import Batch
+
+# field annotations are strings under ``from __future__ import annotations``
+FIELD_TYPES = {"int": int, "float": float, "str": str}
+
+
+def parse_field(f: Field, value) -> int | float | str:
+    """``value`` as the type of dataclass field ``f``, parsed from ``str(value)``.
+
+    The one parse of a setting, for config files, flags and checkpoint
+    headers alike: ``None``, a list, ``1.5`` or ``16.0`` for an int field,
+    or a quoted number, is a ``ValueError`` naming the field.
+    """
+    parse = FIELD_TYPES[f.type]
+    if isinstance(value, (str, int, float)):
+        try:
+            return parse(str(value))
+        except ValueError:
+            pass
+    raise ValueError(f"config field {f.name!r}: cannot parse {value!r} as {parse.__name__}")
 
 
 @dataclass
@@ -55,29 +74,12 @@ class EncoderConfig:
             raise ValueError("num_classes must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "hidden": self.hidden,
-            "layers": self.layers,
-            "heads": self.heads,
-            "ffn_dim": self.ffn_dim,
-            "dropout": self.dropout,
-            "max_len": self.max_len,
-            "num_classes": self.num_classes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        cfg = cls(
-            vocab_size=int(d["vocab_size"]),
-            hidden=int(d["hidden"]),
-            layers=int(d["layers"]),
-            heads=int(d["heads"]),
-            ffn_dim=int(d["ffn_dim"]),
-            dropout=float(d["dropout"]),
-            max_len=int(d["max_len"]),
-            num_classes=int(d["num_classes"]),
-        )
+        """Strict inverse of ``to_dict``: every field must be present and parse."""
+        cfg = cls(**{f.name: parse_field(f, d[f.name]) for f in fields(cls)})
         cfg.validate()
         return cfg
 

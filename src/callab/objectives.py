@@ -27,7 +27,6 @@ class LossConfig:
     temperature: float = 0.05
     alpha: float = 0.3           # weight on the contrastive term; 0 disables it
     negative_mode: str = "adv-keys"
-    norm_guard: float = 1e-12
 
     def validate(self) -> None:
         if self.temperature <= 0:

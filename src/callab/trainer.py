@@ -17,8 +17,11 @@ Gradients therefore flow from both branches into every shared parameter
 (embedding table included) while nothing differentiates through the
 perturbation's construction.
 
-Checkpoints hold parameters and run metadata only; ``save_checkpoint``
-replaces its target atomically.
+``TrainConfig`` takes its alpha, epsilon, temperature, attack kind and
+negative mode defaults from ``LossConfig``/``AttackConfig``, whose checks it
+reuses. Checkpoints hold parameters and run metadata only; ``save_checkpoint``
+replaces its target atomically, and ``load_checkpoint`` parses each config
+line by its field's type (``hidden=16.0`` is a ``CheckpointHeaderError``).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, derive_seed
-from .attacks import ATTACK_KINDS, AttackConfig, gen_supervised_adv, seam_attack
+from .attacks import AttackConfig, gen_supervised_adv, seam_attack
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -47,7 +50,6 @@ from .encoder import (
 from .objectives import (
     LossConfig,
     LossReport,
-    NEGATIVE_MODES,
     cross_entropy,
     info_nce,
     info_nce_split,
@@ -92,11 +94,11 @@ class TrainConfig:
     early_stop_patience: int = 3     # evaluations without improvement before stopping
     eval_interval_steps: int = 250
     seed: int = 42
-    alpha: float = 0.3
-    epsilon: float = 0.3
-    temperature: float = 0.05
-    attack_kind: str = "fgm"
-    negative_mode: str = "adv-keys"
+    alpha: float = LossConfig.alpha
+    epsilon: float = AttackConfig.epsilon
+    temperature: float = LossConfig.temperature
+    attack_kind: str = AttackConfig.kind
+    negative_mode: str = LossConfig.negative_mode
     dev_metric: str = "accuracy"
     grad_clip: float = 0.0           # global-norm clip; 0 disables ("faithful" mode)
 
@@ -117,10 +119,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.grad_clip < 0:
             raise ValueError("grad_clip must be >= 0")
-        if self.attack_kind not in ATTACK_KINDS:
-            raise ValueError(f"attack_kind must be one of {ATTACK_KINDS}")
-        if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
         if self.dev_metric not in DEV_METRICS:
             raise ValueError(f"dev_metric must be one of {DEV_METRICS}")
         self.loss_config().validate()
@@ -246,7 +244,7 @@ def _clean_prefix(
         return anchor, {"ce_clean": cross_entropy(anchor.logits, batch.labels)}
     anchor = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode)
     view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode)
-    ct = info_nce(anchor.z, view2.z, loss_cfg.temperature, loss_cfg.norm_guard)
+    ct = info_nce(anchor.z, view2.z, loss_cfg.temperature)
     return anchor, {"ct_views": ct}
 
 
@@ -269,11 +267,9 @@ def _adversarial_branch(
     )
     z_adv = pool(h_adv, params)
     if loss_cfg.negative_mode == "adv-keys":
-        ct = info_nce(anchor.z, z_adv, loss_cfg.temperature, loss_cfg.norm_guard)
+        ct = info_nce(anchor.z, z_adv, loss_cfg.temperature)
     else:
-        ct = info_nce_split(
-            anchor.z, z_adv, anchor.z, loss_cfg.temperature, loss_cfg.norm_guard
-        )
+        ct = info_nce_split(anchor.z, z_adv, anchor.z, loss_cfg.temperature)
     if mode == "scal":
         clean = parts["ce_clean"]
         ce_adv = cross_entropy(classify(h_adv, params), batch.labels)
@@ -517,9 +513,9 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
             raise CheckpointVersionError(
                 f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
             )
-        config = EncoderConfig.from_dict({k: eval_literal(v) for k, v in config_kv.items()})
+        config = EncoderConfig.from_dict(config_kv)
         step = int(meta.get("step", "0"))
-        dev_metric_value = float(eval_literal(meta.get("dev_metric_value", "0.0")))
+        dev_metric_value = float(meta.get("dev_metric_value", "0.0"))
         rng_seed = int(meta.get("rng_seed", "0"))
     except (ValueError, IndexError, KeyError, OverflowError) as exc:
         raise CheckpointHeaderError(f"{path}: unreadable checkpoint header: {exc!r}") from exc
@@ -567,19 +563,6 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
             f"{expected_config.to_dict()}"
         )
     return ckpt
-
-
-def eval_literal(text: str):
-    """Parse a repr()'d int/float/string scalar from a checkpoint header."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text.strip("'\"")
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,24 @@
 
 import filecmp
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from callab.attacks import ATTACK_KINDS, AttackConfig
 from callab.cli import (
     EXIT_BAD_INPUT,
     EXIT_CKPT_MISMATCH,
     EXIT_NONFINITE,
     EXIT_OK,
     EXIT_SELFCHECK,
+    RunConfig,
+    _load_run_config,
+    build_parser,
     main,
 )
+from callab.encoder import EncoderConfig
 from callab.metrics import cosine_rows, encode_sentences
 from callab.synthdata import (
     make_group_task,
@@ -24,7 +30,8 @@ from callab.synthdata import (
     write_supervised_tsv,
 )
 from callab.text import Vocab, load_unsupervised_lines
-from callab.trainer import load_checkpoint
+from callab.objectives import LossConfig
+from callab.trainer import TrainConfig, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +58,8 @@ TRAIN_FLAGS = [
 ]
 
 
-def _train(workspace, out, mode="scal", extra=()):
-    args = [
+def _train_args(workspace, out, mode="scal", extra=()):
+    return [
         "train", "--mode", mode,
         "--train-file", str(workspace / "train.tsv"),
         "--dev-file", str(workspace / "dev.tsv"),
@@ -60,7 +67,10 @@ def _train(workspace, out, mode="scal", extra=()):
         "--out-dir", str(out),
         *TRAIN_FLAGS, *extra,
     ]
-    return main(args)
+
+
+def _train(workspace, out, mode="scal", extra=()):
+    return main(_train_args(workspace, out, mode, extra))
 
 
 class TestBuildVocab:
@@ -235,30 +245,101 @@ class TestTrain:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("lr", None), ("hidden", [16]), ("max_steps", 1.5)])
+    @pytest.mark.parametrize("key, value", [
+        ("lr", None), ("hidden", [16]), ("max_steps", 1.5),
+        ("out_dir", None), ("vocab_file", None), ("mode", None), ("attack_kind", ["fgm"]),
+    ])
     def test_json_value_of_wrong_type_exit_2_named(self, workspace, tmp_path, capsys,
-                                                   key, value):
+                                                   monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)  # a null out_dir must not become ./None
         cfg = tmp_path / "bad.json"
         out = tmp_path / "badjson"
         cfg.write_text(json.dumps({
-            "mode": "scal", key: value,
+            "mode": "scal",
             "train_file": str(workspace / "train.tsv"),
             "dev_file": str(workspace / "dev.tsv"),
             "vocab_file": str(workspace / "vocab.txt"),
             "out_dir": str(out),
+            key: value,
         }))
         assert main(["train", "--config", str(cfg)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert repr(key) in err and "Traceback" not in err
         assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_non_integer_env_seed_exit_2_named(self, workspace, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "envbad"
+        monkeypatch.setenv("CAL_SEED", "abc")
+        assert _train(workspace, out) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "CAL_SEED" in err and "'abc'" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+TRAINED_EXTRA = ["--seed", "11", "--max-steps", "120", "--eval-interval-steps", "40"]
 
 
 @pytest.fixture(scope="module")
 def trained(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
-    assert _train(workspace, out, extra=["--seed", "11", "--max-steps", "120",
-                                         "--eval-interval-steps", "40"]) == EXIT_OK
+    assert _train(workspace, out, extra=TRAINED_EXTRA) == EXIT_OK
     return out
+
+
+def _subparser(name):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return sub.choices[name]
+
+
+def _subcommand_flags(name):
+    """Option strings of one ``callab`` subcommand, as argparse holds them."""
+    return {
+        opt for action in _subparser(name)._actions for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+
+
+class TestSingleDeclaration:
+    """Each run setting is declared once, in TrainConfig or EncoderConfig."""
+
+    def test_every_setting_is_a_train_flag_with_its_declared_default(self):
+        flags = _subcommand_flags("train")
+        run = RunConfig()
+        for f in (*fields(TrainConfig), *fields(EncoderConfig)):
+            if f.name == "vocab_size":
+                assert "--vocab-size" not in flags
+                continue
+            assert "--" + f.name.replace("_", "-") in flags
+            assert getattr(run, f.name) == f.default, f.name
+
+    def test_train_config_shares_loss_and_attack_defaults(self):
+        assert TrainConfig().loss_config() == LossConfig()
+        assert TrainConfig().attack_config() == AttackConfig()
+
+    def test_train_flags_are_pinned(self):
+        assert _subcommand_flags("train") == {
+            "--config", "--train-file", "--dev-file", "--vocab-file", "--out-dir",
+            "--mode", "--lr", "--weight-decay", "--warmup-ratio", "--batch-size",
+            "--max-epochs", "--max-steps", "--early-stop-patience", "--eval-interval-steps",
+            "--seed", "--alpha", "--epsilon", "--temperature", "--attack-kind",
+            "--negative-mode", "--dev-metric", "--grad-clip", "--hidden", "--layers",
+            "--heads", "--ffn-dim", "--dropout", "--max-len", "--num-classes",
+        }
+
+    def test_eval_attack_choices_are_the_attack_kinds(self):
+        attack = next(a for a in _subparser("eval")._actions if a.dest == "attack")
+        assert tuple(attack.choices) == ATTACK_KINDS
+
+    def test_resolved_config_fed_back_gives_equal_run_config(self, workspace, trained,
+                                                             monkeypatch):
+        monkeypatch.delenv("CAL_SEED", raising=False)
+        parser = build_parser()
+        original = _load_run_config(parser.parse_args(_train_args(
+            workspace, trained, extra=TRAINED_EXTRA)))
+        resolved = str(trained / "config.resolved.txt")
+        assert _load_run_config(parser.parse_args(["train", "--config", resolved])) == original
+        assert original != RunConfig()
 
 
 class TestEval:

@@ -473,6 +473,9 @@ class TestCheckpoints:
         edits = [
             (b"[config]", b"[c\xffnfig]"),               # not UTF-8
             (b"hidden=16", b"hidden=1x"),                # bad config value
+            (b"hidden=16", b"hidden=16.0"),              # float for an int field
+            (b"layers=1", b"layers='1'"),                # quoted int
+            (b"dropout=0.1", b"dropout='0.1'"),          # quoted float
             (b"[config]", b"[konfig]"),                  # config lines land in meta
             (b"pooler_w 2 16 16", b"pooler_w two 16 16"),  # bad rank
             (b"pooler_w 2 16 16", b"pooler_w"),           # missing rank
