@@ -38,6 +38,14 @@ add_bias, layer_norm, linear and attention compute no gradient for an input
 that is not kept, so ``grad_of`` differentiates no parameter on its way to
 the seam.
 
+A node holds only what its backward reads: its closure's arrays, each
+input's (key, shape, requires_grad), its leaf inputs (requires-grad tensors
+no node of the tape produced) and a weak reference to its output, so an
+intermediate nobody holds, such as a projection's output, dies during the
+forward. Gradients are keyed by ``Tensor.key``, a serial number that, unlike
+``id()``, is never reused. A dropout mask is a ``bool`` keep array and a
+float32 scale, applied as ``(x * keep) * scale``.
+
 ``backward`` consumes its tape: the reverse walk frees each node's saved
 arrays and intermediate gradients (those the caller does not hold) as soon
 as the node's backward has run, not when the step ends. ``grad_of`` runs
@@ -48,7 +56,9 @@ Single-threaded by design: one tape per worker, rebuilt every step.
 
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 import zlib
 from typing import Callable, Optional, Sequence
 
@@ -111,16 +121,20 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
+# Tensor keys: serial numbers that, unlike id(), no later tensor reuses.
+_serial = itertools.count()
+
+
 class Tensor:
     """Dense value, optionally carrying a gradient of the same shape.
 
     Arrays are stored contiguous in float32 (float64 under
     ``_float64_forward``). A 0-d tensor, such as a loss value, is stored as
     a 0-d float64 array whatever the storage precision, so scalar results
-    are not limited by float32 rounding.
+    are not limited by float32 rounding. ``key`` names the tensor on tapes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if np.ndim(data) == 0:
@@ -129,6 +143,7 @@ class Tensor:
             self.data = np.ascontiguousarray(data, dtype=_st())
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self.key = next(_serial)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -152,11 +167,21 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward", "keep")
+    """One recorded op: a (key, shape, requires_grad) triple per input, the
+    leaf inputs (held for their ``grad``) and a weak reference to the output."""
 
-    def __init__(self, inputs, output, backward):
-        self.inputs: tuple[Tensor, ...] = inputs
-        self.output: Tensor = output
+    __slots__ = ("inputs", "leaves", "key", "output", "backward", "keep")
+
+    def __init__(self, inputs, output, backward, produced):
+        ins, leaves = [], []
+        for t in inputs:
+            key, rg = t.key, t.requires_grad
+            ins.append((key, t.data.shape, rg))
+            if rg and key not in produced:
+                leaves.append(t)
+        self.inputs, self.leaves = ins, leaves
+        self.key = output.key
+        self.output = weakref.ref(output)
         # backward: out_grad (f32 ndarray) -> tuple of grads aligned with inputs
         # (None for inputs that need no grad).
         self.backward: Callable = backward
@@ -176,6 +201,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.produced: set[int] = set()  # keys of the nodes' outputs
         self.consumed = False  # set by backward(), whose walk clears every node
 
     def __enter__(self) -> "Tape":
@@ -212,7 +238,8 @@ def _record(
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        node = _Node(inputs, out, backward)
+        node = _Node(inputs, out, backward, tape.produced)
+        tape.produced.add(out.key)
         if selective:
             # hold the list, not the node: a node -> closure -> node cycle
             # would keep every tape's arrays alive until the cycle collector ran
@@ -225,16 +252,17 @@ def _record(
 def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = None) -> dict:
     """One reverse pass over ``nodes``; returns the gradients of the tensors no node produced.
 
-    Gradients sum across fan-out, keyed by tensor id. A node's consumers
+    Gradients sum across fan-out, keyed by tensor key. A node's consumers
     come after it, so its output's gradient is complete when the walk
     reaches it: the walk takes that entry out there and runs the backward.
 
     Without ``only`` (``backward``) the walk consumes the tape: it writes
-    each output's gradient to ``grad`` (zeros when the node is not on a path
-    to ``root``), then clears the node's closure, inputs and output. With
-    ``only`` (a set of tensor ids, ``grad_of``) grads are kept for those
-    tensors alone and nodes and ``grad`` fields are left as they are. Each
-    node learns which of its inputs are kept before its backward runs.
+    each output's gradient to ``grad`` if the output is still alive (zeros
+    when the node is not on a path to ``root``), then clears the node's
+    closure, inputs and output. With ``only`` (a set of tensor keys,
+    ``grad_of``) grads are kept for those tensors alone and nodes and
+    ``grad`` fields are left as they are. Each node learns which of its
+    inputs are kept before its backward runs.
 
     A backward may hand one array to two inputs or pass its output's
     gradient through, so an entry's first array may be held elsewhere too.
@@ -244,22 +272,22 @@ def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = No
     if root.data.size != 1:
         raise ValueError(f"gradient root must be a scalar, got shape {root.data.shape}")
     consume = only is None
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    owned: set[int] = set()  # ids of the entries whose array this walk allocated for them
+    grads: dict[int, np.ndarray] = {root.key: np.ones_like(root.data)}
+    owned: set[int] = set()  # keys of the entries whose array this walk allocated for them
     for node in reversed(nodes):
-        out = node.output
-        g_out = grads.pop(id(out), None)
+        g_out = grads.pop(node.key, None)
         if consume:
-            out.grad = g_out if g_out is not None else np.zeros_like(out.data)
+            out = node.output()
+            if out is not None:
+                out.grad = g_out if g_out is not None else np.zeros_like(out.data)
         if g_out is not None:
-            node.keep[:] = [t.requires_grad and (consume or id(t) in only) for t in node.inputs]
-            for t, kept, g in zip(node.inputs, node.keep, node.backward(g_out)):
+            node.keep[:] = [rg and (consume or key in only) for key, _, rg in node.inputs]
+            for (key, shape, _), kept, g in zip(node.inputs, node.keep, node.backward(g_out)):
                 if g is None or not kept:
                     continue
                 g = np.asarray(g, dtype=_F32)
-                if g.shape != t.data.shape:
-                    g = g.reshape(t.data.shape)
-                key = id(t)
+                if g.shape != shape:
+                    g = g.reshape(shape)
                 acc = grads.get(key)
                 if acc is None:
                     grads[key] = g
@@ -269,7 +297,7 @@ def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = No
                     grads[key] = acc + g
                     owned.add(key)
         if consume:
-            node.inputs, node.output, node.backward = (), None, None
+            node.inputs, node.leaves, node.output, node.backward = (), (), None, None
     return grads
 
 
@@ -283,12 +311,14 @@ def _tape_or_raise(fn: str) -> Tape:
 
 
 def backward(root: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable on the tape.
+    """Populate ``grad`` on every live requires-grad tensor on the tape.
 
-    Gradients sum across fan-out; tensors recorded on the tape but not on any
-    path to ``root`` receive zero grad. Existing ``grad`` fields of tape
-    tensors are overwritten, not accumulated into. Two tensors' ``grad``
-    fields may be one array; replace a ``grad``, never write into it.
+    The tape holds op outputs weakly, so live means the leaves and the
+    outputs the caller still holds. Gradients sum across fan-out; tensors
+    recorded on the tape but not on any path to ``root`` receive zero grad.
+    Existing ``grad`` fields of tape tensors are overwritten, not accumulated
+    into. Two tensors' ``grad`` fields may be one array; replace a ``grad``,
+    never write into it.
 
     The walk consumes the tape: each node's saved arrays and intermediate
     gradients are freed as soon as its backward has run (unless the caller
@@ -297,9 +327,7 @@ def backward(root: Tensor) -> None:
     """
     tape = _tape_or_raise("backward")
     tape.consumed = True
-    produced = {id(node.output) for node in tape.nodes}
-    leaves = {id(t): t for node in tape.nodes for t in node.inputs
-              if t.requires_grad and id(t) not in produced}
+    leaves = {t.key: t for node in tape.nodes for t in node.leaves}
     grads = _reverse_walk(root, tape.nodes)
     for key, t in leaves.items():
         g = grads.get(key)
@@ -319,13 +347,13 @@ def grad_of(root: Tensor, wrt: Tensor) -> np.ndarray:
     the tape.
     """
     tape = _tape_or_raise("grad_of")
-    downstream = {id(wrt)}
+    downstream = {wrt.key}
     nodes = []
     for node in tape.nodes:
-        if any(id(t) in downstream for t in node.inputs):
-            downstream.add(id(node.output))
+        if any(key in downstream for key, _, _ in node.inputs):
+            downstream.add(node.key)
             nodes.append(node)
-    g = _reverse_walk(root, nodes, only=downstream).get(id(wrt))
+    g = _reverse_walk(root, nodes, only=downstream).get(wrt.key)
     return g if g is not None else np.zeros_like(wrt.data)
 
 
@@ -669,7 +697,8 @@ def dropout_apply(
     mask = _dropout_mask("dropout_apply", a.data.shape, rate, seed, train_mode, full_shape)
     if mask is None:
         return a
-    return _record((a,), a.data * mask, lambda g: (g * mask,))
+    keep, s = mask
+    return _record((a,), (a.data * keep) * s, lambda g: ((g * keep) * s,))
 
 
 def _dropout_mask(
@@ -679,11 +708,12 @@ def _dropout_mask(
     seed: int,
     train_mode: bool,
     full_shape: Optional[Sequence[int]],
-) -> Optional[np.ndarray]:
-    """The float32 keep/(1 - rate) mask for ``shape``, or None when nothing drops.
+) -> Optional[tuple[np.ndarray, np.float32]]:
+    """The bool keep array for ``shape`` and the float32 1/(1 - rate), or None when nothing drops.
 
     Drawn from Philox keyed by ``seed`` at ``full_shape`` (default ``shape``)
-    and cropped to the leading corner.
+    and cropped to the leading corner. ``random()`` is ``(raw >> 11) * 2**-53``
+    of the raw words, so ``raw >= ceil(rate * 2**53) << 11`` is ``random() >= rate``.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"{op}: rate must be in [0, 1), got {rate}")
@@ -693,8 +723,9 @@ def _dropout_mask(
     if len(full_shape) != len(shape) or any(f < s for f, s in zip(full_shape, shape)):
         raise ValueError(f"{op}: cannot crop {full_shape} to {shape}")
     crop = tuple(slice(0, s) for s in shape)
-    keep = rng_from_seed(seed).random(full_shape)[crop] >= rate
-    return keep.astype(_F32) * _F32(1.0 / (1.0 - rate))
+    raw = np.random.Philox(key=seed & _MASK64).random_raw(full_shape)
+    keep = raw[crop] >= np.uint64(math.ceil(rate * 2.0**53) << 11)
+    return keep, _F32(1.0 / (1.0 - rate))
 
 
 _NEG_MASK = _F32(-1e9)
@@ -741,7 +772,7 @@ def attention(
     bias = np.where(key_mask[:, None, None, :] > 0, _F32(0.0), _NEG_MASK)
     probs = _softmax(_f64_matmul(qh, kt) * c + bias)
     drop = _dropout_mask("attention", probs.shape, rate, seed, train_mode, full_shape)
-    p = probs if drop is None else probs * drop
+    p = probs if drop is None else (probs * drop[0]) * drop[1]
     out = _f64_matmul(p, vh).transpose(0, 2, 1, 3).reshape(b, n, h)
 
     def merge(t, axes):  # (B, heads, ., .) back to (B, rows, H)
@@ -756,7 +787,7 @@ def attention(
             # the chain hands float32 gradients from node to node
             gp = _matmul_grad_a(g, vh).astype(_F32, copy=False)
             if drop is not None:
-                gp = gp * drop
+                gp = (gp * drop[0]) * drop[1]
             gs = _softmax_grad(gp, probs) * c
             if keep[0]:
                 gq = merge(_matmul_grad_a(gs, kt), (0, 2, 1, 3))

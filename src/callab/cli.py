@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields, make_dataclass
 from .attacks import ATTACK_KINDS, AttackConfig
 from .encoder import FIELD_TYPES, EncoderConfig, EncoderParams, parse_field
 from .metrics import (
+    CLS_METRICS,
     MetricError,
     MetricReport,
     evaluate_classification,
@@ -55,6 +56,8 @@ EXIT_SELFCHECK = 1
 EXIT_BAD_INPUT = 2
 EXIT_NONFINITE = 3
 EXIT_CKPT_MISMATCH = 4
+
+_SUPERVISED_MODES = ("scal", "ce")
 
 
 @dataclass
@@ -108,8 +111,8 @@ class _RunPaths:
         shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
         return cls(**shared, **given)
 
-    def encoder_config(self, vocab_size: int, num_classes: int) -> EncoderConfig:
-        return self._copy_into(EncoderConfig, vocab_size=vocab_size, num_classes=num_classes)
+    def encoder_config(self, vocab_size: int) -> EncoderConfig:
+        return self._copy_into(EncoderConfig, vocab_size=vocab_size)
 
     def train_config(self) -> TrainConfig:
         return self._copy_into(TrainConfig)
@@ -161,14 +164,23 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, ``--config``, flags, ``CAL_SEED``, then the two settings a run derives:
+    a supervised run left at ``num_classes=0`` counts its train labels, and a
+    similarity run has no classifier and evaluates ``spearman``, not ``accuracy``."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
         if getattr(args, f.name) is not None
     }
-    cfg = cfg.with_overrides(overrides)
-    return _apply_env_seed(cfg)
+    cfg = _apply_env_seed(cfg.with_overrides(overrides))
+    if cfg.mode not in _SUPERVISED_MODES:
+        dev_metric = "spearman" if cfg.dev_metric == "accuracy" else cfg.dev_metric
+        return dataclasses.replace(cfg, num_classes=0, dev_metric=dev_metric)
+    if cfg.num_classes == 0:
+        labels = [r.label for r in load_supervised_tsv(cfg.train_file)]
+        return dataclasses.replace(cfg, num_classes=max(labels, default=-1) + 1)
+    return cfg
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -182,7 +194,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot read vocab ({cfg.vocab_file!r}): {exc}")
 
-    supervised = cfg.mode in ("scal", "ce")
+    supervised = cfg.mode in _SUPERVISED_MODES
     try:
         if supervised:
             train_rows = load_supervised_tsv(cfg.train_file)
@@ -208,18 +220,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"({cfg.dev_file!r})",
         )
 
-    num_classes = 0
-    if supervised:
-        num_classes = cfg.num_classes or (max(r.label for r in train_rows) + 1)
-        if num_classes < 2:
-            return _fail(EXIT_BAD_INPUT, "invalid config: num_classes must be >= 2")
+    if supervised and cfg.num_classes < 2:
+        return _fail(EXIT_BAD_INPUT, "invalid config: num_classes must be >= 2")
 
     try:
-        enc_cfg = cfg.encoder_config(len(vocab), num_classes)
+        enc_cfg = cfg.encoder_config(len(vocab))
         enc_cfg.validate()
         tcfg = cfg.train_config()
-        if not supervised and tcfg.dev_metric == "accuracy":
-            tcfg.dev_metric = "spearman"
         tcfg.validate()
     except ValueError as exc:
         return _fail(EXIT_BAD_INPUT, f"invalid config: {exc}")
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--task", choices=("classification", "similarity"), default="classification")
-    p.add_argument("--metric", choices=("accuracy", "f1", "mcc"), default="accuracy")
+    p.add_argument("--metric", choices=tuple(CLS_METRICS), default="accuracy")
     p.add_argument("--attack", choices=ATTACK_KINDS, default=None)
     p.add_argument("--epsilon", type=float, default=AttackConfig.epsilon)
     p.add_argument("--out-dir", default=None)

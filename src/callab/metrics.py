@@ -136,13 +136,14 @@ class MetricReport:
         )
 
 
-_CLS_METRICS = {"accuracy": accuracy, "f1": f1_binary, "mcc": mcc}
+# read by evaluate_classification, `callab eval --metric` and trainer.DEV_METRICS
+CLS_METRICS = {"accuracy": accuracy, "f1": f1_binary, "mcc": mcc}
 
 
 def _apply_metric(name: str, preds: np.ndarray, labels: np.ndarray) -> float:
-    if name not in _CLS_METRICS:
+    if name not in CLS_METRICS:
         raise MetricError(f"unknown classification metric {name!r}")
-    return _CLS_METRICS[name](preds, labels)
+    return CLS_METRICS[name](preds, labels)
 
 
 def _predict_batches(

@@ -47,6 +47,7 @@ from .encoder import (
     forward_full,
     pool,
 )
+from .metrics import CLS_METRICS
 from .objectives import (
     LossConfig,
     LossReport,
@@ -59,7 +60,7 @@ from .text import Batch, Vocab, iter_batches
 logger = logging.getLogger(__name__)
 
 TRAIN_MODES = ("scal", "uscal", "ce", "views")
-DEV_METRICS = ("accuracy", "f1", "mcc", "spearman")
+DEV_METRICS = (*CLS_METRICS, "spearman")
 
 
 class NonFiniteLossError(RuntimeError):

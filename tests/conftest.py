@@ -38,24 +38,25 @@ def reference_backward(root, tape):
 
     Every sum makes a new array, so no gradient can alias another, and the
     nodes are left intact; the second pass writes ``grad`` on every
-    requires-grad tensor on the tape, zeros where the walk never reached.
+    requires-grad tensor on the tape that is still alive (each node's leaves
+    and live output), zeros where the walk never reached.
     """
-    grads = {id(root): np.ones_like(root.data)}
+    grads = {root.key: np.ones_like(root.data)}
     for node in reversed(tape.nodes):
-        g_out = grads.get(id(node.output))
+        g_out = grads.get(node.key)
         if g_out is None:
             continue
-        node.keep[:] = [t.requires_grad for t in node.inputs]
-        for t, g in zip(node.inputs, node.backward(g_out)):
-            if g is None or not t.requires_grad:
+        node.keep[:] = [requires_grad for _, _, requires_grad in node.inputs]
+        for (key, shape, requires_grad), g in zip(node.inputs, node.backward(g_out)):
+            if g is None or not requires_grad:
                 continue
-            g = np.asarray(g, dtype=np.float32).reshape(t.shape)
-            acc = grads.get(id(t))
-            grads[id(t)] = g if acc is None else acc + g
+            g = np.asarray(g, dtype=np.float32).reshape(shape)
+            acc = grads.get(key)
+            grads[key] = g if acc is None else acc + g
     for node in tape.nodes:
-        for t in (*node.inputs, node.output):
-            if t.requires_grad:
-                g = grads.get(id(t))
+        for t in (*node.leaves, node.output()):
+            if t is not None:
+                g = grads.get(t.key)
                 t.grad = g if g is not None else np.zeros_like(t.data)
 
 

@@ -240,6 +240,49 @@ class TestDropout:
         with pytest.raises(ValueError, match="crop"):
             ad.dropout_apply(full, 0.3, seed=11, train_mode=True, full_shape=(3, 7, 5))
 
+    @pytest.mark.parametrize("rate", [0.1, 0.25, 0.5, 1e-9, 0.9999])
+    def test_raw_word_keep_is_the_uniform_draw_test(self, rate):
+        """Comparing raw Philox words with the integer threshold keeps what random() >= rate keeps."""
+        full, shape = (4, 160, 160), (4, 97, 131)
+        for cropped in (full, shape):
+            keep, scale = ad._dropout_mask("test", cropped, rate, 123, True, full)
+            want = ad.rng_from_seed(123).random(full)[:, :cropped[1], :cropped[2]] >= rate
+            assert keep.dtype == np.bool_ and keep.shape == cropped
+            assert np.array_equal(keep, want)
+            assert scale.dtype == np.float32 and scale == np.float32(1.0 / (1.0 - rate))
+
+    def test_bool_mask_gives_the_float_mask_bytes(self):
+        """(g * keep) * scale has the bytes of g * (keep * scale), special values included."""
+        nan_payload = np.array([0x7FC01234, 0xFFC00042], dtype=np.uint32).view(np.float32)
+        specials = np.concatenate([
+            np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1e-40,
+                      -3e-39, 1.5, -2.25, 3.4e38, -3.4e38], dtype=np.float32),
+            nan_payload,
+        ])
+        g = np.repeat(specials, 2)
+        keep = np.tile([True, False], specials.size)
+        with np.errstate(all="ignore"):
+            for rate in (0.1, 0.5, 0.9):
+                scale = np.float32(1.0 / (1.0 - rate))
+                want = g * (keep.astype(np.float32) * scale)
+                assert ((g * keep) * scale).tobytes() == want.tobytes()
+
+    def test_dropout_apply_equals_the_float_mask_definition(self, monkeypatch):
+        """Forward and backward bytes equal x * mask for the float32 mask of random() >= rate."""
+        monkeypatch.setattr(ad, "DEBUG_CHECK_FINITE", False)  # NaN and inf are inputs under test
+        specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-40, 2.5],
+                            dtype=np.float32)
+        a = np.resize(specials, (6, 9, 8))
+        g = np.resize(specials[::-1], (6, 9, 8))
+        full, rate = (6, 12, 8), 0.4
+        mask = (ad.rng_from_seed(5).random(full)[:, :9] >= rate).astype(np.float32)
+        mask = mask * np.float32(1.0 / (1.0 - rate))
+        with np.errstate(all="ignore"), ad.Tape() as tape:
+            out = ad.dropout_apply(Tensor(a, requires_grad=True), rate, 5, True, full)
+            (got,) = tape.nodes[-1].backward(g)
+            assert out.data.tobytes() == (a * mask).tobytes()
+            assert got.tobytes() == (g * mask).tobytes()
+
 
 class TestActivations:
     def test_tanh_zero(self):
@@ -411,6 +454,68 @@ class TestConsumingBackward:
                     ad.backward(root)
             held.append([x, *tensors])
         for got, want in zip(*held):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+
+class TestWeaklyHeldOutputs:
+    """A node holds only what its backward reads; outputs no one holds die in the forward."""
+
+    def test_unread_linear_output_dies_before_backward(self, rng):
+        x_data = rng.standard_normal((4, 3)).astype(np.float32)
+        w_data = rng.standard_normal((3, 5)).astype(np.float32)
+        v_data = rng.standard_normal((5, 2)).astype(np.float32)
+        held = []
+        for reference in (False, True):
+            x = Tensor(x_data, requires_grad=True)
+            w, b = Tensor(w_data, requires_grad=True), Tensor(np.zeros(5), requires_grad=True)
+            v, c = Tensor(v_data, requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+            gc.disable()
+            try:
+                with ad.Tape() as tape:
+                    hid = ad.linear(x, w, b)  # relu saves its own output, not this one
+                    alive = weakref.ref(hid.data)
+                    act = ad.relu(hid)
+                    del hid
+                    assert alive() is None
+                    root = ad.sum_all(ad.tanh(ad.linear(act, v, c)))
+                    if reference:
+                        reference_backward(root, tape)
+                    else:
+                        ad.backward(root)
+            finally:
+                gc.enable()
+            held.append([x, w, b, v, c, act, root])
+        for got, want in zip(*held):
+            assert got.grad.dtype == want.grad.dtype and got.grad.shape == want.grad.shape
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_reused_ids_do_not_mix_gradients(self, rng):
+        """Intermediates die mid-forward and new leaves take their ids: grads as if all were held."""
+        data = rng.standard_normal((3, 4)).astype(np.float32)
+
+        def run(hold):
+            x = Tensor(data, requires_grad=True)
+            leaves, keep_alive, dead, fresh = [x], [], set(), set()
+            with ad.Tape():
+                t = x
+                for i in range(8):
+                    u = ad.scale(t, 0.5)  # tanh saves its own output, so u dies with its name
+                    dead.add(id(u))
+                    t = ad.tanh(u)
+                    if hold:
+                        keep_alive.append(u)
+                    del u
+                    c = Tensor(np.full((3, 4), 1.0 + i / 8, dtype=np.float32), requires_grad=True)
+                    fresh.add(id(c))
+                    leaves.append(c)
+                    t = ad.mul(t, c)
+                ad.backward(ad.sum_all(t))
+            return leaves, dead & fresh
+
+        held, reused_held = run(hold=True)
+        dropped, reused = run(hold=False)
+        assert reused and not reused_held
+        for got, want in zip(dropped, held):
             assert got.grad.tobytes() == want.grad.tobytes()
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, files, determinism, selfcheck."""
 
+import dataclasses
 import filecmp
 import json
 from dataclasses import fields
@@ -20,7 +21,7 @@ from callab.cli import (
     main,
 )
 from callab.encoder import EncoderConfig
-from callab.metrics import cosine_rows, encode_sentences
+from callab.metrics import CLS_METRICS, cosine_rows, encode_sentences
 from callab.synthdata import (
     make_group_task,
     make_motif_task,
@@ -31,7 +32,7 @@ from callab.synthdata import (
 )
 from callab.text import Vocab, load_unsupervised_lines
 from callab.objectives import LossConfig
-from callab.trainer import TrainConfig, load_checkpoint
+from callab.trainer import DEV_METRICS, TrainConfig, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +341,40 @@ class TestSingleDeclaration:
         resolved = str(trained / "config.resolved.txt")
         assert _load_run_config(parser.parse_args(["train", "--config", resolved])) == original
         assert original != RunConfig()
+
+    def test_eval_metric_choices_are_the_metrics_table(self):
+        metric = next(a for a in _subparser("eval")._actions if a.dest == "metric")
+        assert tuple(metric.choices) == tuple(CLS_METRICS)
+        assert DEV_METRICS == (*CLS_METRICS, "spearman")
+
+    @pytest.mark.parametrize("mode", ["ce", "uscal"])
+    def test_resolved_config_records_the_settings_the_run_uses(self, workspace, tmp_path,
+                                                               monkeypatch, mode):
+        """num_classes and dev_metric are written as the run uses them, so the file
+        fed back needs no rewrite and reruns the same training."""
+        monkeypatch.delenv("CAL_SEED", raising=False)
+        extra = ["--max-steps", "4", "--eval-interval-steps", "2"]
+        if mode == "uscal":
+            extra += ["--train-file", str(workspace / "corpus.txt"),
+                      "--dev-file", str(workspace / "sims.tsv"),
+                      "--vocab-file", str(workspace / "uvocab.txt")]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(_train_args(workspace, first, mode, extra)) == EXIT_OK
+        resolved = first / "config.resolved.txt"
+        cfg = RunConfig.from_file(str(resolved))
+        ckpt = load_checkpoint(str(first / "best.ckpt"))
+        evaluated = {line.split("\t")[1] for line in (first / "evals.tsv").read_text().splitlines()}
+        assert cfg.num_classes == ckpt.config.num_classes == (2 if mode == "ce" else 0)
+        assert evaluated == {cfg.dev_metric} == {ckpt.dev_metric_name}
+        assert cfg.dev_metric == ("accuracy" if mode == "ce" else "spearman")
+
+        fed_back = ["train", "--config", str(resolved), "--out-dir", str(second)]
+        assert _load_run_config(build_parser().parse_args(fed_back)) == \
+            dataclasses.replace(cfg, out_dir=str(second))
+        assert main(fed_back) == EXIT_OK
+        assert (second / "config.resolved.txt").read_text() == \
+            resolved.read_text().replace(f"out_dir={first}", f"out_dir={second}")
+        assert filecmp.cmp(first / "best.ckpt", second / "best.ckpt", shallow=False)
 
 
 class TestEval:

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -18,7 +19,7 @@ from callab.encoder import EncoderConfig, EncoderParams, classify, embed_tokens
 from callab.objectives import cross_entropy
 from callab.metrics import evaluate_classification
 from callab.objectives import LossReport, scal_total, uscal_total
-from callab.synthdata import make_group_task
+from callab.synthdata import make_group_task, make_paraphrase_corpus
 from callab.text import PAD_ID, Batch, LabeledExample, Vocab, build_vocab, encode_batch
 from callab.trainer import (
     ADAM_EPS,
@@ -670,6 +671,35 @@ class TestConsumingBackwardOnLossGraphs:
         assert got.keys() == want.keys() and len(got) > 20
         for name, t in want.items():
             assert got[name].grad.tobytes() == t.grad.tobytes(), name
+
+
+class TestStepMemory:
+    """A step's tape holds only what its backwards read."""
+
+    def test_default_uscal_step_peak_is_bounded(self):
+        """The traced peak of one default-size uscal step above its start.
+
+        The tape holds about 9.6 MB of what the backwards read; holding every
+        op's output as well raised it to 16.7 MB.
+        """
+        lines, _ = make_paraphrase_corpus(32, 2, seed=1)
+        vocab = build_vocab(lines)
+        cfg = EncoderConfig(vocab_size=len(vocab), dropout=0.1, **TestDynamicPadding.DEFAULT)
+        params = EncoderParams.init_random(cfg, seed=0)
+        opt = OptimizerState(params)
+        tcfg = TrainConfig(mode="uscal", lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15)
+        batch = encode_batch(lines, vocab, cfg.max_len)
+        tracemalloc.start()
+        try:
+            # the first step allocates the gradients the second one replaces
+            train_step(batch, params, opt, tcfg, derive_seed(3, "step", 0), lr_t=1e-3)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            train_step(batch, params, opt, tcfg, derive_seed(3, "step", 1), lr_t=1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11e6, f"step peak {peak / 1e6:.2f} MB"
 
 
 class TestSeamGradient:
