@@ -5,8 +5,10 @@ built on the active tape (``seam_attack``). The gradient comes from
 ``autodiff.grad_of``, which walks only the nodes downstream of the seam and
 writes no ``grad`` field, so generating an attack never disturbs the model
 or its pending gradients. The two generators build that loss on a tape of
-their own; the ``uscal`` training step calls ``seam_attack`` on its main
-tape instead, reusing the view forwards its loss needs anyway. The result
+their own. A training step's attack is run by ``trainer.loss_graph``:
+``gen_supervised_adv`` for scal, and for uscal ``seam_attack`` on the step's
+main tape, reusing the view forwards its loss needs anyway
+(``gen_unsupervised_adv`` is that attack's standalone reference). The result
 is a constant: when the adversarial branch is later differentiated, no
 gradient flows through the perturbation's construction.
 """

@@ -41,6 +41,7 @@ from .text import (
     load_unsupervised_lines,
 )
 from .trainer import (
+    SUPERVISED_MODES,
     Checkpoint,
     CheckpointError,
     NonFiniteLossError,
@@ -56,8 +57,6 @@ EXIT_SELFCHECK = 1
 EXIT_BAD_INPUT = 2
 EXIT_NONFINITE = 3
 EXIT_CKPT_MISMATCH = 4
-
-_SUPERVISED_MODES = ("scal", "ce")
 
 
 @dataclass
@@ -163,10 +162,11 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
+def _load_run_config(args: argparse.Namespace) -> tuple[RunConfig, list]:
     """Defaults, ``--config``, flags, ``CAL_SEED``, then the two settings a run derives:
     a supervised run left at ``num_classes=0`` counts its train labels, and a
-    similarity run has no classifier and evaluates ``spearman``, not ``accuracy``."""
+    similarity run has no classifier and evaluates ``spearman``, not ``accuracy``.
+    Returns the settings and the train rows, which are read once."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
@@ -174,18 +174,22 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, f.name) is not None
     }
     cfg = _apply_env_seed(cfg.with_overrides(overrides))
-    if cfg.mode not in _SUPERVISED_MODES:
+    if cfg.mode not in SUPERVISED_MODES:
         dev_metric = "spearman" if cfg.dev_metric == "accuracy" else cfg.dev_metric
-        return dataclasses.replace(cfg, num_classes=0, dev_metric=dev_metric)
+        cfg = dataclasses.replace(cfg, num_classes=0, dev_metric=dev_metric)
+        return cfg, load_unsupervised_lines(cfg.train_file)
+    train_rows = load_supervised_tsv(cfg.train_file)
     if cfg.num_classes == 0:
-        labels = [r.label for r in load_supervised_tsv(cfg.train_file)]
-        return dataclasses.replace(cfg, num_classes=max(labels, default=-1) + 1)
-    return cfg
+        num_classes = max((r.label for r in train_rows), default=-1) + 1
+        cfg = dataclasses.replace(cfg, num_classes=num_classes)
+    return cfg, train_rows
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     try:
-        cfg = _load_run_config(args)
+        cfg, train_rows = _load_run_config(args)
+    except DataFormatError as exc:
+        return _fail(EXIT_BAD_INPUT, f"cannot load datasets: {exc}")
     except (OSError, ValueError) as exc:
         return _fail(EXIT_BAD_INPUT, f"invalid config: {exc}")
 
@@ -194,14 +198,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot read vocab ({cfg.vocab_file!r}): {exc}")
 
-    supervised = cfg.mode in _SUPERVISED_MODES
+    supervised = cfg.mode in SUPERVISED_MODES
     try:
-        if supervised:
-            train_rows = load_supervised_tsv(cfg.train_file)
-            dev_rows = load_supervised_tsv(cfg.dev_file)
-        else:
-            train_rows = load_unsupervised_lines(cfg.train_file)
-            dev_rows = load_similarity_tsv(cfg.dev_file)
+        dev_rows = (load_supervised_tsv if supervised else load_similarity_tsv)(cfg.dev_file)
     except (OSError, DataFormatError) as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot load datasets: {exc}")
     if not train_rows:

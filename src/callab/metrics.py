@@ -136,7 +136,7 @@ class MetricReport:
         )
 
 
-# read by evaluate_classification, `callab eval --metric` and trainer.DEV_METRICS
+# read by evaluate_classification, `callab eval --metric` and TrainConfig.validate
 CLS_METRICS = {"accuracy": accuracy, "f1": f1_binary, "mcc": mcc}
 
 

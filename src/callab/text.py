@@ -266,11 +266,10 @@ def iter_batches(
     batch_size: int,
     seed: int,
     epoch: int,
-    shuffle: bool = True,
 ):
-    """Yield Batches covering ``rows`` once; the final short batch is kept."""
+    """Yield shuffled Batches covering ``rows`` once; the final short batch is kept."""
     n = len(rows)
-    order = shuffled_indices(n, seed, epoch) if shuffle else np.arange(n)
+    order = shuffled_indices(n, seed, epoch)
     for start in range(0, n, batch_size):
         take = order[start : start + batch_size]
         yield encode_batch([rows[i] for i in take], vocab, max_len, raw_indices=take)

@@ -9,13 +9,16 @@ their baselines exactly:
 * ``ce``:    plain cross-entropy fine-tuning (the supervised baseline)
 * ``views``: dropout-only two-view contrastive training (unsupervised baseline)
 
-Each baseline is the clean prefix of its framework's graph. The adversarial
-branch consumes ``anchor_embedding + delta`` (the clean forward's or view
-1's), where delta is a constant: scal computes it in a separate attack pass,
-uscal from the seam gradient of its clean prefix on the step's own tape.
-Gradients therefore flow from both branches into every shared parameter
-(embedding table included) while nothing differentiates through the
-perturbation's construction.
+``loss_graph`` is the one place a step is composed. Each baseline is the
+clean prefix of its framework's graph. The adversarial branch consumes
+``anchor_embedding + delta`` (the clean forward's or view 1's), where delta
+is a constant from the framework's own attack, which ``loss_graph`` runs:
+scal in a separate attack pass, uscal from the seam gradient of its clean
+prefix on the step's own tape. Gradients therefore flow from both branches
+into every shared parameter (embedding table included) while nothing
+differentiates through the perturbation's construction. This module alone
+says what a mode is: ``TRAIN_MODES``, ``SUPERVISED_MODES`` and the dev
+metrics each can score.
 
 ``TrainConfig`` takes its alpha, epsilon, temperature, attack kind and
 negative mode defaults from ``LossConfig``/``AttackConfig``, whose checks it
@@ -41,7 +44,6 @@ from .attacks import AttackConfig, gen_supervised_adv, seam_attack
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    ForwardOut,
     classify,
     encode_from_embeddings,
     forward_full,
@@ -60,7 +62,7 @@ from .text import Batch, Vocab, iter_batches
 logger = logging.getLogger(__name__)
 
 TRAIN_MODES = ("scal", "uscal", "ce", "views")
-DEV_METRICS = (*CLS_METRICS, "spearman")
+SUPERVISED_MODES = ("scal", "ce")  # trained on labels and scored by a CLS_METRICS name
 
 
 class NonFiniteLossError(RuntimeError):
@@ -120,8 +122,12 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.grad_clip < 0:
             raise ValueError("grad_clip must be >= 0")
-        if self.dev_metric not in DEV_METRICS:
-            raise ValueError(f"dev_metric must be one of {DEV_METRICS}")
+        dev_metrics = tuple(CLS_METRICS) if self.mode in SUPERVISED_MODES else ("spearman",)
+        if self.dev_metric not in dev_metrics:
+            raise ValueError(
+                f"dev_metric for mode {self.mode!r} must be one of {dev_metrics}, "
+                f"got {self.dev_metric!r}"
+            )
         self.loss_config().validate()
         self.attack_config().validate()
 
@@ -231,36 +237,54 @@ def clip_gradients(params: EncoderParams, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _clean_prefix(
+def loss_graph(
     mode: str,
     batch: Batch,
     params: EncoderParams,
+    delta: Optional[np.ndarray],
     loss_cfg: LossConfig,
     step_seed: int,
     train_mode: bool,
-) -> tuple[ForwardOut, dict[str, Tensor]]:
-    """The anchor forward and the clean loss: ``{"ce_clean": ...}`` or ``{"ct_views": ...}``."""
-    if mode in ("scal", "ce"):
+    attack_cfg: Optional[AttackConfig] = None,
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """Build one step's total loss on the active tape, the attack included.
+
+    Returns ``(total, parts)``; ``parts`` maps ``LossReport`` field names to
+    the loss terms. The clean prefix is the ``"clean"`` forward and its CE
+    (scal, ce) or the ``"view1"``/``"view2"`` forwards and their InfoNCE
+    (uscal, views); the baselines stop there. scal and uscal go on through
+    one adversarial branch that starts at the anchor's (clean forward's or
+    view 1's) embedding + ``delta``, so its gradients reach the embedding
+    table while nothing differentiates through ``delta`` itself.
+
+    Given no ``delta``, each framework attacks with ``attack_cfg``: scal
+    first, on a tape of its own (``gen_supervised_adv``, its own ``"attack"``
+    dropout draw); uscal from the seam gradient of its clean prefix on the
+    active tape (d ct_views / d view-1 embedding, the value the standalone
+    ``gen_unsupervised_adv`` computes, without encoding the views twice).
+    Gradient checks pass a fixed ``delta``: finite differences would see one
+    that moves with the parameters, the backward would not.
+    """
+    if mode in ("scal", "uscal") and delta is None and attack_cfg is None:
+        raise ValueError(f"loss_graph: mode {mode!r} needs a delta or an attack_cfg")
+    if mode == "scal" and delta is None:
+        delta = gen_supervised_adv(
+            batch, params, attack_cfg, derive_seed(step_seed, "attack"), train_mode
+        ).delta
+    if mode in SUPERVISED_MODES:
         anchor = forward_full(batch, params, derive_seed(step_seed, "clean"), train_mode)
-        return anchor, {"ce_clean": cross_entropy(anchor.logits, batch.labels)}
-    anchor = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode)
-    view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode)
-    ct = info_nce(anchor.z, view2.z, loss_cfg.temperature)
-    return anchor, {"ct_views": ct}
+        clean = cross_entropy(anchor.logits, batch.labels)
+        parts = {"ce_clean": clean}
+    else:
+        anchor = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode)
+        view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode)
+        clean = info_nce(anchor.z, view2.z, loss_cfg.temperature)
+        parts = {"ct_views": clean}
+    if mode in ("ce", "views"):
+        return clean, parts
+    if delta is None:
+        delta = seam_attack(clean, anchor.emb, attack_cfg).delta
 
-
-def _adversarial_branch(
-    mode: str,
-    batch: Batch,
-    params: EncoderParams,
-    anchor: ForwardOut,
-    parts: dict[str, Tensor],
-    delta: np.ndarray,
-    loss_cfg: LossConfig,
-    step_seed: int,
-    train_mode: bool,
-) -> Tensor:
-    """Encode ``anchor.emb + delta``, add the adversarial terms to ``parts``, return the total."""
     adv_input = ad.add(anchor.emb, Tensor(delta))
     adv_seed = derive_seed(step_seed, "adv")
     h_adv = encode_from_embeddings(
@@ -272,41 +296,11 @@ def _adversarial_branch(
     else:
         ct = info_nce_split(anchor.z, z_adv, anchor.z, loss_cfg.temperature)
     if mode == "scal":
-        clean = parts["ce_clean"]
         ce_adv = cross_entropy(classify(h_adv, params), batch.labels)
         parts.update(ce_adv=ce_adv, contrastive=ct)
-        return ad.add(ad.scale(ad.add(clean, ce_adv), 0.5), ad.scale(ct, loss_cfg.alpha))
+        return ad.add(ad.scale(ad.add(clean, ce_adv), 0.5), ad.scale(ct, loss_cfg.alpha)), parts
     parts["ct_adv"] = ct
-    return ad.add(parts["ct_views"], ad.scale(ct, loss_cfg.alpha))
-
-
-def loss_graph(
-    mode: str,
-    batch: Batch,
-    params: EncoderParams,
-    delta: Optional[np.ndarray],
-    loss_cfg: LossConfig,
-    step_seed: int,
-    train_mode: bool,
-) -> tuple[Tensor, dict[str, Tensor]]:
-    """Build one step's total loss on the active tape, for a given ``delta``.
-
-    Returns ``(total, parts)``; ``parts`` maps ``LossReport`` field names to
-    the loss terms. The clean prefix is the ``"clean"`` forward and its CE
-    (scal, ce) or the ``"view1"``/``"view2"`` forwards and their InfoNCE
-    (uscal, views); the baselines stop there. scal and uscal go on through
-    one adversarial branch that starts at the anchor's (clean forward's or
-    view 1's) embedding + ``delta``, so its gradients reach the embedding
-    table while nothing differentiates through ``delta`` itself.
-    """
-    anchor, parts = _clean_prefix(mode, batch, params, loss_cfg, step_seed, train_mode)
-    if mode in ("ce", "views"):
-        (clean,) = parts.values()
-        return clean, parts
-    total = _adversarial_branch(
-        mode, batch, params, anchor, parts, delta, loss_cfg, step_seed, train_mode
-    )
-    return total, parts
+    return ad.add(clean, ad.scale(ct, loss_cfg.alpha)), parts
 
 
 def train_step(
@@ -318,35 +312,19 @@ def train_step(
     lr_t: float,
     step: int = 0,
 ) -> LossReport:
-    """One update in ``tcfg.mode``: attack, loss graph, backward, clip, AdamW.
+    """One update in ``tcfg.mode``: ``loss_graph`` (attack included), backward, clip, AdamW.
 
-    scal attacks on a tape of its own (``gen_supervised_adv``, its own
-    ``"attack"`` dropout draw). uscal takes its seam gradient from the main
-    tape: d ct_views / d view-1 embedding, the same value the standalone
-    ``gen_unsupervised_adv`` computes, without encoding the views twice.
     Raises ``NonFiniteLossError`` naming ``step`` before the backward pass if
     the total is NaN or infinite. A skipped AdamW update (non-finite
     gradients) only warns, but the ``MAX_CONSECUTIVE_SKIPS``-th in a row
     raises ``SkippedStepsError``, a ``NonFiniteLossError``.
     """
-    mode = tcfg.mode
-    loss_cfg = tcfg.loss_config()
-    delta = None
-    if mode == "scal":
-        delta = gen_supervised_adv(
-            batch, params, tcfg.attack_config(), derive_seed(step_seed, "attack"), train_mode=True
-        ).delta
     params.zero_grads()
     with ad.Tape():
-        anchor, parts = _clean_prefix(mode, batch, params, loss_cfg, step_seed, train_mode=True)
-        if mode == "uscal":
-            delta = seam_attack(parts["ct_views"], anchor.emb, tcfg.attack_config()).delta
-        if delta is None:
-            (total,) = parts.values()
-        else:
-            total = _adversarial_branch(
-                mode, batch, params, anchor, parts, delta, loss_cfg, step_seed, train_mode=True
-            )
+        total, parts = loss_graph(
+            tcfg.mode, batch, params, None, tcfg.loss_config(), step_seed, True,
+            tcfg.attack_config(),
+        )
         if not math.isfinite(total.item()):
             raise NonFiniteLossError(step, total.item())
         ad.backward(total)
@@ -677,13 +655,7 @@ def train_loop(
 
     for epoch in range(tcfg.max_epochs):
         for batch in iter_batches(
-            train_rows,
-            vocab,
-            params.config.max_len,
-            tcfg.batch_size,
-            tcfg.seed,
-            epoch,
-            shuffle=True,
+            train_rows, vocab, params.config.max_len, tcfg.batch_size, tcfg.seed, epoch
         ):
             lr_t = lr_at(step, total_steps, tcfg.warmup_ratio, tcfg.lr)
             step_seed = derive_seed(tcfg.seed, "step", step)

@@ -32,7 +32,7 @@ from callab.synthdata import (
 )
 from callab.text import Vocab, load_unsupervised_lines
 from callab.objectives import LossConfig
-from callab.trainer import DEV_METRICS, TrainConfig, load_checkpoint
+from callab.trainer import SUPERVISED_MODES, TRAIN_MODES, TrainConfig, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +277,36 @@ class TestTrain:
         assert "CAL_SEED" in err and "'abc'" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, metric", [("uscal", "mcc"), ("scal", "spearman")])
+    def test_dev_metric_that_does_not_fit_the_mode_exit_2_named(self, workspace, tmp_path,
+                                                                capsys, mode, metric):
+        out = tmp_path / "misfit"
+        out.mkdir()
+        extra = ["--dev-metric", metric]
+        if mode == "uscal":
+            extra += ["--train-file", str(workspace / "corpus.txt"),
+                      "--dev-file", str(workspace / "sims.tsv"),
+                      "--vocab-file", str(workspace / "uvocab.txt")]
+        assert _train(workspace, out, mode, extra) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "dev_metric" in err and repr(mode) in err and repr(metric) in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_supervised_run_reads_each_file_once(self, workspace, tmp_path, monkeypatch):
+        import callab.cli as cli_mod
+
+        reads = []
+        load = cli_mod.load_supervised_tsv
+
+        def counting(path):
+            reads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli_mod, "load_supervised_tsv", counting)
+        assert _train(workspace, tmp_path / "once", "ce", ["--max-steps", "2"]) == EXIT_OK
+        assert sorted(reads) == sorted([str(workspace / "train.tsv"), str(workspace / "dev.tsv")])
+
 
 TRAINED_EXTRA = ["--seed", "11", "--max-steps", "120", "--eval-interval-steps", "40"]
 
@@ -336,16 +366,28 @@ class TestSingleDeclaration:
                                                              monkeypatch):
         monkeypatch.delenv("CAL_SEED", raising=False)
         parser = build_parser()
-        original = _load_run_config(parser.parse_args(_train_args(
+        original, _ = _load_run_config(parser.parse_args(_train_args(
             workspace, trained, extra=TRAINED_EXTRA)))
         resolved = str(trained / "config.resolved.txt")
-        assert _load_run_config(parser.parse_args(["train", "--config", resolved])) == original
+        assert _load_run_config(parser.parse_args(["train", "--config", resolved]))[0] == original
         assert original != RunConfig()
 
     def test_eval_metric_choices_are_the_metrics_table(self):
         metric = next(a for a in _subparser("eval")._actions if a.dest == "metric")
         assert tuple(metric.choices) == tuple(CLS_METRICS)
-        assert DEV_METRICS == (*CLS_METRICS, "spearman")
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_dev_metrics_follow_the_mode(self, mode):
+        """A supervised mode is scored by a CLS_METRICS name, a similarity mode by spearman."""
+        fits = (*CLS_METRICS, "spearman")
+        accepted = set()
+        for metric in fits:
+            try:
+                TrainConfig(mode=mode, dev_metric=metric).validate()
+                accepted.add(metric)
+            except ValueError as exc:
+                assert repr(mode) in str(exc) and repr(metric) in str(exc)
+        assert accepted == (set(CLS_METRICS) if mode in SUPERVISED_MODES else {"spearman"})
 
     @pytest.mark.parametrize("mode", ["ce", "uscal"])
     def test_resolved_config_records_the_settings_the_run_uses(self, workspace, tmp_path,
@@ -369,7 +411,7 @@ class TestSingleDeclaration:
         assert cfg.dev_metric == ("accuracy" if mode == "ce" else "spearman")
 
         fed_back = ["train", "--config", str(resolved), "--out-dir", str(second)]
-        assert _load_run_config(build_parser().parse_args(fed_back)) == \
+        assert _load_run_config(build_parser().parse_args(fed_back))[0] == \
             dataclasses.replace(cfg, out_dir=str(second))
         assert main(fed_back) == EXIT_OK
         assert (second / "config.resolved.txt").read_text() == \

@@ -754,27 +754,35 @@ class TestSeamGradient:
             backward(parts["ct_views"])
         assert 2 in ranks  # the weight matrices' products, which backward does need
 
+    @pytest.mark.parametrize("mode", ["uscal", "scal"])
     @pytest.mark.parametrize("negative_mode", ["adv-keys", "clean-keys"])
     @pytest.mark.parametrize("kind", ["fgm", "fgsm"])
-    def test_uscal_step_matches_standalone_attack_reference(self, negative_mode, kind):
-        """Same bytes as: delta from gen_unsupervised_adv, loss_graph, backward, clip, AdamW."""
-        cfg, p_step, batch = toy_setup(num_classes=0, batch=4, layers=2)
-        _, p_ref, _ = toy_setup(num_classes=0, batch=4, layers=2)
+    def test_uscal_step_matches_standalone_attack_reference(self, negative_mode, kind, mode):
+        """Same bytes as: delta from the standalone attack (gen_unsupervised_adv for uscal,
+        gen_supervised_adv for scal), loss_graph, backward, clip, AdamW."""
+        num_classes = 3 if mode == "scal" else 0
+        cfg, p_step, batch = toy_setup(num_classes=num_classes, batch=4, layers=2)
+        _, p_ref, _ = toy_setup(num_classes=num_classes, batch=4, layers=2)
         opt_step, opt_ref = OptimizerState(p_step), OptimizerState(p_ref)
-        tcfg = TrainConfig(mode="uscal", lr=1e-2, alpha=0.5, epsilon=0.3, attack_kind=kind,
-                           negative_mode=negative_mode, grad_clip=0.5, dev_metric="spearman")
+        tcfg = TrainConfig(mode=mode, lr=1e-2, alpha=0.5, epsilon=0.3, attack_kind=kind,
+                           negative_mode=negative_mode, grad_clip=0.5)
         loss_cfg = tcfg.loss_config()
         for step in range(4):
             step_seed = derive_seed(5, "step", step)
             got = train_step(batch, p_step, opt_step, tcfg, step_seed, 1e-2, step)
 
-            delta = gen_unsupervised_adv(
-                batch, p_ref, loss_cfg, tcfg.attack_config(),
-                derive_seed(step_seed, "view1"), derive_seed(step_seed, "view2"),
-            ).delta
+            if mode == "scal":
+                delta = gen_supervised_adv(
+                    batch, p_ref, tcfg.attack_config(), derive_seed(step_seed, "attack"),
+                ).delta
+            else:
+                delta = gen_unsupervised_adv(
+                    batch, p_ref, loss_cfg, tcfg.attack_config(),
+                    derive_seed(step_seed, "view1"), derive_seed(step_seed, "view2"),
+                ).delta
             p_ref.zero_grads()
             with Tape():
-                total, parts = loss_graph("uscal", batch, p_ref, delta, loss_cfg, step_seed, True)
+                total, parts = loss_graph(mode, batch, p_ref, delta, loss_cfg, step_seed, True)
                 backward(total)
                 clip_gradients(p_ref, tcfg.grad_clip)
                 adamw_step(p_ref, opt_ref, 1e-2, tcfg.weight_decay)
@@ -784,6 +792,31 @@ class TestSeamGradient:
             for name, arr in p_ref.copy_values().items():
                 assert p_step[name].data.tobytes() == arr.tobytes(), name
                 assert p_step[name].grad.tobytes() == p_ref[name].grad.tobytes(), name
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_train_step_runs_loss_graph_once(self, monkeypatch, mode):
+        """train_step builds each step through exactly one loss_graph call."""
+        calls = []
+        graph = trainer_mod.loss_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return graph(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "loss_graph", counting)
+        supervised = mode in ("scal", "ce")
+        cfg, params, batch = toy_setup(num_classes=3 if supervised else 0, batch=4)
+        opt = OptimizerState(params)
+        tcfg = TrainConfig(mode=mode, epsilon=0.3)
+        for step in range(2):
+            train_step(batch, params, opt, tcfg, derive_seed(11, "step", step), 1e-3, step)
+            assert calls == [mode] * (step + 1)
+
+    @pytest.mark.parametrize("mode", ["scal", "uscal"])
+    def test_loss_graph_without_delta_or_attack_is_refused(self, mode):
+        cfg, params, batch = toy_setup(num_classes=3 if mode == "scal" else 0, batch=4)
+        with Tape(), pytest.raises(ValueError, match=f"{mode}.*delta or an attack_cfg"):
+            loss_graph(mode, batch, params, None, TrainConfig().loss_config(), 11, True)
 
     @pytest.mark.parametrize("mode, forwards", [("scal", 3), ("uscal", 3), ("ce", 1), ("views", 2)])
     def test_encoder_forwards_per_step(self, monkeypatch, mode, forwards):
