@@ -1,10 +1,13 @@
 """Command-line entry points: build-vocab, train, eval, embed, selfcheck.
 
 Exit codes are stable: 0 success, 1 selfcheck property failure, 2 invalid
-config or unreadable input, 3 non-finite training loss, 4 checkpoint/config
-mismatch. The environment variable CAL_SEED, an integer, overrides the
-configured seed. Every training run directory is self-describing: the
-resolved configuration plus the seed reproduce the run.
+config, unusable input or unwritable output path, 3 non-finite training loss,
+4 checkpoint/config mismatch. ``main`` alone maps errors to codes
+(``EXIT_CODES``); the commands raise. Each input file is read by ``_read``,
+whose errors name the file and its kind, and checked by its ``metrics`` rule,
+all before a command writes anything. The environment variable CAL_SEED, an
+integer, overrides the configured seed. Every training run directory is
+self-describing: the resolved configuration plus the seed reproduce the run.
 
 ``RunConfig`` declares only the run's paths; its other fields, the ``train``
 flags and ``config.resolved.txt`` derive from ``TrainConfig``/``EncoderConfig``,
@@ -19,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields, make_dataclass
+from typing import Callable
 
 from .attacks import ATTACK_KINDS, AttackConfig
 from .encoder import FIELD_TYPES, EncoderConfig, EncoderParams, parse_field
@@ -26,6 +30,8 @@ from .metrics import (
     CLS_METRICS,
     MetricError,
     MetricReport,
+    check_nonempty,
+    check_similarity_set,
     evaluate_classification,
     evaluate_similarity,
     evaluate_under_attack,
@@ -33,7 +39,6 @@ from .metrics import (
 )
 from .selfcheck import run_selfcheck
 from .text import (
-    DataFormatError,
     Vocab,
     build_vocab,
     load_similarity_tsv,
@@ -57,6 +62,21 @@ EXIT_SELFCHECK = 1
 EXIT_BAD_INPUT = 2
 EXIT_NONFINITE = 3
 EXIT_CKPT_MISMATCH = 4
+
+
+class InputError(Exception):
+    """A config value, input file or flag combination a command cannot use."""
+
+
+# The exit-code policy, read by main alone. An error of any other kind, such
+# as a ValueError from an engine bug, ends in a traceback.
+EXIT_CODES = {
+    InputError: EXIT_BAD_INPUT,
+    OSError: EXIT_BAD_INPUT,  # also an output path that cannot be written
+    MetricError: EXIT_BAD_INPUT,
+    NonFiniteLossError: EXIT_NONFINITE,
+    CheckpointError: EXIT_CKPT_MISMATCH,
+}
 
 
 @dataclass
@@ -136,12 +156,29 @@ def _apply_env_seed(cfg: RunConfig) -> RunConfig:
     try:
         return dataclasses.replace(cfg, seed=int(env))
     except ValueError:
-        raise ValueError(f"CAL_SEED must be an integer, got {env!r}") from None
+        raise InputError(f"CAL_SEED must be an integer, got {env!r}") from None
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _checked(config):
+    """``config`` once its ``validate()`` passes; a refusal is an ``InputError``."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise InputError(f"invalid config: {exc}") from None
+    return config
+
+
+def _read(kind: str, path: str, loader: Callable, rule: Callable | None = None):
+    """``loader(path)``, then the ``metrics`` ``rule`` on what it returns. The one
+    reader of every input file: a file that cannot be opened, decoded or parsed,
+    or that breaks its rule, is an error naming ``kind`` and ``path``."""
+    try:
+        data = loader(path)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, DataFormatError are ValueErrors
+        raise InputError(f"cannot read {kind} {path!r}: {exc}") from None
+    if rule is not None:
+        rule(data, f"{kind} {path!r}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +187,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_build_vocab(args: argparse.Namespace) -> int:
-    try:
-        with open(args.corpus, encoding="utf-8") as fh:
-            vocab = build_vocab((line for line in fh), min_freq=args.min_freq)
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot read corpus: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_BAD_INPUT, str(exc))
+    corpus = _read("corpus", args.corpus, load_unsupervised_lines, check_nonempty)
+    vocab = build_vocab(corpus, min_freq=args.min_freq)
     vocab.save(args.out)
     print(f"wrote {len(vocab)} ids ({len(vocab) - 4} tokens + 4 reserved) to {args.out}")
     return EXIT_OK
@@ -166,69 +198,44 @@ def _load_run_config(args: argparse.Namespace) -> tuple[RunConfig, list]:
     """Defaults, ``--config``, flags, ``CAL_SEED``, then the two settings a run derives:
     a supervised run left at ``num_classes=0`` counts its train labels, and a
     similarity run has no classifier and evaluates ``spearman``, not ``accuracy``.
-    Returns the settings and the train rows, which are read once."""
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    The train settings, the mode among them, are checked before any file is
+    read. Returns the settings and the train rows, which are read once."""
+    cfg = _read("config file", args.config, RunConfig.from_file) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
         if getattr(args, f.name) is not None
     }
     cfg = _apply_env_seed(cfg.with_overrides(overrides))
-    if cfg.mode not in SUPERVISED_MODES:
+    supervised = cfg.mode in SUPERVISED_MODES
+    if not supervised:
         dev_metric = "spearman" if cfg.dev_metric == "accuracy" else cfg.dev_metric
         cfg = dataclasses.replace(cfg, num_classes=0, dev_metric=dev_metric)
-        return cfg, load_unsupervised_lines(cfg.train_file)
-    train_rows = load_supervised_tsv(cfg.train_file)
+    _checked(cfg.train_config())
+    if not supervised:
+        return cfg, _read("train set", cfg.train_file, load_unsupervised_lines, check_nonempty)
+    train_rows = _read("train set", cfg.train_file, load_supervised_tsv, check_nonempty)
     if cfg.num_classes == 0:
-        num_classes = max((r.label for r in train_rows), default=-1) + 1
-        cfg = dataclasses.replace(cfg, num_classes=num_classes)
+        cfg = dataclasses.replace(cfg, num_classes=max(r.label for r in train_rows) + 1)
     return cfg, train_rows
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    try:
-        cfg, train_rows = _load_run_config(args)
-    except DataFormatError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot load datasets: {exc}")
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"invalid config: {exc}")
-
-    try:
-        vocab = Vocab.load(cfg.vocab_file)
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot read vocab ({cfg.vocab_file!r}): {exc}")
-
+    cfg, train_rows = _load_run_config(args)
+    vocab = _read("vocab", cfg.vocab_file, Vocab.load)
     supervised = cfg.mode in SUPERVISED_MODES
-    try:
-        dev_rows = (load_supervised_tsv if supervised else load_similarity_tsv)(cfg.dev_file)
-    except (OSError, DataFormatError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot load datasets: {exc}")
-    if not train_rows:
-        return _fail(EXIT_BAD_INPUT, f"empty train set ({cfg.train_file!r})")
-    if not dev_rows:
-        return _fail(EXIT_BAD_INPUT, "empty dev set")
-    if not supervised and len(dev_rows) < 2:
-        return _fail(
-            EXIT_BAD_INPUT,
-            f"similarity dev set needs at least 2 pairs, got {len(dev_rows)} ({cfg.dev_file!r})",
-        )
-    if not supervised and len({p.score for p in dev_rows}) < 2:
-        return _fail(
-            EXIT_BAD_INPUT,
-            f"similarity dev set has constant gold scores, so Spearman is undefined "
-            f"({cfg.dev_file!r})",
-        )
-
-    if supervised and cfg.num_classes < 2:
-        return _fail(EXIT_BAD_INPUT, "invalid config: num_classes must be >= 2")
-
-    try:
-        enc_cfg = cfg.encoder_config(len(vocab))
-        enc_cfg.validate()
-        tcfg = cfg.train_config()
-        tcfg.validate()
-    except ValueError as exc:
-        return _fail(EXIT_BAD_INPUT, f"invalid config: {exc}")
+    if supervised:
+        dev_rows = _read("dev set", cfg.dev_file, load_supervised_tsv, check_nonempty)
+        top = max(r.label for r in train_rows)
+        if not top < cfg.num_classes >= 2:
+            raise InputError(
+                f"invalid config: train set {cfg.train_file!r} needs labels in [0, num_classes) "
+                f"with num_classes >= 2; got num_classes={cfg.num_classes} and label {top}"
+            )
+    else:
+        dev_rows = _read("dev set", cfg.dev_file, load_similarity_tsv, check_similarity_set)
+    enc_cfg = _checked(cfg.encoder_config(len(vocab)))
+    tcfg = cfg.train_config()
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.resolved.txt"), "w", encoding="utf-8") as fh:
@@ -244,14 +251,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     steps_path = os.path.join(cfg.out_dir, "steps.tsv")
     evals_path = os.path.join(cfg.out_dir, "evals.tsv")
-    try:
-        with open(steps_path, "w", encoding="utf-8") as steps_fh, open(
-            evals_path, "w", encoding="utf-8"
-        ) as evals_fh:
-            log = RunLog(steps=steps_fh, evals=evals_fh)
-            result = train_loop(train_rows, vocab, params, tcfg, eval_fn, log=log)
-    except NonFiniteLossError as exc:
-        return _fail(EXIT_NONFINITE, str(exc))
+    with open(steps_path, "w", encoding="utf-8") as steps_fh, open(
+        evals_path, "w", encoding="utf-8"
+    ) as evals_fh:
+        log = RunLog(steps=steps_fh, evals=evals_fh)
+        result = train_loop(train_rows, vocab, params, tcfg, eval_fn, log=log)
 
     ckpt_path = os.path.join(cfg.out_dir, "best.ckpt")
     save_checkpoint(result.best, ckpt_path)
@@ -264,10 +268,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_checkpoint_and_vocab(args: argparse.Namespace) -> tuple[Checkpoint, Vocab]:
-    if not os.path.exists(args.checkpoint):
-        raise FileNotFoundError(f"checkpoint {args.checkpoint!r} does not exist")
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = Vocab.load(args.vocab)
+    ckpt = _read("checkpoint", args.checkpoint, load_checkpoint)
+    vocab = _read("vocab", args.vocab, Vocab.load)
     if len(vocab) != ckpt.config.vocab_size:
         raise CheckpointError(
             f"vocab has {len(vocab)} ids but checkpoint config expects "
@@ -277,47 +279,38 @@ def _load_checkpoint_and_vocab(args: argparse.Namespace) -> tuple[Checkpoint, Vo
 
 
 def _write_report(report: MetricReport, out_dir: str | None, stem: str) -> None:
-    for line in report.format_lines():
-        print(line)
+    lines = report.format_lines()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"{stem}.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(report.format_lines()) + "\n")
+            fh.write("\n".join(lines) + "\n")
         with open(os.path.join(out_dir, f"{stem}.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
+    for line in lines:
+        print(line)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     attack_cfg = None
     if args.attack is not None:
         if args.task == "similarity":
-            return _fail(EXIT_BAD_INPUT, "attack evaluation needs a labeled dataset")
-        attack_cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon)
-        try:
-            attack_cfg.validate()
-        except ValueError as exc:
-            return _fail(EXIT_BAD_INPUT, f"invalid config: {exc}")
-    try:
-        ckpt, vocab = _load_checkpoint_and_vocab(args)
-    except (FileNotFoundError, OSError) as exc:
-        return _fail(EXIT_BAD_INPUT, str(exc))
-    except CheckpointError as exc:
-        return _fail(EXIT_CKPT_MISMATCH, str(exc))
+            raise InputError("attack evaluation needs a labeled dataset")
+        attack_cfg = _checked(AttackConfig(kind=args.attack, epsilon=args.epsilon))
+    ckpt, vocab = _load_checkpoint_and_vocab(args)
     params = ckpt.build_params()
+    if args.task == "similarity":
+        pairs = _read("dataset", args.data, load_similarity_tsv, check_similarity_set)
+        _write_report(evaluate_similarity(params, pairs, vocab), args.out_dir, "report")
+        return EXIT_OK
 
-    try:
-        if args.task == "similarity":
-            pairs = load_similarity_tsv(args.data)
-            report = evaluate_similarity(params, pairs, vocab)
-        else:
-            rows = load_supervised_tsv(args.data)
-            report = evaluate_classification(params, rows, vocab, args.metric)
-    except (OSError, DataFormatError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot load dataset: {exc}")
-    except MetricError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot evaluate {args.data!r}: {exc}")
+    if ckpt.config.num_classes < 2:
+        raise CheckpointError(
+            f"checkpoint {args.checkpoint!r} has num_classes={ckpt.config.num_classes}, "
+            "so no classifier head to evaluate a classification task"
+        )
+    rows = _read("dataset", args.data, load_supervised_tsv, check_nonempty)
+    report = evaluate_classification(params, rows, vocab, args.metric)
     _write_report(report, args.out_dir, "report")
-
     if attack_cfg is not None:
         robust = evaluate_under_attack(params, rows, vocab, attack_cfg, args.metric)
         _write_report(robust, args.out_dir, "report_robust")
@@ -325,17 +318,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    try:
-        ckpt, vocab = _load_checkpoint_and_vocab(args)
-        sentences = load_unsupervised_lines(args.sentences)
-    except (FileNotFoundError, OSError) as exc:
-        return _fail(EXIT_BAD_INPUT, str(exc))
-    except CheckpointError as exc:
-        return _fail(EXIT_CKPT_MISMATCH, str(exc))
-    if not sentences:
-        return _fail(EXIT_BAD_INPUT, "no sentences to embed")
-    params = ckpt.build_params()
-    vectors = encode_sentences(params, sentences, vocab)
+    ckpt, vocab = _load_checkpoint_and_vocab(args)
+    sentences = _read("sentences file", args.sentences, load_unsupervised_lines, check_nonempty)
+    vectors = encode_sentences(ckpt.build_params(), sentences, vocab)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"{vectors.shape[1]} {vectors.shape[0]}\n")
         for row in vectors:
@@ -405,8 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ Metric functions are pure; the evaluate_* helpers run eval-mode forwards on a
 frozen parameter set and never mutate it. Robustness evaluation is a
 white-box embedding-space proxy: it attacks the evaluated model itself with
 the supervised gradient attack and classifies from the perturbed embeddings.
+The rules a dataset must meet are declared once, in ``check_*``; the
+evaluate_* helpers and ``callab train`` apply the same ones.
 """
 
 from __future__ import annotations
@@ -136,6 +138,21 @@ class MetricReport:
         )
 
 
+def check_nonempty(rows: Sequence, what: str = "dataset") -> None:
+    """The rule for every dataset, scored or trained on: it has rows."""
+    if not rows:
+        raise MetricError(f"empty {what}")
+
+
+def check_similarity_set(pairs: Sequence[ScoredPair], what: str = "similarity set") -> None:
+    """The rule for a similarity set: Spearman needs at least 2 pairs whose
+    gold scores are not all equal."""
+    if len(pairs) < 2:
+        raise MetricError(f"{what} needs at least 2 pairs, got {len(pairs)}")
+    if len({p.score for p in pairs}) < 2:
+        raise MetricError(f"{what} has constant gold scores, so Spearman is undefined")
+
+
 # read by evaluate_classification, `callab eval --metric` and TrainConfig.validate
 CLS_METRICS = {"accuracy": accuracy, "f1": f1_binary, "mcc": mcc}
 
@@ -172,8 +189,7 @@ def evaluate_classification(
     batch_size: int = 64,
 ) -> MetricReport:
     """Eval-mode forward, argmax, task metric, per-class counts."""
-    if not rows:
-        raise MetricError("evaluate_classification: empty dataset")
+    check_nonempty(rows)
     preds, labels = _predict_batches(params, rows, vocab, batch_size)
     value = _apply_metric(metric, preds, labels)
     per_class: dict[int, dict[str, int]] = {}
@@ -221,15 +237,16 @@ def evaluate_similarity(
     """Spearman correlation between pairwise cosine of h and the gold scores.
 
     Each sentence is encoded independently (no [SEP] packing): representations
-    are being scored, not pair classification.
+    are being scored, not pair classification. An encoder that gives every pair
+    the same cosine ranks no pair above another and scores 0, as ``mcc`` does
+    on degenerate margins.
     """
-    if len(pairs) < 2:
-        raise MetricError("evaluate_similarity: need at least 2 pairs")
+    check_similarity_set(pairs)
     left = encode_sentences(params, [p.text_a for p in pairs], vocab, batch_size)
     right = encode_sentences(params, [p.text_b for p in pairs], vocab, batch_size)
     cosines = cosine_rows(left, right)
     gold = np.array([p.score for p in pairs], dtype=np.float64)
-    value = spearman(cosines, gold)
+    value = spearman(cosines, gold) if np.ptp(cosines) > 0 else 0.0
     return MetricReport(
         "spearman",
         value,
@@ -255,8 +272,7 @@ def evaluate_under_attack(
     eval-mode logits, is reported alongside. This is an embedding-space proxy
     for input-level adversarial evaluation.
     """
-    if not rows:
-        raise MetricError("evaluate_under_attack: empty dataset")
+    check_nonempty(rows)
     attack_cfg.validate()
     max_len = params.config.max_len
     adv_preds: list[np.ndarray] = []

@@ -111,29 +111,33 @@ class ScoredPair:
     text_b: str
 
 
-def load_supervised_tsv(path: str) -> list[LabeledExample]:
-    """Rows of ``label<TAB>sentence1[<TAB>sentence2]`` with integer labels."""
-    rows: list[LabeledExample] = []
+def _tsv_fields(path: str, widths: tuple[int, ...]):
+    """``("path:lineno", fields)`` for each non-blank line, which must have ``widths`` fields."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) not in (2, 3):
+            if len(parts) not in widths:
+                expected = " or ".join(map(str, widths))
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected 2 or 3 tab-separated fields, got {len(parts)}"
+                    f"{path}:{lineno}: expected {expected} tab-separated fields, got {len(parts)}"
                 )
-            try:
-                label = int(parts[0])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: label {parts[0]!r} is not an integer"
-                ) from None
-            if label < 0:
-                raise DataFormatError(f"{path}:{lineno}: label must be >= 0")
-            text_b = parts[2] if len(parts) == 3 else None
-            rows.append(LabeledExample(label, parts[1], text_b))
+            yield f"{path}:{lineno}", parts
+
+
+def load_supervised_tsv(path: str) -> list[LabeledExample]:
+    """Rows of ``label<TAB>sentence1[<TAB>sentence2]`` with integer labels."""
+    rows: list[LabeledExample] = []
+    for where, parts in _tsv_fields(path, (2, 3)):
+        try:
+            label = int(parts[0])
+        except ValueError:
+            raise DataFormatError(f"{where}: label {parts[0]!r} is not an integer") from None
+        if label < 0:
+            raise DataFormatError(f"{where}: label must be >= 0")
+        rows.append(LabeledExample(label, parts[1], parts[2] if len(parts) == 3 else None))
     return rows
 
 
@@ -146,27 +150,14 @@ def load_unsupervised_lines(path: str) -> list[str]:
 def load_similarity_tsv(path: str) -> list[ScoredPair]:
     """Rows of ``score<TAB>sentence1<TAB>sentence2`` with score in [0, 5]."""
     rows: list[ScoredPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            try:
-                score = float(parts[0])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: score {parts[0]!r} is not a number"
-                ) from None
-            if not 0.0 <= score <= 5.0:
-                raise DataFormatError(
-                    f"{path}:{lineno}: score {score} outside [0, 5]"
-                )
-            rows.append(ScoredPair(score, parts[1], parts[2]))
+    for where, parts in _tsv_fields(path, (3,)):
+        try:
+            score = float(parts[0])
+        except ValueError:
+            raise DataFormatError(f"{where}: score {parts[0]!r} is not a number") from None
+        if not 0.0 <= score <= 5.0:
+            raise DataFormatError(f"{where}: score {score} outside [0, 5]")
+        rows.append(ScoredPair(score, parts[1], parts[2]))
     return rows
 
 

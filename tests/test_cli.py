@@ -11,6 +11,7 @@ import pytest
 from callab.attacks import ATTACK_KINDS, AttackConfig
 from callab.cli import (
     EXIT_BAD_INPUT,
+    EXIT_CODES,
     EXIT_CKPT_MISMATCH,
     EXIT_NONFINITE,
     EXIT_OK,
@@ -20,8 +21,8 @@ from callab.cli import (
     build_parser,
     main,
 )
-from callab.encoder import EncoderConfig
-from callab.metrics import CLS_METRICS, cosine_rows, encode_sentences
+from callab.encoder import EncoderConfig, EncoderParams
+from callab.metrics import CLS_METRICS, MetricError, cosine_rows, encode_sentences
 from callab.synthdata import (
     make_group_task,
     make_motif_task,
@@ -32,7 +33,16 @@ from callab.synthdata import (
 )
 from callab.text import Vocab, load_unsupervised_lines
 from callab.objectives import LossConfig
-from callab.trainer import SUPERVISED_MODES, TRAIN_MODES, TrainConfig, load_checkpoint
+from callab.trainer import (
+    SUPERVISED_MODES,
+    TRAIN_MODES,
+    Checkpoint,
+    CheckpointError,
+    NonFiniteLossError,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +581,296 @@ class TestEmbed:
         want = cosine_rows(*[v[None, :] for v in encode_sentences(params, sents, vocab)])
         got = cosine_rows(vecs[:1], vecs[1:])
         assert got[0] == pytest.approx(want[0], abs=1e-5)
+
+
+def _random_checkpoint(path, vocab_file, num_classes):
+    """An untrained h8 checkpoint over ``vocab_file``; ``num_classes=0`` has no head."""
+    cfg = EncoderConfig(vocab_size=len(Vocab.load(str(vocab_file))), hidden=8, layers=1,
+                        heads=2, ffn_dim=16, max_len=8, num_classes=num_classes)
+    save_checkpoint(Checkpoint.from_params(EncoderParams.init_random(cfg, seed=0)), str(path))
+    return path
+
+
+def _command_argv(command, files, out, train_flags=TRAIN_FLAGS):
+    """argv of one command reading ``files`` (role -> path) and writing ``out``."""
+    f = {role: str(path) for role, path in files.items()}
+    out = str(out)
+    if command == "train":
+        return ["train", "--mode", "scal", "--train-file", f["train"], "--dev-file", f["dev"],
+                "--vocab-file", f["vocab"], "--out-dir", out, *train_flags]
+    if command == "train-uscal":
+        return ["train", "--mode", "uscal", "--train-file", f["corpus"], "--dev-file", f["sims"],
+                "--vocab-file", f["uvocab"], "--out-dir", out, *train_flags]
+    if command == "train-config":
+        return ["train", "--config", f["config"], "--out-dir", out]
+    if command == "eval":
+        return ["eval", "--checkpoint", f["checkpoint"], "--vocab", f["vocab"],
+                "--data", f["data"], "--out-dir", out]
+    if command == "eval-similarity":
+        return ["eval", "--task", "similarity", "--checkpoint", f["ucheckpoint"],
+                "--vocab", f["uvocab"], "--data", f["sims"], "--out-dir", out]
+    if command == "embed":
+        return ["embed", "--checkpoint", f["checkpoint"], "--vocab", f["vocab"],
+                "--sentences", f["sentences"], "--out", out]
+    assert command == "build-vocab"
+    return ["build-vocab", f["corpus"], out]
+
+
+def _insert_non_utf8(blob, at):
+    return blob[:at] + b"\xff\xfe" + blob[at:]
+
+
+UNUSABLE = [  # (case, command, role of the broken file or path, how it is broken)
+    ("a", "train", "vocab", "duplicate line"),
+    ("a", "eval", "vocab", "duplicate line"),
+    ("a", "embed", "vocab", "duplicate line"),
+    ("b", "train", "vocab", "non-UTF-8"),
+    ("b", "eval", "vocab", "non-UTF-8"),
+    ("b", "embed", "vocab", "non-UTF-8"),
+    ("c", "train", "dev", "non-UTF-8"),
+    ("c", "eval", "data", "non-UTF-8"),
+    ("c", "embed", "sentences", "non-UTF-8"),
+    ("c", "build-vocab", "corpus", "non-UTF-8"),
+    ("d", "train", "train", "non-UTF-8"),
+    ("e", "train", "out", "existing file"),
+    ("e", "eval", "out", "existing file"),
+    ("e", "embed", "out", "missing directory"),
+    ("e", "build-vocab", "out", "missing directory"),
+]
+
+
+class TestExitContract:
+    """main alone maps error kinds to exit codes; every input is read and
+    checked before a command writes anything."""
+
+    @pytest.mark.parametrize("case, command, role, breakage", UNUSABLE,
+                             ids=[f"{c}-{cmd}-{r}" for c, cmd, r, _ in UNUSABLE])
+    def test_unusable_input_exit_2_named(self, workspace, trained, tmp_path, capsys,
+                                         case, command, role, breakage):
+        files = {
+            "train": workspace / "train.tsv", "dev": workspace / "dev.tsv",
+            "vocab": workspace / "vocab.txt", "checkpoint": trained / "best.ckpt",
+            "data": workspace / "dev.tsv", "sentences": workspace / "train_text.txt",
+            "corpus": workspace / "train_text.txt",
+        }
+        out = tmp_path / ("out.txt" if command in ("embed", "build-vocab") else "out")
+        if breakage == "existing file":
+            out.write_text("keep\n")
+            named = out
+        elif breakage == "missing directory":
+            out = tmp_path / "missing" / "out.txt"
+            named = out
+        else:
+            blob = files[role].read_bytes()
+            if breakage == "duplicate line":
+                blob += blob.splitlines(keepends=True)[0]
+            else:
+                blob = _insert_non_utf8(blob, len(blob) // 2)
+            named = files[role] = tmp_path / f"broken-{role}"
+            named.write_bytes(blob)
+
+        code = main(_command_argv(command, files, out))
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert str(named) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        if breakage == "existing file":
+            assert out.read_text() == "keep\n"
+        else:
+            assert not out.exists() and not (tmp_path / "missing").exists()
+
+    def test_unknown_mode_exit_2_before_any_read(self, workspace, tmp_path, monkeypatch,
+                                                  capsys):
+        import callab.cli as cli_mod
+
+        reads = []
+
+        def record(path):
+            reads.append(path)
+            return []
+
+        for loader in ("load_supervised_tsv", "load_similarity_tsv", "load_unsupervised_lines"):
+            monkeypatch.setattr(cli_mod, loader, record)
+        monkeypatch.setattr(cli_mod.Vocab, "load", record)
+        out = tmp_path / "sgd"
+        assert _train(workspace, out, mode="sgd") == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "'sgd'" in err and all(repr(mode) in err for mode in TRAIN_MODES)
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("attack", [[], ["--attack", "fgm"]], ids=["clean", "attack"])
+    def test_classification_eval_without_head_exit_4_named(self, workspace, tmp_path, capsys,
+                                                           attack):
+        ckpt = _random_checkpoint(tmp_path / "headless.ckpt", workspace / "vocab.txt", 0)
+        out = tmp_path / "report"
+        code = main(["eval", "--checkpoint", str(ckpt), "--vocab", str(workspace / "vocab.txt"),
+                     "--data", str(workspace / "dev.tsv"), "--out-dir", str(out), *attack])
+        captured = capsys.readouterr()
+        assert code == EXIT_CKPT_MISMATCH
+        assert str(ckpt) in captured.err and "num_classes=0" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_train_label_outside_num_classes_exit_2_before_writing(self, workspace, tmp_path,
+                                                                   capsys):
+        labeled = tmp_path / "labels.tsv"
+        labeled.write_text("0\tzig zag\n5\tzag zum\n1\td00 d01\n")
+        out = tmp_path / "run"
+        extra = ["--train-file", str(labeled), "--num-classes", "2"]
+        assert _train(workspace, out, extra=extra) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert str(labeled) in err and "[0, num_classes)" in err and "label 5" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_similarity_run_whose_encoder_ranks_no_pair_scores_zero(self, workspace, tmp_path):
+        """A vocab that knows no corpus word encodes both sentences of a pair alike,
+        so every dev cosine is 1: Spearman is scored 0, the run is not ended mid-way."""
+        unknown = tmp_path / "unknown_vocab.txt"
+        unknown.write_text("zzz\n")
+        out = tmp_path / "run"
+        assert main([
+            "train", "--mode", "uscal", "--train-file", str(workspace / "corpus.txt"),
+            "--dev-file", str(workspace / "sims.tsv"), "--vocab-file", str(unknown),
+            "--out-dir", str(out), *TRAIN_FLAGS, "--max-steps", "2", "--eval-interval-steps", "2",
+        ]) == EXIT_OK
+        assert (out / "evals.tsv").read_text().split() == ["2", "spearman", "0.000000"]
+
+    @pytest.mark.parametrize("error, code", [
+        (ValueError("bug"), None),
+        (OSError("disk full"), EXIT_BAD_INPUT),
+        (MetricError("undefined metric"), EXIT_BAD_INPUT),
+        (NonFiniteLossError(0, float("nan")), EXIT_NONFINITE),
+        (CheckpointError("mismatch"), EXIT_CKPT_MISMATCH),
+    ], ids=["ValueError", "OSError", "MetricError", "NonFiniteLossError", "CheckpointError"])
+    def test_main_alone_maps_error_kinds(self, workspace, tmp_path, monkeypatch, error, code):
+        """An error outside EXIT_CODES, such as an engine bug, is re-raised."""
+        import callab.trainer as trainer_mod
+
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(trainer_mod, "train_step", raising)
+        argv = _train_args(workspace, tmp_path / "run", "ce", ["--max-steps", "2"])
+        if code is None:
+            assert not isinstance(error, tuple(EXIT_CODES))
+            with pytest.raises(ValueError, match="bug"):
+                main(argv)
+        else:
+            assert main(argv) == code
+
+
+FUZZ_FLAGS = ["--hidden", "8", "--layers", "1", "--heads", "2", "--ffn-dim", "16",
+              "--max-len", "8", "--batch-size", "8", "--max-steps", "2",
+              "--eval-interval-steps", "2"]
+
+FUZZ_TARGETS = [  # (command, role of the mutated file)
+    ("train", "train"), ("train", "dev"), ("train", "vocab"),
+    ("train-uscal", "corpus"), ("train-uscal", "sims"), ("train-uscal", "uvocab"),
+    ("train-config", "config"),
+    ("eval", "data"), ("eval", "vocab"), ("eval", "checkpoint"),
+    ("eval-similarity", "sims"), ("eval-similarity", "uvocab"),
+    ("embed", "sentences"), ("embed", "vocab"), ("build-vocab", "corpus"),
+]
+
+TEXT_MUTATIONS = ("empty", "one_row", "constant_scores", "bad_score", "bad_label", "non_utf8",
+                  "crlf", "missing_tab", "long_row", "duplicate_line")
+MUTATIONS_BY_ROLE = {
+    "config": ("wrong_type", "empty", "non_utf8", "crlf", "duplicate_line"),
+    "checkpoint": ("empty", "one_row", "non_utf8"),
+}
+
+
+def _mutate(blob, mutation, rng):
+    """``blob`` (one input file) broken by one named mutation."""
+    rows = blob.split(b"\n")
+    i = int(rng.integers(len(rows)))
+
+    def first_field(row, value):
+        _, tab, rest = row.partition(b"\t")
+        return value + tab + rest
+
+    if mutation == "empty":
+        return b""
+    if mutation == "one_row":
+        return rows[0] + b"\n"
+    if mutation == "constant_scores":
+        return b"\n".join(first_field(r, b"2.5") for r in rows)
+    if mutation == "bad_score":
+        rows[i] = first_field(rows[i], rng.choice([b"nan", b"inf", b"-inf", b"-1", b"7.5"]))
+    elif mutation == "bad_label":
+        rows[i] = first_field(rows[i], str(int(rng.integers(2, 10))).encode())
+    elif mutation == "non_utf8":
+        return _insert_non_utf8(blob, int(rng.integers(len(blob) + 1)))
+    elif mutation == "crlf":
+        return blob.replace(b"\n", b"\r\n")
+    elif mutation == "missing_tab":
+        rows[i] = rows[i].replace(b"\t", b" ")
+    elif mutation == "long_row":
+        rows[i] += b" zig" * 40
+    elif mutation == "duplicate_line":
+        rows.insert(i, rows[i])
+    else:
+        assert mutation == "wrong_type"
+        cfg = json.loads(blob)
+        key = str(rng.choice(sorted(cfg)))
+        cfg[key] = [None, [1], 1.5, "x", {"a": 1}][int(rng.integers(5))]
+        return json.dumps(cfg).encode()
+    return b"\n".join(rows)
+
+
+def test_seeded_cli_fuzz(workspace, tmp_path, capsys):
+    """Every mutation of every input of small valid runs, placed by a seeded RNG:
+    each command ends on a documented exit code without a traceback, and
+    exits 2 and 4 write nothing."""
+    valid = tmp_path / "valid"
+    valid.mkdir()
+
+    def head(name, n):
+        path = valid / name
+        path.write_text("".join((workspace / name).read_text().splitlines(keepends=True)[:n]))
+        return path
+
+    files = {
+        "train": head("train.tsv", 16), "dev": head("dev.tsv", 8),
+        "corpus": head("corpus.txt", 16), "sims": head("sims.tsv", 8),
+        "sentences": head("train_text.txt", 4),
+        "vocab": workspace / "vocab.txt", "uvocab": workspace / "uvocab.txt",
+    }
+    files["data"] = files["dev"]
+    files["checkpoint"] = _random_checkpoint(valid / "h8.ckpt", files["vocab"], 2)
+    files["ucheckpoint"] = _random_checkpoint(valid / "u8.ckpt", files["uvocab"], 0)
+    files["config"] = valid / "run.json"
+    files["config"].write_text(json.dumps({
+        "mode": "scal", "train_file": str(files["train"]), "dev_file": str(files["dev"]),
+        "vocab_file": str(files["vocab"]), "hidden": 8, "layers": 1, "heads": 2,
+        "ffn_dim": 16, "max_len": 8, "batch_size": 8, "max_steps": 2,
+        "eval_interval_steps": 2, "lr": 0.002,
+    }))
+
+    cases = [(command, role, mutation) for command, role in FUZZ_TARGETS
+             for mutation in MUTATIONS_BY_ROLE.get(role, TEXT_MUTATIONS)] * 3
+    seen = set()
+    for seed, (command, role, mutation) in enumerate(cases):
+        rng = np.random.default_rng(seed)
+        case = tmp_path / f"case{seed}"
+        case.mkdir()
+        broken = dict(files)
+        broken[role] = case / f"mutated-{role}"
+        broken[role].write_bytes(_mutate(files[role].read_bytes(), mutation, rng))
+        flags = FUZZ_FLAGS + (["--num-classes", "2"] if rng.random() < 0.5 else [])
+        out = case / "out"
+        argv = _command_argv(command, broken, out, flags)
+        where = f"seed {seed}, mutation {mutation} of {role}, argv {argv}"
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # report the case, then fail
+            pytest.fail(f"{where}: raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_NONFINITE, EXIT_CKPT_MISMATCH), where
+        assert "Traceback" not in err, where
+        if code in (EXIT_BAD_INPUT, EXIT_CKPT_MISMATCH):
+            assert not out.exists(), where
+        seen.add(code)
+    assert {EXIT_OK, EXIT_BAD_INPUT, EXIT_CKPT_MISMATCH} <= seen
 
 
 class TestSelfcheck:
