@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -39,6 +40,7 @@ from .metrics import (
 )
 from .selfcheck import run_selfcheck
 from .text import (
+    MIN_MAX_LEN,
     Vocab,
     build_vocab,
     load_similarity_tsv,
@@ -196,8 +198,9 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 
 def _load_run_config(args: argparse.Namespace) -> tuple[RunConfig, list]:
     """Defaults, ``--config``, flags, ``CAL_SEED``, then the two settings a run derives:
-    a supervised run left at ``num_classes=0`` counts its train labels, and a
-    similarity run has no classifier and evaluates ``spearman``, not ``accuracy``.
+    a supervised run left at ``num_classes=0`` counts its train labels, which
+    must then be exactly 0..K-1, and a similarity run has no classifier and
+    evaluates ``spearman``, not ``accuracy``.
     The train settings, the mode among them, are checked before any file is
     read. Returns the settings and the train rows, which are read once."""
     cfg = _read("config file", args.config, RunConfig.from_file) if args.config else RunConfig()
@@ -206,7 +209,11 @@ def _load_run_config(args: argparse.Namespace) -> tuple[RunConfig, list]:
         for f in fields(RunConfig)
         if getattr(args, f.name) is not None
     }
-    cfg = _apply_env_seed(cfg.with_overrides(overrides))
+    try:
+        cfg = cfg.with_overrides(overrides)
+    except ValueError as exc:
+        raise InputError(f"invalid flag: {exc}") from None
+    cfg = _apply_env_seed(cfg)
     supervised = cfg.mode in SUPERVISED_MODES
     if not supervised:
         dev_metric = "spearman" if cfg.dev_metric == "accuracy" else cfg.dev_metric
@@ -216,7 +223,18 @@ def _load_run_config(args: argparse.Namespace) -> tuple[RunConfig, list]:
         return cfg, _read("train set", cfg.train_file, load_unsupervised_lines, check_nonempty)
     train_rows = _read("train set", cfg.train_file, load_supervised_tsv, check_nonempty)
     if cfg.num_classes == 0:
-        cfg = dataclasses.replace(cfg, num_classes=max(r.label for r in train_rows) + 1)
+        labels = {r.label for r in train_rows}
+        top = max(labels)
+        gaps = top + 1 - len(labels)
+        if gaps:
+            shown = itertools.islice((str(i) for i in range(top) if i not in labels), 5)
+            raise InputError(
+                f"train set {cfg.train_file!r} has no label {', '.join(shown)}"
+                f"{', ...' if gaps > 5 else ''} ({gaps} missing below its largest label, {top}); "
+                "an inferred num_classes needs every label from 0 up: pass --num-classes "
+                "to allow gaps"
+            )
+        cfg = dataclasses.replace(cfg, num_classes=len(labels))
     return cfg, train_rows
 
 
@@ -235,6 +253,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         dev_rows = _read("dev set", cfg.dev_file, load_similarity_tsv, check_similarity_set)
     enc_cfg = _checked(cfg.encoder_config(len(vocab)))
+    if enc_cfg.max_len < MIN_MAX_LEN:
+        raise InputError(f"invalid config: max_len must be >= {MIN_MAX_LEN} for text rows, "
+                         f"got {enc_cfg.max_len}")
     tcfg = cfg.train_config()
 
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -14,10 +14,13 @@ alone; the values equal position 0 of a full-width layer.
 
 All branches of a training step (clean, adversarial, both dropout views)
 share one ``EncoderParams`` object, so one optimizer update is seen by all.
+Its weights are views of one flat float32 buffer and its gradients gather
+into a second one, so the optimizer and clipping run over two vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import Field, asdict, dataclass, fields
 from typing import Iterator, Optional
 
@@ -36,15 +39,20 @@ def parse_field(f: Field, value) -> int | float | str:
 
     The one parse of a setting, for config files, flags and checkpoint
     headers alike: ``None``, a list, ``1.5`` or ``16.0`` for an int field,
-    or a quoted number, is a ``ValueError`` naming the field.
+    a quoted number, or NaN or an infinity for a float field, is a
+    ``ValueError`` naming the field.
     """
     parse = FIELD_TYPES[f.type]
     if isinstance(value, (str, int, float)):
         try:
-            return parse(str(value))
+            parsed = parse(str(value))
         except ValueError:
             pass
-    raise ValueError(f"config field {f.name!r}: cannot parse {value!r} as {parse.__name__}")
+        else:
+            if parse is not float or math.isfinite(parsed):
+                return parsed
+    kind = "a finite float" if parse is float else parse.__name__
+    raise ValueError(f"config field {f.name!r}: cannot parse {value!r} as {kind}")
 
 
 @dataclass
@@ -85,11 +93,31 @@ class EncoderConfig:
 
 
 class EncoderParams:
-    """All learnable weights, addressable by name in a stable order."""
+    """All learnable weights, addressable by name in a stable order.
+
+    The weights live in one contiguous float32 array, ``flat``: each named
+    tensor's ``data`` is a view of its segment, in ``tensors`` order (the
+    ``tensor_shapes`` order for ``init_random``). ``grad_flat`` is the one
+    float32 gradient buffer, laid out the same way, that ``gather_grads``
+    fills. Write into ``data`` in place; a rebound ``data`` leaves ``flat``
+    and the optimizer no longer sees it.
+    """
 
     def __init__(self, config: EncoderConfig, tensors: dict[str, Tensor]):
         self.config = config
         self.tensors = tensors
+        n = sum(t.data.size for t in tensors.values())
+        self.flat = np.empty(n, dtype=np.float32)
+        self.grad_flat = np.zeros(n, dtype=np.float32)
+        self.grad_views: list[np.ndarray] = []
+        lo = 0
+        for t in tensors.values():
+            hi = lo + t.data.size
+            view = self.flat[lo:hi].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            self.grad_views.append(self.grad_flat[lo:hi].reshape(t.data.shape))
+            lo = hi
 
     @staticmethod
     def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -158,13 +186,32 @@ class EncoderParams:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Copy ``values`` into the tensors' segments of ``flat``, rounded to float32."""
         for name, t in self.tensors.items():
             arr = values[name]
             if arr.shape != t.data.shape:
                 raise ValueError(
                     f"parameter {name}: shape {arr.shape} does not match {t.data.shape}"
                 )
-            t.data = np.ascontiguousarray(arr, dtype=np.float32)
+            t.data[...] = arr
+
+    def gather_grads(self) -> np.ndarray:
+        """``grad_flat`` holding every tensor's ``grad``; a missing one reads as zeros.
+
+        Each ``grad`` is copied into its segment once and rebound to the
+        segment's view, so writes into ``grad_flat`` (clipping) reach the
+        tensors and a second call copies nothing. A missing ``grad`` stays
+        ``None``.
+        """
+        for t, view in zip(self.tensors.values(), self.grad_views):
+            if t.grad is view:
+                continue
+            if t.grad is None:
+                view.fill(0.0)
+            else:
+                view[...] = t.grad
+                t.grad = view
+        return self.grad_flat
 
 
 def embed_tokens(

@@ -200,6 +200,10 @@ def _pack_ids(example: Union[LabeledExample, ScoredPair, str], vocab: Vocab,
     return ids
 
 
+# the shortest row a batch can hold: [CLS], one token, [SEP]
+MIN_MAX_LEN = 3
+
+
 def encode_batch(
     rows: Sequence[Union[LabeledExample, ScoredPair, str]],
     vocab: Vocab,
@@ -214,8 +218,8 @@ def encode_batch(
     positions. The encoder draws its dropout masks at ``max_len``, so the
     width never changes a value at a real position.
     """
-    if max_len < 3:
-        raise ValueError(f"encode_batch: max_len must be >= 3, got {max_len}")
+    if max_len < MIN_MAX_LEN:
+        raise ValueError(f"encode_batch: max_len must be >= {MIN_MAX_LEN}, got {max_len}")
     if not rows:
         raise ValueError("encode_batch: empty row list")
     packed = [_pack_ids(r, vocab, max_len, i) for i, r in enumerate(rows)]

@@ -22,7 +22,11 @@ metrics each can score.
 
 ``TrainConfig`` takes its alpha, epsilon, temperature, attack kind and
 negative mode defaults from ``LossConfig``/``AttackConfig``, whose checks it
-reuses. Checkpoints hold parameters and run metadata only; ``save_checkpoint``
+reuses. AdamW and clipping run over ``EncoderParams``' flat buffers: the
+weights, the gathered gradients and the two float64 moment vectors share one
+layout, and ``adamw_step`` goes through them in ``ADAM_CHUNK``-element chunks
+in a preallocated workspace, with the bytes of a per-tensor update.
+Checkpoints hold parameters and run metadata only; ``save_checkpoint``
 replaces its target atomically, and ``load_checkpoint`` parses each config
 line by its field's type (``hidden=16.0`` is a ``CheckpointHeaderError``).
 """
@@ -151,21 +155,23 @@ BETA2 = 0.999
 ADAM_EPS = 1e-8
 # a run whose gradients stay non-finite this many steps in a row has diverged
 MAX_CONSECUTIVE_SKIPS = 3
+# elements per AdamW chunk: its three float64 workspace rows stay small
+ADAM_CHUNK = 16384
 
 
 class OptimizerState:
-    """AdamW moments (kept in float64), the shared step counter, and the
-    number of updates skipped in a row on non-finite gradients."""
+    """AdamW's moments, one float64 vector each (``m``, ``v``) laid out like
+    ``params.flat``; the shared step counter; the number of updates skipped
+    in a row on non-finite gradients; and the float64 workspace of one
+    ``ADAM_CHUNK``-element chunk that ``adamw_step`` computes in."""
 
     def __init__(self, params: EncoderParams):
+        n = params.flat.size
         self.t = 0
         self.skipped = 0
-        self.m: dict[str, np.ndarray] = {
-            name: np.zeros(t.data.shape, dtype=np.float64) for name, t in params.named()
-        }
-        self.v: dict[str, np.ndarray] = {
-            name: np.zeros(t.data.shape, dtype=np.float64) for name, t in params.named()
-        }
+        self.m = np.zeros(n, dtype=np.float64)
+        self.v = np.zeros(n, dtype=np.float64)
+        self.work = np.empty((3, min(n, ADAM_CHUNK)), dtype=np.float64)
 
 
 def adamw_step(
@@ -177,30 +183,48 @@ def adamw_step(
     """One decoupled-weight-decay Adam update from the tensors' ``grad`` fields.
 
     Missing grads count as zero. If any gradient is non-finite the whole step
-    is skipped (parameters and step counter untouched) and a warning is
-    logged. Returns whether the step was applied.
+    is skipped (parameters and step counter untouched) and a warning naming
+    the first such tensor is logged. Returns whether the step was applied.
+
+    The update runs over ``params.flat`` and the gathered gradient buffer in
+    chunks of ``ADAM_CHUNK`` elements, in float64 in ``state.work``, and
+    writes each chunk back into ``params.flat`` rounded to float32; every
+    element sees the same operations in the same order as a per-tensor
+    update, so the bytes do not depend on the chunking.
     """
-    grads: dict[str, np.ndarray] = {}
-    for name, t in params.named():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if not np.all(np.isfinite(g)):
+    grads = params.gather_grads()
+    n = grads.size
+    for lo in range(0, n, ADAM_CHUNK):
+        if not np.isfinite(grads[lo : lo + ADAM_CHUNK]).all():
+            name = next(
+                name for name, t in params.named()
+                if t.grad is not None and not np.isfinite(t.grad).all()
+            )
             logger.warning("adamw_step: non-finite gradient in %s; step skipped", name)
             return False
-        grads[name] = g
     state.t += 1
-    t = state.t
-    bc1 = 1.0 - BETA1 ** t
-    bc2 = 1.0 - BETA2 ** t
-    for name, p in params.named():
-        g = grads[name].astype(np.float64)
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + weight_decay * p.data.astype(np.float64)
-        p.data = (p.data.astype(np.float64) - lr_t * update).astype(np.float32)
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
+    for lo in range(0, n, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, n)
+        m, v, p = state.m[lo:hi], state.v[lo:hi], params.flat[lo:hi]
+        g, a, p64 = state.work[:, : hi - lo]
+        g[...] = grads[lo:hi]
+        m *= BETA1                                    # m = BETA1 m + (1 - BETA1) g
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2                                    # v = BETA2 v + (1 - BETA2) g g
+        np.multiply(g, 1.0 - BETA2, out=a)
+        a *= g
+        v += a
+        np.divide(v, bc2, out=a)                      # update = m^ / (sqrt(v^) + eps) + wd p
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        update = np.divide(m, bc1, out=g)
+        update /= a
+        p64[...] = p
+        update += np.multiply(p64, weight_decay, out=a)
+        p64 -= np.multiply(update, lr_t, out=a)       # p = float32(p - lr update)
+        p[...] = p64
     return True
 
 
@@ -217,18 +241,19 @@ def lr_at(step: int, total_steps: int, warmup_ratio: float, base_lr: float) -> f
 
 
 def clip_gradients(params: EncoderParams, max_norm: float) -> float:
-    """Scale all grads so their global L2 norm is at most ``max_norm``."""
+    """Scale all grads so their global L2 norm is at most ``max_norm``.
+
+    The squares sum in float64 tensor by tensor in ``named`` order; the
+    scaling is one float32 pass over the gathered gradient buffer.
+    """
+    grads = params.gather_grads()
     total = 0.0
     for _, t in params.named():
         if t.grad is not None:
-            g = t.grad.astype(np.float64)
-            total += float((g * g).sum())
+            total += float(np.square(t.grad, dtype=np.float64).sum())
     norm = math.sqrt(total)
     if norm > max_norm > 0:
-        factor = np.float32(max_norm / norm)
-        for _, t in params.named():
-            if t.grad is not None:
-                t.grad = t.grad * factor
+        grads *= np.float32(max_norm / norm)
     return norm
 
 

@@ -6,6 +6,7 @@ import pytest
 from callab import autodiff as ad
 from callab.autodiff import Tensor
 from callab.selfcheck import toy_setup  # noqa: F401  (the one toy fixture, re-exported)
+from callab.trainer import ADAM_EPS, BETA1, BETA2
 
 
 def linear_chain(x, w, b):
@@ -63,3 +64,69 @@ def reference_backward(root, tape):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class ReferenceAdamState:
+    """State for the reference optimizer: float64 moments per tensor name."""
+
+    def __init__(self, params):
+        self.t = 0
+        self.skipped = 0
+        self.m = {name: np.zeros(t.data.shape, dtype=np.float64) for name, t in params.named()}
+        self.v = {name: np.zeros(t.data.shape, dtype=np.float64) for name, t in params.named()}
+
+
+def reference_adamw_step(params, state, lr_t, weight_decay):
+    """Reference for ``trainer.adamw_step``: the per-tensor loop, each tensor's
+    update computed whole in float64 and rebound to ``data``."""
+    grads = {}
+    for name, t in params.named():
+        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        if not np.all(np.isfinite(g)):
+            return False
+        grads[name] = g
+    state.t += 1
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
+    for name, p in params.named():
+        g = grads[name].astype(np.float64)
+        m = state.m[name]
+        v = state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + weight_decay * p.data.astype(np.float64)
+        p.data = (p.data.astype(np.float64) - lr_t * update).astype(np.float32)
+    return True
+
+
+def reference_clip_gradients(params, max_norm):
+    """Reference for ``trainer.clip_gradients``: per-tensor float64 sums, each
+    clipped ``grad`` rebound to a new array."""
+    total = 0.0
+    for _, t in params.named():
+        if t.grad is not None:
+            g = t.grad.astype(np.float64)
+            total += float((g * g).sum())
+    norm = math.sqrt(total)
+    if norm > max_norm > 0:
+        factor = np.float32(max_norm / norm)
+        for _, t in params.named():
+            if t.grad is not None:
+                t.grad = t.grad * factor
+    return norm
+
+
+def assert_flat_views(params):
+    """Each tensor's ``data`` (and each ``grad`` it has) is the view of its
+    segment of ``params.flat`` (``params.grad_flat``), in ``named`` order."""
+    lo = 0
+    for name, t in params.named():
+        for arr, flat in ((t.data, params.flat), (t.grad, params.grad_flat)):
+            if arr is None:
+                continue
+            assert arr.base is flat and arr.flags.c_contiguous, name
+            assert arr.ctypes.data - flat.ctypes.data == lo * flat.itemsize, name
+        lo += t.data.size
+    assert lo == params.flat.size == params.grad_flat.size

@@ -721,6 +721,65 @@ class TestExitContract:
         assert str(labeled) in err and "[0, num_classes)" in err and "label 5" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--lr", "lr", "nan"), ("--grad-clip", "grad_clip", "nan"),
+        ("--epsilon", "epsilon", "inf"), ("--temperature", "temperature", "inf"),
+        ("--weight-decay", "weight_decay", "-inf"), ("--dropout", "dropout", "nan"),
+    ])
+    def test_non_finite_float_flag_exit_2_before_writing(self, workspace, tmp_path, capsys,
+                                                         flag, field, value):
+        out = tmp_path / "run"
+        assert _train(workspace, out, extra=[f"{flag}={value}"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert repr(field) in err and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_config_file_value_exit_2_named(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr=nan\n")
+        out = tmp_path / "run"
+        assert _train(workspace, out, extra=["--config", str(cfg)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'lr'" in err and not out.exists()
+
+    @pytest.mark.parametrize("labels, named", [
+        ([0, 1, 1000000000], "no label 2, 3, 4, 5, 6, ... (999999998 missing"),
+        ([0, 2, 3], "no label 1 (1 missing"),
+    ])
+    def test_inferred_num_classes_needs_every_label_exit_2_before_allocating(
+            self, workspace, tmp_path, capsys, monkeypatch, labels, named):
+        import callab.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parameters allocated")
+
+        monkeypatch.setattr(cli_mod.EncoderParams, "init_random", refuse)
+        labeled = tmp_path / "labels.tsv"
+        labeled.write_text("".join(f"{y}\tzig zag d0{i}\n" for i, y in enumerate(labels)))
+        out = tmp_path / "run"
+        assert _train(workspace, out, extra=["--train-file", str(labeled)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert str(labeled) in err and named in err and "--num-classes" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_explicit_num_classes_still_allows_label_gaps(self, workspace, tmp_path):
+        labeled = tmp_path / "labels.tsv"
+        labeled.write_text("".join(f"{y}\tzig zag d0{i}\n" for i, y in enumerate([0, 2, 2, 0])))
+        out = tmp_path / "run"
+        extra = ["--train-file", str(labeled), "--num-classes", "3", "--max-steps", "2",
+                 "--eval-interval-steps", "2"]
+        assert _train(workspace, out, extra=extra) == EXIT_OK
+        assert "num_classes=3" in (out / "config.resolved.txt").read_text()
+
+    @pytest.mark.parametrize("max_len", ["1", "2"])
+    def test_max_len_below_three_exit_2_before_writing(self, workspace, tmp_path, capsys,
+                                                       max_len):
+        out = tmp_path / "run"
+        assert _train(workspace, out, extra=["--max-len", max_len]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "max_len must be >= 3" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_similarity_run_whose_encoder_ranks_no_pair_scores_zero(self, workspace, tmp_path):
         """A vocab that knows no corpus word encodes both sentences of a pair alike,
         so every dev cosine is 1: Spearman is scored 0, the run is not ended mid-way."""

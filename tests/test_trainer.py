@@ -38,6 +38,7 @@ from callab.trainer import (
     NonFiniteLossError,
     OptimizerState,
     RunLog,
+    SUPERVISED_MODES,
     SkippedStepsError,
     TRAIN_MODES,
     TrainConfig,
@@ -51,7 +52,14 @@ from callab.trainer import (
     train_step,
 )
 
-from conftest import reference_backward, toy_setup
+from conftest import (
+    ReferenceAdamState,
+    assert_flat_views,
+    reference_adamw_step,
+    reference_backward,
+    reference_clip_gradients,
+    toy_setup,
+)
 
 
 class TestAdamW:
@@ -60,7 +68,7 @@ class TestAdamW:
                             dropout=0.0, max_len=1, num_classes=0)
         params = EncoderParams.init_random(cfg, seed=0)
         for _, t in params.named():
-            t.data = np.full_like(t.data, value)
+            t.data[...] = value
         return params
 
     def test_zero_grad_no_decay_keeps_params(self):
@@ -491,6 +499,18 @@ class TestCheckpoints:
             with pytest.raises(CheckpointHeaderError, match="m.ckpt"):
                 load_checkpoint(path)
 
+    def test_non_finite_header_setting_names_the_field(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(self._checkpoint(), path)
+        blob = open(path, "rb").read()
+        for new in (b"dropout=nan", b"dropout=inf"):
+            bad = bytearray(blob.replace(b"dropout=0.1", new, 1))
+            n = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))[0] + len(new) - 11
+            struct.pack_into("<I", bad, len(CHECKPOINT_MAGIC), n)
+            open(path, "wb").write(bytes(bad))
+            with pytest.raises(CheckpointHeaderError, match="m.ckpt.*'dropout'.*finite"):
+                load_checkpoint(path)
+
     def test_header_byte_flips_raise_only_checkpoint_errors(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(self._checkpoint(), path)
@@ -835,3 +855,152 @@ class TestSeamGradient:
                            dev_metric="accuracy" if supervised else "spearman")
         train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
         assert len(calls) == forwards
+
+
+class TestFlatBuffers:
+    """AdamW and clipping over the flat buffers give the per-tensor loop's bytes."""
+
+    SIZES = {"demo": TestConsumingBackwardOnLossGraphs.DEMO, "default": TestDynamicPadding.DEFAULT}
+    ROWS = _mixed_length_rows(192, seed=11)
+    VOCAB = build_vocab(r.text_a + " " + (r.text_b or "") for r in ROWS)
+    CLIP = 0.5
+    # step 3's gradients turn non-finite in two tensors; the update is skipped
+    POISON_STEP, POISONED = 3, ("layer0.b1", "pooler_w")
+
+    def _train(self, mode, size, reference, monkeypatch):
+        """Six ``train_step``s on 32-row batches; returns params, state, reports, clip norms."""
+        supervised = mode in SUPERVISED_MODES
+        cfg = EncoderConfig(vocab_size=len(self.VOCAB), dropout=0.1,
+                            num_classes=2 if supervised else 0, **self.SIZES[size])
+        params = EncoderParams.init_random(cfg, seed=0)
+        tcfg = TrainConfig(mode=mode, lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15,
+                           grad_clip=self.CLIP,
+                           dev_metric="accuracy" if supervised else "spearman")
+        if reference:
+            opt = ReferenceAdamState(params)
+            monkeypatch.setattr(trainer_mod, "adamw_step", reference_adamw_step)
+            clip = reference_clip_gradients
+        else:
+            opt = OptimizerState(params)
+            clip = trainer_mod.clip_gradients
+        norms = []
+        monkeypatch.setattr(trainer_mod, "clip_gradients",
+                            lambda p, max_norm: norms.append(clip(p, max_norm)) or norms[-1])
+        real_backward = trainer_mod.ad.backward
+        step = 0
+
+        def backward_then_poison(root):
+            real_backward(root)
+            if step == self.POISON_STEP:
+                for name, value in zip(self.POISONED, (np.nan, np.inf)):
+                    g = params[name].grad.copy()  # a grad may be shared: replace, never write
+                    g.reshape(-1)[-1] = value
+                    params[name].grad = g
+
+        monkeypatch.setattr(trainer_mod.ad, "backward", backward_then_poison)
+        reports = []
+        for step in range(6):
+            batch = encode_batch(self.ROWS[32 * step : 32 * (step + 1)], self.VOCAB,
+                                 cfg.max_len)
+            reports.append(train_step(batch, params, opt, tcfg, derive_seed(3, "step", step),
+                                      lr_t=1e-3, step=step))
+        monkeypatch.undo()
+        return params, opt, reports, norms
+
+    @pytest.mark.parametrize("size", ["demo", "default"])
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_six_steps_byte_equal_to_the_per_tensor_loop(self, mode, size, monkeypatch,
+                                                         caplog):
+        want_params, want_opt, want_reports, want_norms = self._train(
+            mode, size, True, monkeypatch)
+        with caplog.at_level("WARNING", logger="callab.trainer"):
+            params, opt, reports, norms = self._train(mode, size, False, monkeypatch)
+
+        assert reports == want_reports
+        assert repr(norms) == repr(want_norms)  # NaN at the poisoned step
+        assert math.isnan(norms[self.POISON_STEP]) and any(n > self.CLIP for n in norms)
+        assert opt.t == want_opt.t == 5 and opt.skipped == want_opt.skipped == 0
+        warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert warnings == [f"adamw_step: non-finite gradient in {self.POISONED[0]}; "
+                            "step skipped"]
+        for name, t in params.named():
+            assert t.data.tobytes() == want_params[name].data.tobytes(), name
+            assert t.grad.tobytes() == want_params[name].grad.tobytes(), name
+        for got, want in ((opt.m, want_opt.m), (opt.v, want_opt.v)):
+            assert got.tobytes() == np.concatenate(
+                [want[name].reshape(-1) for name, _ in params.named()]).tobytes()
+        assert_flat_views(params)
+
+    def test_tensors_are_views_of_the_flat_buffers(self, tmp_path):
+        cfg, params, batch = toy_setup(num_classes=3, batch=4)
+        assert_flat_views(params)
+        other = EncoderParams.init_random(cfg, seed=9)
+        other.load_values(params.copy_values())
+        assert_flat_views(other)
+        assert other.flat.tobytes() == params.flat.tobytes()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(Checkpoint.from_params(params), path)
+        loaded = load_checkpoint(path).build_params()
+        assert_flat_views(loaded)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        tcfg = TrainConfig(mode="scal", epsilon=0.3, grad_clip=0.5)
+        train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
+        assert all(t.grad is not None for _, t in params.named())
+        assert_flat_views(params)
+
+    def test_skip_warning_names_the_first_nonfinite_tensor(self, caplog):
+        cfg, params, _ = toy_setup(num_classes=3, batch=4)
+        state = OptimizerState(params)
+        names = [name for name, _ in params.named()]
+        for _, t in params.named():
+            t.grad = np.full_like(t.data, 0.25)
+        params[names[-1]].grad[...] = np.inf
+        params[names[5]].grad.reshape(-1)[-1] = np.nan
+        before = params.flat.copy()
+        with caplog.at_level("WARNING", logger="callab.trainer"):
+            assert not adamw_step(params, state, lr_t=1e-2, weight_decay=0.01)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"adamw_step: non-finite gradient in {names[5]}; step skipped"]
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+        assert params.flat.tobytes() == before.tobytes()
+
+    def test_default_size_clip_and_adamw_peak_is_bounded(self):
+        """The traced peak of one clip + AdamW above its start at default size.
+
+        Each works in place on the flat buffers, the AdamW chunk in a
+        preallocated workspace; whole-tensor float64 temporaries peaked at
+        several MB here.
+        """
+        cfg = EncoderConfig(vocab_size=1000, dropout=0.1, num_classes=2,
+                            **TestDynamicPadding.DEFAULT)
+        params = EncoderParams.init_random(cfg, seed=0)
+        state = OptimizerState(params)
+        rng = np.random.default_rng(0)
+        for _ in range(2):  # the second call sees the gradients the first one gathered
+            for _, t in params.named():
+                t.grad = (rng.standard_normal(t.data.shape) * 0.1).astype(np.float32)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                norm = clip_gradients(params, 1.0)
+                assert adamw_step(params, state, lr_t=1e-3, weight_decay=0.01)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert norm > 1.0
+            assert peak <= 1e6, f"clip + AdamW peak {peak / 1e6:.2f} MB"
+
+    def test_train_step_reaches_clip_and_adamw_through_the_module(self, monkeypatch):
+        """Benchmarks count clip firings and skipped updates by swapping these attributes."""
+        calls = []
+        for fn in ("clip_gradients", "adamw_step"):
+            real = getattr(trainer_mod, fn)
+            monkeypatch.setattr(trainer_mod, fn,
+                                lambda *args, fn=fn, real=real: calls.append(fn) or real(*args))
+        cfg, params, batch = toy_setup(num_classes=3, batch=4)
+        opt = OptimizerState(params)
+        tcfg = TrainConfig(mode="ce", lr=1e-3, grad_clip=1.0)
+        for step in range(2):
+            train_step(batch, params, opt, tcfg, 11, 1e-3, step=step)
+        assert calls == ["clip_gradients", "adamw_step"] * 2
+        assert opt.t == 2
