@@ -5,7 +5,28 @@ float32 numpy arrays, a miniature transformer encoder with an explicit
 embedding seam, single-step FGSM/FGM embedding attacks, InfoNCE and
 cross-entropy objectives, supervised and unsupervised contrastive-adversarial
 training loops, and classification / similarity / robustness evaluation.
+
+Importing the package sets glibc's malloc to keep the heap it frees: blocks
+under 4 MiB come from the heap rather than their own mmap, and a free top
+of the heap under 64 MiB stays mapped. Each step frees what the next one
+allocates again, so without this its pages are returned to the OS and
+faulted back in every step. Where libc has no ``mallopt`` nothing changes.
 """
+
+import ctypes
+
+
+def _keep_freed_heap() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 from .autodiff import Tape, Tensor, backward, derive_seed, grad_check, grad_of, rng_from_seed
 from .attacks import AttackConfig, fgm_perturb, fgsm_perturb, gen_supervised_adv, gen_unsupervised_adv, seam_attack

@@ -15,6 +15,7 @@ gradient flows through the perturbation's construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,8 +61,8 @@ class AttackConfig:
     def validate(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"attack kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 def fgsm_perturb(emb: np.ndarray, grad_emb: np.ndarray, epsilon: float) -> np.ndarray:

@@ -51,13 +51,23 @@ arrays and intermediate gradients (those the caller does not hold) as soon
 as the node's backward has run, not when the step ends. ``grad_of`` runs
 the same walk and leaves the tape intact.
 
-Single-threaded by design: one tape per worker, rebuilt every step.
+The tape is single-threaded: one tape per step, recorded and walked by the
+thread that builds the graph. Only dropout mask draws leave that thread. A
+forward announces its large train-mode masks (``announce_masks``) and one
+daemon worker draws them while the forward computes; Philox is counter
+based, so a mask depends only on its seed and shape, and the worker calls
+the function an inline draw calls. The worker holds the GIL only between
+Philox calls, which run without it. Eval and inference announce nothing and
+start no thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import queue
+import threading
 import weakref
 import zlib
 from typing import Callable, Optional, Sequence
@@ -714,6 +724,8 @@ def _dropout_mask(
     Drawn from Philox keyed by ``seed`` at ``full_shape`` (default ``shape``)
     and cropped to the leading corner. ``random()`` is ``(raw >> 11) * 2**-53``
     of the raw words, so ``raw >= ceil(rate * 2**53) << 11`` is ``random() >= rate``.
+    A mask announced by ``announce_masks`` is taken from the mask worker
+    (waiting for it if need be); any other is drawn here, by the same function.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"{op}: rate must be in [0, 1), got {rate}")
@@ -722,10 +734,148 @@ def _dropout_mask(
     full_shape = shape if full_shape is None else tuple(full_shape)
     if len(full_shape) != len(shape) or any(f < s for f, s in zip(full_shape, shape)):
         raise ValueError(f"{op}: cannot crop {full_shape} to {shape}")
-    crop = tuple(slice(0, s) for s in shape)
-    raw = np.random.Philox(key=seed & _MASK64).random_raw(full_shape)
-    keep = raw[crop] >= np.uint64(math.ceil(rate * 2.0**53) << 11)
+    draw = _pending.pop((seed, shape, full_shape, rate), None)
+    if draw is not None:
+        keep = draw.result()
+    else:
+        keep = _draw_keep(seed, full_shape, rate, np.empty(shape, dtype=bool))
     return keep, _F32(1.0 / (1.0 - rate))
+
+
+# raw words per Philox call of a mask draw, so its uint64 temporaries stay small
+_DRAW_CHUNK = 16384
+
+
+def _draw_keep(seed: int, full_shape: tuple, rate: float, keep: np.ndarray) -> np.ndarray:
+    """Fill ``keep``, a bool array, with ``_dropout_mask``'s bits: one Philox per mask, read in chunks.
+
+    The raw words are laid out at ``full_shape`` in C order; the stream is
+    read at most ``_DRAW_CHUNK`` words at a time and each chunk's part of the
+    leading corner ``keep`` covers is compared straight into ``keep``, so
+    the bytes equal one whole-shape draw, cropped.
+    """
+    if keep.size:
+        threshold = np.uint64(math.ceil(rate * 2.0**53) << 11)
+        bitgen = np.random.Philox(key=seed & _MASK64)
+        # a leading axis of 1 makes a 0-d mask one word and changes no stream position
+        _fill_keep(bitgen, keep.reshape((1,) + keep.shape), (1,) + full_shape, threshold, False)
+    return keep
+
+
+def _fill_keep(bitgen, out: np.ndarray, full: tuple, threshold, whole: bool) -> None:
+    """Compare the stream's next words, laid out at ``full``, into ``out``, its leading corner.
+
+    Whole slabs along axis 0 go into one chunk while they fit; a slab that
+    does not fit recurses one axis down. With ``whole`` the words of the
+    slabs past ``out`` are read too, so the stream ends where ``full`` does;
+    without it nothing past the last word ``out`` needs is read.
+    """
+    slab = math.prod(full[1:])
+    n = out.shape[0]
+    if slab > _DRAW_CHUNK:
+        for i in range(n):
+            _fill_keep(bitgen, out[i], full[1:], threshold, whole or i < n - 1)
+    else:
+        per = _DRAW_CHUNK // slab
+        inner = (slice(None),) + tuple(slice(0, s) for s in out.shape[1:])
+        for lo in range(0, n, per):
+            hi = min(lo + per, n)
+            raw = bitgen.random_raw((hi - lo,) + full[1:])
+            np.greater_equal(raw[inner], threshold, out=out[lo:hi])
+    if whole:
+        rest = (full[0] - n) * slab
+        for lo in range(0, rest, _DRAW_CHUNK):
+            bitgen.random_raw(min(_DRAW_CHUNK, rest - lo))
+
+
+# Masks of at least this many raw words (at full shape) are drawn on the mask
+# worker once announced; a smaller draw costs less inline than its hand-off.
+MASK_WORKER_FLOOR = 1 << 16
+
+
+class _Draw:
+    """One announced mask: the worker draws it, ``_dropout_mask`` reads it once.
+
+    The keep array is allocated here, on the thread that will hold it, so it
+    comes from that thread's heap like an inline draw's and the worker's
+    heap holds only its chunk temporaries.
+    """
+
+    __slots__ = ("args", "ready", "keep", "error")
+
+    def __init__(self, seed: int, shape: tuple, full_shape: tuple, rate: float):
+        self.keep = np.empty(shape, dtype=bool)
+        self.args: Optional[tuple] = (seed, full_shape, rate, self.keep)  # None once dropped
+        self.ready = threading.Lock()
+        self.ready.acquire()  # released by the worker once keep is filled or error is set
+        self.error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        try:
+            if self.args is not None:
+                _draw_keep(*self.args)
+        except BaseException as exc:  # handed to the reader, which re-raises it
+            self.error = exc
+        finally:
+            self.ready.release()
+
+    def result(self) -> np.ndarray:
+        with self.ready:
+            pass
+        if self.error is not None:
+            raise self.error
+        return self.keep
+
+
+# announced draws by (seed, shape, full_shape, rate); read by _dropout_mask
+_pending: dict[tuple, _Draw] = {}
+_queue: Optional[queue.SimpleQueue] = None
+
+
+def _draw_forever(q: queue.SimpleQueue) -> None:
+    while True:
+        q.get().run()
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread: it starts its own when it needs one."""
+    global _queue
+    _queue = None
+    _pending.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def announce_masks(masks: Sequence[tuple[int, tuple, tuple]], rate: float) -> None:
+    """Queue the train-mode dropout masks a forward is about to read on the mask worker.
+
+    Each mask is ``(seed, shape, full_shape)`` exactly as the forward will
+    pass them to ``dropout_apply`` or ``attention`` at ``rate``. Masks under
+    ``MASK_WORKER_FLOOR`` words, and all masks at rate 0, stay inline. The
+    worker is one daemon thread, started by the first mask it is given, and
+    draws in announcement order with the function an inline draw uses, so a
+    mask's bytes do not depend on where it was drawn. Draws announced before
+    and not read since (a forward that raised) are dropped.
+    """
+    global _queue
+    for draw in _pending.values():
+        draw.args = None
+    _pending.clear()
+    if rate == 0.0:
+        return
+    for seed, shape, full_shape in masks:
+        if math.prod(full_shape) < MASK_WORKER_FLOOR:
+            continue
+        if _queue is None:
+            _queue = queue.SimpleQueue()
+            threading.Thread(
+                target=_draw_forever, args=(_queue,), name="callab-mask-worker", daemon=True
+            ).start()
+        draw = _Draw(seed, shape, full_shape, rate)
+        _pending[(seed, shape, full_shape, rate)] = draw
+        _queue.put(draw)
 
 
 _NEG_MASK = _F32(-1e9)

@@ -235,15 +235,15 @@ def embed_tokens(
         raise ValueError(
             f"token id {int(ids.max())} out of range for vocab_size {cfg.vocab_size}"
         )
+    seed = derive_seed(dropout_seed, "emb")
+    shape, full_shape = ids.shape + (cfg.hidden,), (ids.shape[0], cfg.max_len, cfg.hidden)
+    if train_mode:
+        ad.announce_masks([(seed, shape, full_shape)], cfg.dropout)
     tok = ad.embedding_lookup(params["tok_emb"], ids)
     pos = ad.slice_rows(params["pos_emb"], ids.shape[1])
     x = ad.add_bias(tok, pos)
     x = ad.layer_norm(x, params["emb_ln_g"], params["emb_ln_b"])
-    x = ad.dropout_apply(
-        x, cfg.dropout, derive_seed(dropout_seed, "emb"), train_mode,
-        full_shape=(ids.shape[0], cfg.max_len, cfg.hidden),
-    )
-    return x
+    return ad.dropout_apply(x, cfg.dropout, seed, train_mode, full_shape)
 
 
 def encode_from_embeddings(
@@ -275,11 +275,21 @@ def encode_from_embeddings(
         raise ValueError(f"sequence length {l} exceeds max_len {cfg.max_len}")
     full_act = (b, cfg.max_len, h)
     full_probs = (b, cfg.heads, cfg.max_len, cfg.max_len)
+    seeds = []  # per layer: the attn_probs, attn_out and ffn mask seeds
+    for i in range(cfg.layers):
+        lseed = derive_seed(dropout_seed, "layer", i)
+        seeds.append([derive_seed(lseed, site) for site in ("attn_probs", "attn_out", "ffn")])
+    if train_mode:
+        masks = []
+        for i, (s_probs, s_out, s_ffn) in enumerate(seeds):
+            n = 1 if i == cfg.layers - 1 else l
+            masks += [(s_probs, (b, cfg.heads, n, l), full_probs),
+                      (s_out, (b, n, h), full_act), (s_ffn, (b, n, h), full_act)]
+        ad.announce_masks(masks, cfg.dropout)
 
     x = emb
-    for i in range(cfg.layers):
+    for i, (s_probs, s_out, s_ffn) in enumerate(seeds):
         p = f"layer{i}."
-        lseed = derive_seed(dropout_seed, "layer", i)
         last = i == cfg.layers - 1
         # slice Q's input before K and V and the residual after attention, so
         # the input's gradient sums in the same order as at full width
@@ -288,21 +298,18 @@ def encode_from_embeddings(
         k = ad.linear(x, params[p + "wk"], params[p + "bk"])
         v = ad.linear(x, params[p + "wv"], params[p + "bv"])
         ctx = ad.attention(
-            q, k, v, attn_mask, cfg.heads, cfg.dropout, derive_seed(lseed, "attn_probs"),
-            train_mode, full_probs,
+            q, k, v, attn_mask, cfg.heads, cfg.dropout, s_probs, train_mode, full_probs
         )
         attn_out = ad.dropout_apply(
             ad.linear(ctx, params[p + "wo"], params[p + "bo"]),
-            cfg.dropout, derive_seed(lseed, "attn_out"), train_mode, full_act,
+            cfg.dropout, s_out, train_mode, full_act,
         )
         x_res = ad.first_position(x) if last else x
         x = ad.layer_norm(ad.add(x_res, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
 
         ffn = ad.linear(ad.relu(ad.linear(x, params[p + "w1"], params[p + "b1"])),
                         params[p + "w2"], params[p + "b2"])
-        ffn = ad.dropout_apply(
-            ffn, cfg.dropout, derive_seed(lseed, "ffn"), train_mode, full_act
-        )
+        ffn = ad.dropout_apply(ffn, cfg.dropout, s_ffn, train_mode, full_act)
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
 
     # the last layer ran at [CLS] alone: B x 1 x H

@@ -332,6 +332,15 @@ def check_dropout_determinism() -> Optional[str]:
     ident = ad.dropout_apply(x, 0.0, seed=1, train_mode=True).data
     if not np.array_equal(ident, x.data):
         return "rate-0 dropout is not the identity"
+    # a mask above the worker floor, cropped, drawn on the mask worker and inline
+    full = (4, ad.MASK_WORKER_FLOOR // 4 // 64 + 1, 64)
+    shape = (3, full[1] - 1, 60)
+    inline = ad._dropout_mask("selfcheck", shape, 0.1, 42, True, full)[0]
+    ad.announce_masks([(42, shape, full)], 0.1)
+    if not ad._pending:
+        return "a mask above the worker floor was not handed to the mask worker"
+    if not np.array_equal(ad._dropout_mask("selfcheck", shape, 0.1, 42, True, full)[0], inline):
+        return "worker-drawn dropout mask differs from the inline draw"
     return None
 
 

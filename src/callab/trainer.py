@@ -429,9 +429,15 @@ class Checkpoint:
         )
 
     def build_params(self) -> EncoderParams:
-        params = EncoderParams.init_random(self.config, seed=0)
-        params.load_values(self.tensors)
-        return params
+        """Parameters holding the checkpoint's arrays, in ``tensor_shapes`` order."""
+        self.config.validate()
+        tensors = {}
+        for name, shape in EncoderParams.tensor_shapes(self.config).items():
+            arr = self.tensors[name]
+            if arr.shape != shape:
+                raise ValueError(f"parameter {name}: shape {arr.shape} does not match {shape}")
+            tensors[name] = Tensor(arr, requires_grad=True)
+        return EncoderParams(self.config, tensors)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:

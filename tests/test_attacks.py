@@ -28,6 +28,11 @@ class TestAttackConfig:
         with pytest.raises(ValueError):
             AttackConfig(epsilon=-0.1).validate()
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+    def test_epsilon_non_finite_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            AttackConfig(epsilon=epsilon).validate()
+
 
 class TestFgsm:
     def test_sign_definition(self):

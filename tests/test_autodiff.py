@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -282,6 +283,107 @@ class TestDropout:
             (got,) = tape.nodes[-1].backward(g)
             assert out.data.tobytes() == (a * mask).tobytes()
             assert got.tobytes() == (g * mask).tobytes()
+
+
+class TestMaskWorker:
+    """Announced masks are drawn on the worker with the bytes of an inline draw."""
+
+    CASES = {  # name: (shape, full_shape)
+        "crop": ((3, 5, 7), (3, 9, 8)),
+        "batch_of_one": ((1, 12, 16), (1, 32, 16)),
+        "width_one": ((4, 1, 16), (4, 32, 16)),
+        "cls_row": ((4, 2, 1, 12), (4, 2, 32, 32)),
+        "slab_over_chunk": ((2, 130, 131), (3, 140, 140)),
+        "scalar": ((), ()),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_worker_and_inline_keep_bytes_equal(self, monkeypatch, case):
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+        shape, full = self.CASES[case]
+        want = ad.rng_from_seed(21).random(full)[tuple(slice(0, s) for s in shape)] >= 0.3
+        inline, _ = ad._dropout_mask("test", shape, 0.3, 21, True, full)
+        ad.announce_masks([(21, shape, full)], 0.3)
+        draw = ad._pending[(21, shape, full, 0.3)]
+        worker, _ = ad._dropout_mask("test", shape, 0.3, 21, True, full)
+        assert draw.keep is worker and not ad._pending
+        assert inline.tobytes() == worker.tobytes() == want.tobytes()
+        assert worker.shape == shape and worker.dtype == np.bool_
+
+    def test_rate_zero_and_eval_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+        ad.announce_masks([(5, (2, 3), (2, 4))], 0.0)
+        assert not ad._pending
+        assert ad._dropout_mask("test", (2, 3), 0.0, 5, True, (2, 4)) is None
+        assert ad._dropout_mask("test", (2, 3), 0.5, 5, False, (2, 4)) is None
+
+    def test_masks_under_the_floor_stay_inline(self):
+        small = (2, ad.MASK_WORKER_FLOOR // 2 - 1)
+        ad.announce_masks([(5, small, small)], 0.1)
+        assert not ad._pending
+
+    def test_chunks_are_bounded_and_follow_the_stream(self, monkeypatch):
+        calls = []
+
+        class Recording(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                calls.append(math.prod(size) if isinstance(size, tuple) else size)
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(np.random, "Philox", Recording)
+        shape, full = self.CASES["slab_over_chunk"]
+        keep = ad._draw_keep(4, full, 0.5, np.empty(shape, dtype=bool))
+        want = ad.rng_from_seed(4).random(full)[:2, :130, :131] >= 0.5
+        assert keep.tobytes() == want.tobytes()
+        assert max(calls) <= ad._DRAW_CHUNK
+        # the first slab is read whole; nothing past the last row the crop needs
+        assert sum(calls) == 140 * 140 + 130 * 140
+
+    def test_worker_error_is_raised_in_the_reader(self, monkeypatch):
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+
+        def broken(*args):
+            raise MemoryError("no room for the mask")
+
+        monkeypatch.setattr(ad, "_draw_keep", broken)
+        ad.announce_masks([(8, (2, 3), (2, 3))], 0.2)
+        with pytest.raises(MemoryError, match="no room"):
+            ad._dropout_mask("test", (2, 3), 0.2, 8, True, None)
+        monkeypatch.undo()
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+        ad.announce_masks([(8, (2, 3), (2, 3))], 0.2)  # the worker lives on
+        keep, _ = ad._dropout_mask("test", (2, 3), 0.2, 8, True, None)
+        assert keep.tobytes() == (ad.rng_from_seed(8).random((2, 3)) >= 0.2).tobytes()
+
+    def test_stress_with_a_short_switch_interval(self, monkeypatch):
+        """Forwards announce, read some masks and drop the rest while the worker draws."""
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+        rng = np.random.default_rng(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for forward in range(40):
+                masks = [(forward * 100 + i, (int(rng.integers(1, 5)), 7, 9), (5, 12, 9))
+                         for i in range(int(rng.integers(1, 7)))]
+                ad.announce_masks(masks, 0.25)
+                for seed, shape, full in masks[: int(rng.integers(0, len(masks) + 1))]:
+                    keep, _ = ad._dropout_mask("test", shape, 0.25, seed, True, full)
+                    want = ad.rng_from_seed(seed).random(full)[: shape[0], :7] >= 0.25
+                    assert keep.tobytes() == want.tobytes()
+            ad.announce_masks([], 0.25)
+            assert not ad._pending
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_next_announce_drops_unread_draws(self, monkeypatch):
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+        ad.announce_masks([(1, (2, 3), (2, 3)), (2, (2, 3), (2, 3))], 0.2)
+        stale = list(ad._pending.values())
+        ad.announce_masks([(3, (2, 3), (2, 3))], 0.2)
+        assert list(ad._pending) == [(3, (2, 3), (2, 3), 0.2)]
+        assert all(d.args is None for d in stale)
+        ad._dropout_mask("test", (2, 3), 0.2, 3, True, None)
+        assert not ad._pending
 
 
 class TestActivations:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import itertools
 import json
 from dataclasses import fields
 
@@ -876,10 +877,9 @@ def _mutate(blob, mutation, rng):
     return b"\n".join(rows)
 
 
-def test_seeded_cli_fuzz(workspace, tmp_path, capsys):
-    """Every mutation of every input of small valid runs, placed by a seeded RNG:
-    each command ends on a documented exit code without a traceback, and
-    exits 2 and 4 write nothing."""
+@pytest.fixture
+def fuzz_files(workspace, tmp_path):
+    """role -> path of the valid inputs the fuzz runs start from."""
     valid = tmp_path / "valid"
     valid.mkdir()
 
@@ -904,7 +904,32 @@ def test_seeded_cli_fuzz(workspace, tmp_path, capsys):
         "ffn_dim": 16, "max_len": 8, "batch_size": 8, "max_steps": 2,
         "eval_interval_steps": 2, "lr": 0.002,
     }))
+    return files
 
+
+def _run_fuzz_case(argv, out, where, capsys):
+    """The exit code of ``argv``, checked: documented, no traceback, exits 2 and 4 write nothing.
+
+    argparse's own refusal of a flag value is a ``SystemExit(2)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # report the case, then fail
+        pytest.fail(f"{where}: raised {exc!r}")
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_NONFINITE, EXIT_CKPT_MISMATCH), where
+    assert "Traceback" not in err, where
+    if code in (EXIT_BAD_INPUT, EXIT_CKPT_MISMATCH):
+        assert not out.exists(), where
+    return code
+
+
+def test_seeded_cli_fuzz(fuzz_files, tmp_path, capsys):
+    """Every mutation of every input of small valid runs, placed by a seeded RNG:
+    each command ends on a documented exit code without a traceback, and
+    exits 2 and 4 write nothing."""
+    files = fuzz_files
     cases = [(command, role, mutation) for command, role in FUZZ_TARGETS
              for mutation in MUTATIONS_BY_ROLE.get(role, TEXT_MUTATIONS)] * 3
     seen = set()
@@ -919,17 +944,30 @@ def test_seeded_cli_fuzz(workspace, tmp_path, capsys):
         out = case / "out"
         argv = _command_argv(command, broken, out, flags)
         where = f"seed {seed}, mutation {mutation} of {role}, argv {argv}"
-        try:
-            code = main(argv)
-        except (Exception, SystemExit) as exc:  # report the case, then fail
-            pytest.fail(f"{where}: raised {exc!r}")
-        err = capsys.readouterr().err
-        assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_NONFINITE, EXIT_CKPT_MISMATCH), where
-        assert "Traceback" not in err, where
-        if code in (EXIT_BAD_INPUT, EXIT_CKPT_MISMATCH):
-            assert not out.exists(), where
-        seen.add(code)
+        seen.add(_run_fuzz_case(argv, out, where, capsys))
     assert {EXIT_OK, EXIT_BAD_INPUT, EXIT_CKPT_MISMATCH} <= seen
+
+
+NUMERIC_EDGES = ("0", "-1", "nan", "inf", "-inf")
+
+
+def test_cli_fuzz_numeric_flag_edges(fuzz_files, tmp_path, capsys):
+    """Each edge value of each numeric flag of ``train`` and of ``eval --epsilon``
+    on valid inputs ends like a mutated input does; every non-finite one exits 2."""
+    numeric = [a.option_strings[0] for a in _subparser("train")._actions
+               if a.type in (int, float)]
+    cases = [("train", flag) for flag in numeric] + [("eval-attack", "--epsilon")]
+    for i, ((command, flag), value) in enumerate(itertools.product(cases, NUMERIC_EDGES)):
+        out = tmp_path / f"edge{i}"
+        if command == "train":
+            argv = _command_argv("train", fuzz_files, out, FUZZ_FLAGS + [f"{flag}={value}"])
+        else:
+            argv = _command_argv("eval", fuzz_files, out) + ["--attack", "fgm",
+                                                             f"{flag}={value}"]
+        code = _run_fuzz_case(argv, out, f"{command} {flag}={value}", capsys)
+        if value in ("nan", "inf", "-inf"):
+            assert code == EXIT_BAD_INPUT, f"{command} {flag}={value}"
+    assert len(numeric) == 20
 
 
 class TestSelfcheck:

@@ -3,7 +3,11 @@
 import io
 import math
 import os
+import platform
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import fields
 
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 
 import callab.attacks as attacks_mod
+import callab.autodiff as ad
 import callab.encoder as encoder_mod
 import callab.trainer as trainer_mod
 from callab.attacks import AttackConfig, gen_supervised_adv, gen_unsupervised_adv
@@ -383,6 +388,23 @@ class TestCheckpoints:
         for name, arr in ckpt.tensors.items():
             assert np.array_equal(arr, loaded.tensors[name]), name
 
+    def test_build_params_uses_the_checkpoint_arrays_without_a_random_init(self, monkeypatch):
+        ckpt = self._checkpoint()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("random init drawn")
+
+        monkeypatch.setattr(EncoderParams, "init_random", refuse)
+        params = ckpt.build_params()
+        assert_flat_views(params)
+        assert list(params.tensors) == list(EncoderParams.tensor_shapes(ckpt.config))
+        for name, arr in ckpt.tensors.items():
+            assert params[name].data.tobytes() == arr.tobytes(), name
+            assert params[name].data is not arr and params[name].requires_grad
+        ckpt.tensors["pooler_b"] = ckpt.tensors["pooler_b"][:-1]
+        with pytest.raises(ValueError, match="pooler_b"):
+            ckpt.build_params()
+
     def test_optimizer_tensors_rejected(self, tmp_path):
         """A file carrying the retired ``opt.*`` moment tensors does not load."""
         path = str(tmp_path / "m.ckpt")
@@ -702,13 +724,7 @@ class TestStepMemory:
         The tape holds about 9.6 MB of what the backwards read; holding every
         op's output as well raised it to 16.7 MB.
         """
-        lines, _ = make_paraphrase_corpus(32, 2, seed=1)
-        vocab = build_vocab(lines)
-        cfg = EncoderConfig(vocab_size=len(vocab), dropout=0.1, **TestDynamicPadding.DEFAULT)
-        params = EncoderParams.init_random(cfg, seed=0)
-        opt = OptimizerState(params)
-        tcfg = TrainConfig(mode="uscal", lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15)
-        batch = encode_batch(lines, vocab, cfg.max_len)
+        params, opt, tcfg, batch = _default_uscal_run()
         tracemalloc.start()
         try:
             # the first step allocates the gradients the second one replaces
@@ -720,6 +736,137 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 11e6, f"step peak {peak / 1e6:.2f} MB"
+
+
+def _default_uscal_run():
+    """(params, opt, tcfg, batch) for default-size uscal steps on 32 para sentences."""
+    lines, _ = make_paraphrase_corpus(32, 2, seed=1)
+    vocab = build_vocab(lines)
+    cfg = EncoderConfig(vocab_size=len(vocab), dropout=0.1, **TestDynamicPadding.DEFAULT)
+    params = EncoderParams.init_random(cfg, seed=0)
+    tcfg = TrainConfig(mode="uscal", lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15)
+    return params, OptimizerState(params), tcfg, encode_batch(lines, vocab, cfg.max_len)
+
+
+class TestMaskWorkerSteps:
+    """Steps read every mask they announce, and where a mask is drawn changes no byte."""
+
+    def _steps(self, mode, size, n=3):
+        sup = mode in SUPERVISED_MODES
+        cfg = EncoderConfig(vocab_size=len(TestDynamicPadding.DEFAULT_VOCAB), dropout=0.1,
+                            num_classes=2 if sup else 0, **size)
+        params = EncoderParams.init_random(cfg, seed=0)
+        opt = OptimizerState(params)
+        tcfg = TrainConfig(mode=mode, lr=1e-3, alpha=0.5, epsilon=0.3, grad_clip=0.5)
+        batch = encode_batch(TestDynamicPadding.DEFAULT_ROWS, TestDynamicPadding.DEFAULT_VOCAB,
+                             cfg.max_len)
+        reports = []
+        for step in range(n):
+            reports.append(train_step(batch, params, opt, tcfg, derive_seed(3, "step", step),
+                                      1e-3, step))
+            assert not ad._pending
+        return reports, params.flat.tobytes()
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_bytes_equal_with_the_worker_on_everywhere_and_off(self, monkeypatch, mode):
+        size = TestDynamicPadding.SMALL
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+        on = self._steps(mode, size)
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", math.inf)
+        assert self._steps(mode, size) == on
+
+    def test_default_size_bytes_equal_with_the_worker_off(self, monkeypatch):
+        size = TestDynamicPadding.DEFAULT
+        on = self._steps("uscal", size, n=2)
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", math.inf)
+        assert self._steps("uscal", size, n=2) == on
+
+    def test_a_forward_that_raises_leaves_one_forwards_draws(self, monkeypatch):
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+        cfg, params, batch = toy_setup(num_classes=3, batch=4)
+        real = ad.attention
+        calls = []
+
+        def fails_in_the_last_layer(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == cfg.layers:
+                raise FloatingPointError("mid-forward")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "attention", fails_in_the_last_layer)
+        with Tape(), pytest.raises(FloatingPointError):
+            encoder_mod.forward_full(batch, params, 7, train_mode=True)
+        left = list(ad._pending.values())
+        assert 0 < len(left) <= 3 * cfg.layers
+        monkeypatch.setattr(ad, "attention", real)
+        with Tape():
+            encoder_mod.forward_full(batch, params, 8, train_mode=True)
+        assert not ad._pending and all(d.args is None for d in left)
+
+    @staticmethod
+    def _fresh_interpreter(code):
+        """Run ``code`` in a new interpreter, where no earlier step has shaped the heap."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_eval_starts_no_thread_and_training_one(self):
+        self._fresh_interpreter("""
+            import os
+            import signal
+            import threading
+            from callab.attacks import AttackConfig
+            from callab.encoder import EncoderConfig, EncoderParams, forward_full
+            from callab.metrics import encode_sentences, evaluate_under_attack
+            from callab.synthdata import make_motif_task
+            from callab.text import build_vocab, encode_batch
+            from callab.trainer import OptimizerState, TrainConfig, train_step
+            rows, _ = make_motif_task(32, 2, seed=1)
+            vocab = build_vocab(r.text_a for r in rows)
+            cfg = EncoderConfig(vocab_size=len(vocab), num_classes=2)
+            params = EncoderParams.init_random(cfg, seed=0)
+            batch = encode_batch(rows, vocab, cfg.max_len)
+            forward_full(batch, params, 1, train_mode=False)
+            encode_sentences(params, [r.text_a for r in rows], vocab)
+            evaluate_under_attack(params, rows, vocab, AttackConfig())
+            assert threading.active_count() == 1, threading.enumerate()
+            opt = OptimizerState(params)
+            for step in range(3):
+                train_step(batch, params, opt, TrainConfig(mode="scal"), step, 1e-3, step)
+                assert threading.active_count() == 2, threading.enumerate()
+            # a forked child has no worker thread, and starts its own
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)  # a child stuck waiting on a worker it lacks dies
+                train_step(batch, params, opt, TrainConfig(mode="scal"), 3, 1e-3, 3)
+                os._exit(0 if threading.active_count() == 2 else 1)
+            assert os.waitpid(pid, 0)[1] == 0
+        """)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+    def test_default_steps_do_not_fault_their_heap_back(self):
+        """Freed heap stays mapped between steps; returned to the OS, it read ~1,500 faults a step."""
+        self._fresh_interpreter("""
+            import resource
+            from callab.autodiff import derive_seed
+            from callab.encoder import EncoderConfig, EncoderParams
+            from callab.synthdata import make_paraphrase_corpus
+            from callab.text import build_vocab, encode_batch
+            from callab.trainer import OptimizerState, TrainConfig, train_step
+            lines, _ = make_paraphrase_corpus(32, 2, seed=1)
+            vocab = build_vocab(lines)
+            params = EncoderParams.init_random(EncoderConfig(vocab_size=len(vocab)), seed=0)
+            opt, tcfg = OptimizerState(params), TrainConfig(mode="uscal")
+            batch = encode_batch(lines, vocab, params.config.max_len)
+            for step in range(16):
+                if step == 6:
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                train_step(batch, params, opt, tcfg, derive_seed(3, "step", step), 1e-3, step)
+            per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
+            assert per_step < 100, f"{per_step:.0f} minor faults per step"
+        """)
 
 
 class TestSeamGradient:
