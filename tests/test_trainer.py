@@ -724,7 +724,13 @@ class TestStepMemory:
         The tape holds about 9.6 MB of what the backwards read; holding every
         op's output as well raised it to 16.7 MB.
         """
-        params, opt, tcfg, batch = _default_uscal_run()
+        lines, _ = make_paraphrase_corpus(32, 2, seed=1)
+        vocab = build_vocab(lines)
+        cfg = EncoderConfig(vocab_size=len(vocab), dropout=0.1, **TestDynamicPadding.DEFAULT)
+        params = EncoderParams.init_random(cfg, seed=0)
+        opt = OptimizerState(params)
+        tcfg = TrainConfig(mode="uscal", lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15)
+        batch = encode_batch(lines, vocab, cfg.max_len)
         tracemalloc.start()
         try:
             # the first step allocates the gradients the second one replaces
@@ -736,16 +742,6 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 11e6, f"step peak {peak / 1e6:.2f} MB"
-
-
-def _default_uscal_run():
-    """(params, opt, tcfg, batch) for default-size uscal steps on 32 para sentences."""
-    lines, _ = make_paraphrase_corpus(32, 2, seed=1)
-    vocab = build_vocab(lines)
-    cfg = EncoderConfig(vocab_size=len(vocab), dropout=0.1, **TestDynamicPadding.DEFAULT)
-    params = EncoderParams.init_random(cfg, seed=0)
-    tcfg = TrainConfig(mode="uscal", lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15)
-    return params, OptimizerState(params), tcfg, encode_batch(lines, vocab, cfg.max_len)
 
 
 class TestMaskWorkerSteps:
