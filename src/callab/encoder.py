@@ -275,20 +275,21 @@ def encode_from_embeddings(
         raise ValueError(f"sequence length {l} exceeds max_len {cfg.max_len}")
     full_act = (b, cfg.max_len, h)
     full_probs = (b, cfg.heads, cfg.max_len, cfg.max_len)
-    seeds = []  # per layer: the attn_probs, attn_out and ffn mask seeds
+    # per layer, the (seed, shape, full_shape) of its attn_probs, attn_out and
+    # ffn masks: announced here, and each op below reads its seed and full shape
+    layer_masks = []
     for i in range(cfg.layers):
         lseed = derive_seed(dropout_seed, "layer", i)
-        seeds.append([derive_seed(lseed, site) for site in ("attn_probs", "attn_out", "ffn")])
+        n = 1 if i == cfg.layers - 1 else l
+        layer_masks.append([(derive_seed(lseed, "attn_probs"), (b, cfg.heads, n, l), full_probs),
+                            (derive_seed(lseed, "attn_out"), (b, n, h), full_act),
+                            (derive_seed(lseed, "ffn"), (b, n, h), full_act)])
     if train_mode:
-        masks = []
-        for i, (s_probs, s_out, s_ffn) in enumerate(seeds):
-            n = 1 if i == cfg.layers - 1 else l
-            masks += [(s_probs, (b, cfg.heads, n, l), full_probs),
-                      (s_out, (b, n, h), full_act), (s_ffn, (b, n, h), full_act)]
-        ad.announce_masks(masks, cfg.dropout)
+        ad.announce_masks([m for masks in layer_masks for m in masks], cfg.dropout)
 
     x = emb
-    for i, (s_probs, s_out, s_ffn) in enumerate(seeds):
+    for i, masks in enumerate(layer_masks):
+        (s_probs, _, f_probs), (s_out, _, f_out), (s_ffn, _, f_ffn) = masks
         p = f"layer{i}."
         last = i == cfg.layers - 1
         # slice Q's input before K and V and the residual after attention, so
@@ -298,18 +299,18 @@ def encode_from_embeddings(
         k = ad.linear(x, params[p + "wk"], params[p + "bk"])
         v = ad.linear(x, params[p + "wv"], params[p + "bv"])
         ctx = ad.attention(
-            q, k, v, attn_mask, cfg.heads, cfg.dropout, s_probs, train_mode, full_probs
+            q, k, v, attn_mask, cfg.heads, cfg.dropout, s_probs, train_mode, f_probs
         )
         attn_out = ad.dropout_apply(
             ad.linear(ctx, params[p + "wo"], params[p + "bo"]),
-            cfg.dropout, s_out, train_mode, full_act,
+            cfg.dropout, s_out, train_mode, f_out,
         )
         x_res = ad.first_position(x) if last else x
         x = ad.layer_norm(ad.add(x_res, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
 
         ffn = ad.linear(ad.relu(ad.linear(x, params[p + "w1"], params[p + "b1"])),
                         params[p + "w2"], params[p + "b2"])
-        ffn = ad.dropout_apply(ffn, cfg.dropout, s_ffn, train_mode, full_act)
+        ffn = ad.dropout_apply(ffn, cfg.dropout, s_ffn, train_mode, f_ffn)
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
 
     # the last layer ran at [CLS] alone: B x 1 x H

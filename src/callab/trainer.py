@@ -431,13 +431,12 @@ class Checkpoint:
     def build_params(self) -> EncoderParams:
         """Parameters holding the checkpoint's arrays, in ``tensor_shapes`` order."""
         self.config.validate()
-        tensors = {}
-        for name, shape in EncoderParams.tensor_shapes(self.config).items():
-            arr = self.tensors[name]
-            if arr.shape != shape:
-                raise ValueError(f"parameter {name}: shape {arr.shape} does not match {shape}")
-            tensors[name] = Tensor(arr, requires_grad=True)
-        return EncoderParams(self.config, tensors)
+        params = EncoderParams(self.config, {
+            name: Tensor(np.empty(shape, dtype=np.float32), requires_grad=True)
+            for name, shape in EncoderParams.tensor_shapes(self.config).items()
+        })
+        params.load_values(self.tensors)
+        return params
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:

@@ -907,16 +907,22 @@ def fuzz_files(workspace, tmp_path):
     return files
 
 
-def _run_fuzz_case(argv, out, where, capsys):
+def _run_fuzz_case(argv, out, where, capsys, argparse_exit_ok=False):
     """The exit code of ``argv``, checked: documented, no traceback, exits 2 and 4 write nothing.
 
-    argparse's own refusal of a flag value is a ``SystemExit(2)``."""
+    Nothing may escape ``main``. With ``argparse_exit_ok`` a ``SystemExit(2)``
+    is taken as exit 2, but only when parsing ``argv`` alone raises it: that
+    is argparse refusing a flag value before any command runs."""
     try:
         code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    except Exception as exc:  # report the case, then fail
-        pytest.fail(f"{where}: raised {exc!r}")
+    except (Exception, SystemExit) as exc:  # report the case, then fail
+        if not (argparse_exit_ok and isinstance(exc, SystemExit) and exc.code == EXIT_BAD_INPUT):
+            pytest.fail(f"{where}: raised {exc!r}")
+        with pytest.raises(SystemExit) as parsed:
+            build_parser().parse_args(argv)
+        if parsed.value.code != EXIT_BAD_INPUT:
+            pytest.fail(f"{where}: raised {exc!r} past argparse")
+        code = EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_NONFINITE, EXIT_CKPT_MISMATCH), where
     assert "Traceback" not in err, where
@@ -964,7 +970,8 @@ def test_cli_fuzz_numeric_flag_edges(fuzz_files, tmp_path, capsys):
         else:
             argv = _command_argv("eval", fuzz_files, out) + ["--attack", "fgm",
                                                              f"{flag}={value}"]
-        code = _run_fuzz_case(argv, out, f"{command} {flag}={value}", capsys)
+        code = _run_fuzz_case(argv, out, f"{command} {flag}={value}", capsys,
+                              argparse_exit_ok=True)
         if value in ("nan", "inf", "-inf"):
             assert code == EXIT_BAD_INPUT, f"{command} {flag}={value}"
     assert len(numeric) == 20
