@@ -41,7 +41,7 @@ from .metrics import (
     mcc,
     spearman,
 )
-from .objectives import LossConfig, LossReport, cross_entropy, info_nce, scal_total, uscal_total
+from .objectives import LossConfig, LossReport, cross_entropy, info_nce
 from .text import Batch, Vocab, build_vocab, encode_batch, tokenize
 from .trainer import (
     Checkpoint,
@@ -67,6 +67,5 @@ __all__ = [
     "f1_binary", "fgm_perturb", "fgsm_perturb", "forward_full",
     "gen_supervised_adv", "gen_unsupervised_adv", "grad_check", "grad_of",
     "info_nce", "load_checkpoint", "lr_at", "mcc", "pool", "rng_from_seed",
-    "save_checkpoint", "scal_total", "seam_attack", "spearman", "tokenize", "train_loop",
-    "train_step", "uscal_total",
+    "save_checkpoint", "seam_attack", "spearman", "tokenize", "train_loop", "train_step",
 ]

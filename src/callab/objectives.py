@@ -29,8 +29,8 @@ class LossConfig:
     negative_mode: str = "adv-keys"
 
     def validate(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.negative_mode not in NEGATIVE_MODES:
@@ -121,13 +121,3 @@ def info_nce_split(
     denom = ad.scale(ad.matmul(a_n, ad.transpose(d_n)), 1.0 / temperature)
     lse = ad.logsumexp_rows(denom)                                      # (B,)
     return ad.scale(ad.sum_all(ad.sub(lse, pos)), 1.0 / b)
-
-
-def scal_total(ce_clean: float, ce_adv: float, ct: float, alpha: float) -> float:
-    """Supervised total: average of the two CE branches plus alpha * contrastive."""
-    return 0.5 * (ce_clean + ce_adv) + alpha * ct
-
-
-def uscal_total(ct_views: float, ct_adv: float, alpha: float) -> float:
-    """Unsupervised total: view-pair contrastive plus alpha * adversarial contrastive."""
-    return ct_views + alpha * ct_adv

@@ -179,10 +179,6 @@ class Batch:
     def size(self) -> int:
         return self.token_ids.shape[0]
 
-    @property
-    def seq_len(self) -> int:
-        return self.token_ids.shape[1]
-
 
 def _pack_ids(example: Union[LabeledExample, ScoredPair, str], vocab: Vocab,
               max_len: int, row_index: int) -> list[int]:

@@ -112,8 +112,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
         if self.eval_interval_steps < 1:
@@ -122,10 +122,10 @@ class TrainConfig:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if self.max_steps < 0 or self.early_stop_patience < 0:
             raise ValueError("max_steps and early_stop_patience must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.grad_clip < 0:
-            raise ValueError("grad_clip must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 <= self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
         dev_metrics = tuple(CLS_METRICS) if self.mode in SUPERVISED_MODES else ("spearman",)
         if self.dev_metric not in dev_metrics:
             raise ValueError(

@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from callab import attacks, autodiff, selfcheck
 from callab.attacks import ATTACK_KINDS, AttackConfig
 from callab.cli import (
     EXIT_BAD_INPUT,
@@ -997,6 +998,18 @@ class TestSelfcheck:
         assert "grad:" in captured.err  # failing property names the gradient check
         first_fail = [l for l in captured.out.splitlines() if l.startswith("FAIL")][0]
         assert first_fail.startswith("FAIL grad:")
+
+    @pytest.mark.parametrize("check, module, name, mutate", [
+        ("grad:fidelity", autodiff, "_matmul_grad_b", lambda f: lambda a_d, g: 1.01 * f(a_d, g)),
+        ("attack:norms", selfcheck, "fgm_perturb",
+         lambda f: lambda emb, g, eps: emb + 1.001 * (f(emb, g, eps) - emb)),
+        ("attack:ascent", attacks, "_perturb", lambda f: lambda emb, g, cfg: f(emb, -g, cfg)),
+        ("loss:info_nce_oracle", selfcheck, "info_nce", lambda f: lambda a, k, t: f(a, k, 1.001 * t)),
+        ("metric:oracles", selfcheck, "spearman", lambda f: lambda x, y: f(x, y) + 1e-9),
+    ])
+    def test_mutation_fails_its_check(self, monkeypatch, check, module, name, mutate):
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        assert dict(selfcheck.ALL_CHECKS)[check]() is not None
 
 
 class TestSynthData:

@@ -12,8 +12,6 @@ from callab.objectives import (
     cross_entropy,
     info_nce,
     info_nce_split,
-    scal_total,
-    uscal_total,
 )
 from callab.selfcheck import info_nce_bruteforce
 
@@ -152,21 +150,6 @@ class TestInfoNCE:
 
 
 class TestTotals:
-    def test_scal_alpha_zero(self):
-        assert scal_total(1.0, 2.0, 99.0, 0.0) == pytest.approx(1.5)
-
-    def test_scal_equal_branches(self):
-        assert scal_total(0.7, 0.7, 0.0, 0.3) == pytest.approx(0.7)
-
-    def test_scal_arithmetic(self):
-        assert scal_total(1.0, 2.0, 0.5, 0.3) == pytest.approx(1.65)
-
-    def test_uscal_alpha_zero(self):
-        assert uscal_total(0.7, 99.0, 0.0) == pytest.approx(0.7)
-
-    def test_uscal_arithmetic(self):
-        assert uscal_total(0.7, 0.4, 0.5) == pytest.approx(0.9)
-
     def test_seeded_step_report_recombines(self):
         from callab.trainer import TrainConfig, OptimizerState, train_step
         from conftest import toy_setup
@@ -175,5 +158,5 @@ class TestTotals:
         tcfg = TrainConfig(mode="scal", lr=1e-3, alpha=0.3, epsilon=0.2, seed=0)
         opt = OptimizerState(params)
         report = train_step(batch, params, opt, tcfg, step_seed=7, lr_t=1e-3)
-        want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
+        want = 0.5 * (report.ce_clean + report.ce_adv) + 0.3 * report.contrastive
         assert abs(report.total - want) < 1e-6

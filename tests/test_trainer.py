@@ -23,7 +23,7 @@ from callab.autodiff import Tape, backward, derive_seed, grad_of
 from callab.encoder import EncoderConfig, EncoderParams, classify, embed_tokens
 from callab.objectives import cross_entropy
 from callab.metrics import evaluate_classification
-from callab.objectives import LossReport, scal_total, uscal_total
+from callab.objectives import LossReport
 from callab.synthdata import make_group_task, make_paraphrase_corpus
 from callab.text import PAD_ID, Batch, LabeledExample, Vocab, build_vocab, encode_batch
 from callab.trainer import (
@@ -179,6 +179,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="dev_metric"):
             TrainConfig(dev_metric="bleu").validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["lr", "weight_decay", "grad_clip", "temperature"])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value}).validate()
+
 
 def _vocab_for(rows):
     return build_vocab((r.text_a for r in rows), min_freq=1)
@@ -212,9 +218,9 @@ class TestSteps:
         assert [c != "-" for c in cells] == [c in filled for c in STEP_COLUMNS]
 
         if mode == "scal":
-            want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
+            want = 0.5 * (report.ce_clean + report.ce_adv) + 0.3 * report.contrastive
         elif mode == "uscal":
-            want = uscal_total(report.ct_views, report.ct_adv, 0.3)
+            want = report.ct_views + 0.3 * report.ct_adv
         else:
             (only,) = REPORT_FIELDS[mode]
             want = getattr(report, only)
@@ -224,7 +230,7 @@ class TestSteps:
         cfg, params, batch = toy_setup(num_classes=3, batch=4)
         tcfg = TrainConfig(mode="scal", lr=1e-3, alpha=0.3, epsilon=0.2)
         report = train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
-        want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
+        want = 0.5 * (report.ce_clean + report.ce_adv) + 0.3 * report.contrastive
         assert abs(report.total - want) < 1e-6
 
     def test_uscal_single_item_batch_is_gradient_noop(self):
@@ -288,7 +294,7 @@ class TestSteps:
                            negative_mode="clean-keys")
         report = train_step(batch, params, OptimizerState(params), tcfg, 11, 1e-3)
         assert math.isfinite(report.contrastive)
-        want = scal_total(report.ce_clean, report.ce_adv, report.contrastive, 0.3)
+        want = 0.5 * (report.ce_clean + report.ce_adv) + 0.3 * report.contrastive
         assert abs(report.total - want) < 1e-6
 
     def test_nonfinite_total_aborts(self):
