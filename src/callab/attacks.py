@@ -15,7 +15,6 @@ gradient flows through the perturbation's construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,10 +24,12 @@ from . import autodiff as ad
 from .autodiff import Tensor, derive_seed
 from .encoder import (
     EncoderParams,
+    check_settings,
     classify,
     embed_tokens,
     encode_from_embeddings,
     forward_full,
+    setting,
 )
 from .objectives import LossConfig, cross_entropy, info_nce
 from .text import Batch
@@ -55,14 +56,11 @@ class AdvResult:
 
 @dataclass
 class AttackConfig:
-    kind: str = "fgm"
-    epsilon: float = 0.3          # typical sweep is 0.1..0.5; 0 disables the attack
+    kind: str = setting("fgm", choices=ATTACK_KINDS)
+    epsilon: float = setting(0.3, ge=0)  # typical sweep is 0.1..0.5; 0 disables the attack
 
     def validate(self) -> None:
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"attack kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
-        if not 0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        check_settings(self)
 
 
 def fgsm_perturb(emb: np.ndarray, grad_emb: np.ndarray, epsilon: float) -> np.ndarray:

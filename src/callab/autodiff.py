@@ -749,43 +749,22 @@ _DRAW_CHUNK = 16384
 def _draw_keep(seed: int, full_shape: tuple, rate: float, keep: np.ndarray) -> np.ndarray:
     """Fill ``keep``, a bool array, with ``_dropout_mask``'s bits: one Philox per mask, read in chunks.
 
-    The raw words are laid out at ``full_shape`` in C order; the stream is
-    read at most ``_DRAW_CHUNK`` words at a time and each chunk's part of the
-    leading corner ``keep`` covers is compared straight into ``keep``, so
-    the bytes equal one whole-shape draw, cropped.
+    The raw words, laid out at ``full_shape`` in C order, are read
+    ``_DRAW_CHUNK`` at a time up to the last one of the leading corner ``keep``
+    covers, compared into a bool array of ``full_shape``, and that corner is
+    copied into ``keep``: the bytes of one whole-shape draw, cropped.
     """
     if keep.size:
         threshold = np.uint64(math.ceil(rate * 2.0**53) << 11)
         bitgen = np.random.Philox(key=seed & _MASK64)
-        # a leading axis of 1 makes a 0-d mask one word and changes no stream position
-        _fill_keep(bitgen, keep.reshape((1,) + keep.shape), (1,) + full_shape, threshold, False)
+        end = int(np.ravel_multi_index([s - 1 for s in keep.shape], full_shape)) + 1
+        full = np.empty(full_shape, dtype=bool)
+        flat = full.reshape(-1)
+        for lo in range(0, end, _DRAW_CHUNK):
+            hi = min(lo + _DRAW_CHUNK, end)
+            np.greater_equal(bitgen.random_raw(hi - lo), threshold, out=flat[lo:hi])
+        keep[...] = full[tuple(slice(0, s) for s in keep.shape)]
     return keep
-
-
-def _fill_keep(bitgen, out: np.ndarray, full: tuple, threshold, whole: bool) -> None:
-    """Compare the stream's next words, laid out at ``full``, into ``out``, its leading corner.
-
-    Whole slabs along axis 0 go into one chunk while they fit; a slab that
-    does not fit recurses one axis down. With ``whole`` the words of the
-    slabs past ``out`` are read too, so the stream ends where ``full`` does;
-    without it nothing past the last word ``out`` needs is read.
-    """
-    slab = math.prod(full[1:])
-    n = out.shape[0]
-    if slab > _DRAW_CHUNK:
-        for i in range(n):
-            _fill_keep(bitgen, out[i], full[1:], threshold, whole or i < n - 1)
-    else:
-        per = _DRAW_CHUNK // slab
-        inner = (slice(None),) + tuple(slice(0, s) for s in out.shape[1:])
-        for lo in range(0, n, per):
-            hi = min(lo + per, n)
-            raw = bitgen.random_raw((hi - lo,) + full[1:])
-            np.greater_equal(raw[inner], threshold, out=out[lo:hi])
-    if whole:
-        rest = (full[0] - n) * slab
-        for lo in range(0, rest, _DRAW_CHUNK):
-            bitgen.random_raw(min(_DRAW_CHUNK, rest - lo))
 
 
 # Masks of at least this many raw words (at full shape) are drawn on the mask

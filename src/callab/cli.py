@@ -10,8 +10,9 @@ integer, overrides the configured seed. Every training run directory is
 self-describing: the resolved configuration plus the seed reproduce the run.
 
 ``RunConfig`` declares only the run's paths; its other fields, the ``train``
-flags and ``config.resolved.txt`` derive from ``TrainConfig``/``EncoderConfig``,
-and every value is parsed by its field's type (``encoder.parse_field``).
+flags and their help, and ``config.resolved.txt`` derive from
+``TrainConfig``/``EncoderConfig``, and every value is parsed by its field's
+type and checked by its domain (``encoder.parse_field``, ``check_settings``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass, fields, make_dataclass
 from typing import Callable
 
 from .attacks import ATTACK_KINDS, AttackConfig
-from .encoder import FIELD_TYPES, EncoderConfig, EncoderParams, parse_field
+from .encoder import (FIELD_TYPES, EncoderConfig, EncoderParams, check_settings, domain_text,
+                      parse_field, setting)
 from .metrics import (
     CLS_METRICS,
     MetricError,
@@ -84,7 +86,8 @@ EXIT_CODES = {
 @dataclass
 class _RunPaths:
     """Dataset and output paths; ``RunConfig`` adds every ``TrainConfig`` and
-    ``EncoderConfig`` field but ``vocab_size`` (the vocab file sets it)."""
+    ``EncoderConfig`` field, default and domain but ``vocab_size`` (the vocab
+    file sets it), each domain narrowed by ``_RUN_DOMAINS``."""
 
     train_file: str = ""
     dev_file: str = ""
@@ -111,18 +114,20 @@ class _RunPaths:
         return cls().with_overrides(values)
 
     def with_overrides(self, values: dict) -> "RunConfig":
-        """Copy with ``values`` applied, each parsed by ``encoder.parse_field``.
+        """Copy with ``values`` applied, each parsed by ``encoder.parse_field``,
+        and every field then checked by ``encoder.check_settings``.
 
         File lines, JSON values and flags all take this one path, so a JSON
-        ``null``, a list or ``1.5`` for an int field is a ``ValueError``
-        naming the key, never a silent coercion.
+        ``null``, a list, ``1.5`` for an int field or a value outside its
+        field's domain is a ``ValueError`` naming the key, never a silent
+        coercion.
         """
         by_name = {f.name: f for f in fields(self)}
         for key in values:
             if key not in by_name:
                 raise ValueError(f"unknown config field {key!r}")
         parsed = {key: parse_field(by_name[key], value) for key, value in values.items()}
-        return dataclasses.replace(self, **parsed)
+        return check_settings(dataclasses.replace(self, **parsed))
 
     def resolved_text(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
@@ -139,10 +144,13 @@ class _RunPaths:
         return self._copy_into(TrainConfig)
 
 
+# a run reads text rows, each at least [CLS], one token and [SEP] long
+_RUN_DOMAINS = {"max_len": {"ge": MIN_MAX_LEN}}
+
 RunConfig = make_dataclass(
     "RunConfig",
     [
-        (f.name, f.type, f.default)
+        (f.name, f.type, setting(f.default, **{**f.metadata, **_RUN_DOMAINS.get(f.name, {})}))
         for f in (*fields(TrainConfig), *fields(EncoderConfig))
         if f.name != "vocab_size"
     ],
@@ -201,8 +209,9 @@ def _load_run_config(args: argparse.Namespace) -> tuple[RunConfig, list]:
     a supervised run left at ``num_classes=0`` counts its train labels, which
     must then be exactly 0..K-1, and a similarity run has no classifier and
     evaluates ``spearman``, not ``accuracy``.
-    The train settings, the mode among them, are checked before any file is
-    read. Returns the settings and the train rows, which are read once."""
+    Every setting is checked before any file is read, but for heads dividing
+    hidden, which waits for ``vocab_size``. Returns the settings and the train
+    rows, which are read once."""
     cfg = _read("config file", args.config, RunConfig.from_file) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
@@ -253,9 +262,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         dev_rows = _read("dev set", cfg.dev_file, load_similarity_tsv, check_similarity_set)
     enc_cfg = _checked(cfg.encoder_config(len(vocab)))
-    if enc_cfg.max_len < MIN_MAX_LEN:
-        raise InputError(f"invalid config: max_len must be >= {MIN_MAX_LEN} for text rows, "
-                         f"got {enc_cfg.max_len}")
     tcfg = cfg.train_config()
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -367,7 +373,8 @@ def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value or JSON config file")
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, type=FIELD_TYPES[f.type], default=None)
+        parser.add_argument(flag, type=FIELD_TYPES[f.type], default=None,
+                            help=f"{domain_text(f)}, default {f.default!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

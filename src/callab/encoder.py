@@ -21,7 +21,8 @@ into a second one, so the optimizer and clipping run over two vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import Field, asdict, dataclass, fields
+import operator
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from typing import Iterator, Optional
 
 import numpy as np
@@ -32,6 +33,20 @@ from .text import Batch
 
 # field annotations are strings under ``from __future__ import annotations``
 FIELD_TYPES = {"int": int, "float": float, "str": str}
+# the bounds a setting's domain may declare: each one's test, text and interval bracket
+BOUNDS = {"ge": (operator.ge, ">=", "["), "gt": (operator.gt, ">", "("),
+          "le": (operator.le, "<=", "]"), "lt": (operator.lt, "<", ")")}
+
+
+def setting(default=MISSING, **domain) -> Field:
+    """A dataclass field whose metadata is its domain: ``choices`` or bounds (``BOUNDS``)."""
+    return field(default=default, metadata=domain)
+
+
+def setting_of(cls: type, name: str) -> Field:
+    """A new field with the default and the domain of ``cls``'s field ``name``."""
+    f = cls.__dataclass_fields__[name]
+    return setting(f.default, **f.metadata)
 
 
 def parse_field(f: Field, value) -> int | float | str:
@@ -39,47 +54,63 @@ def parse_field(f: Field, value) -> int | float | str:
 
     The one parse of a setting, for config files, flags and checkpoint
     headers alike: ``None``, a list, ``1.5`` or ``16.0`` for an int field,
-    a quoted number, or NaN or an infinity for a float field, is a
-    ``ValueError`` naming the field.
+    or a quoted number is a ``ValueError`` naming the field. Whether the
+    value lies in the field's domain is ``check_settings``' to say.
     """
     parse = FIELD_TYPES[f.type]
     if isinstance(value, (str, int, float)):
         try:
-            parsed = parse(str(value))
+            return parse(str(value))
         except ValueError:
             pass
-        else:
-            if parse is not float or math.isfinite(parsed):
-                return parsed
-    kind = "a finite float" if parse is float else parse.__name__
-    raise ValueError(f"config field {f.name!r}: cannot parse {value!r} as {kind}")
+    raise ValueError(f"config field {f.name!r}: cannot parse {value!r} as {f.type}")
+
+
+def domain_text(f: Field) -> str:
+    """The values field ``f`` takes: ``finite float in [0, 1)``, ``int >= 1``, ``one of 'a', 'b'``."""
+    if "choices" in f.metadata:
+        return "one of " + ", ".join(map(repr, f.metadata["choices"]))
+    kind = "finite float" if f.type == "float" else f.type
+    bounds = sorted((k, v) for k, v in f.metadata.items() if k in BOUNDS)  # lower bound first
+    if len(bounds) == 2:
+        (lo_kind, lo), (hi_kind, hi) = bounds
+        return f"{kind} in {BOUNDS[lo_kind][2]}{lo}, {hi}{BOUNDS[hi_kind][2]}"
+    return " ".join([kind, *(f"{BOUNDS[k][1]} {v}" for k, v in bounds)])
+
+
+def check_settings(cfg):
+    """``cfg``, a dataclass, once every field holds a value of its type (not a
+    ``bool``; an int for a float), finite if a float, within its bounds or
+    choices; else a ``ValueError`` naming the first field that does not."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = FIELD_TYPES[f.type]
+        if not (
+            isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool)
+            and (kind is not float or math.isfinite(value))
+            and value in f.metadata.get("choices", (value,))
+            and all(BOUNDS[k][0](value, v) for k, v in f.metadata.items() if k in BOUNDS)
+        ):
+            raise ValueError(f"config field {f.name!r}: expected {domain_text(f)}, got {value!r}")
+    return cfg
 
 
 @dataclass
 class EncoderConfig:
-    vocab_size: int
-    hidden: int = 64
-    layers: int = 2
-    heads: int = 4
-    ffn_dim: int = 256
-    dropout: float = 0.1
-    max_len: int = 32
-    num_classes: int = 0  # 0 = no classifier head (unsupervised use)
+    vocab_size: int = setting(ge=5)  # the 4 reserved ids plus content
+    hidden: int = setting(64, ge=1)
+    layers: int = setting(2, ge=1)
+    heads: int = setting(4, ge=1)
+    ffn_dim: int = setting(256, ge=1)
+    dropout: float = setting(0.1, ge=0, lt=1)
+    max_len: int = setting(32, ge=1)
+    num_classes: int = setting(0, ge=0)  # 0 = no classifier head (unsupervised use)
 
     def validate(self) -> None:
-        if self.vocab_size < 5:
-            raise ValueError("vocab_size must cover the 4 reserved ids plus content")
-        for name in ("hidden", "layers", "heads", "ffn_dim", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_settings(self)
         if self.hidden % self.heads != 0:
-            raise ValueError(
-                f"hidden ({self.hidden}) must be divisible by heads ({self.heads})"
-            )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.num_classes < 0:
-            raise ValueError("num_classes must be >= 0")
+            raise ValueError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -9,6 +9,7 @@ positive, so the loss is always >= 0 and exactly 0 for a single-item batch.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .encoder import check_settings, setting
 
 logger = logging.getLogger(__name__)
 
@@ -24,19 +26,12 @@ NEGATIVE_MODES = ("adv-keys", "clean-keys")
 
 @dataclass
 class LossConfig:
-    temperature: float = 0.05
-    alpha: float = 0.3           # weight on the contrastive term; 0 disables it
-    negative_mode: str = "adv-keys"
+    temperature: float = setting(0.05, gt=0)
+    alpha: float = setting(0.3, ge=0, le=1)  # weight on the contrastive term; 0 disables it
+    negative_mode: str = setting("adv-keys", choices=NEGATIVE_MODES)
 
     def validate(self) -> None:
-        if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(
-                f"negative_mode must be one of {NEGATIVE_MODES}, got {self.negative_mode!r}"
-            )
+        check_settings(self)
 
 
 @dataclass
@@ -83,8 +78,8 @@ def info_nce(
     guard: float = 1e-12,
 ) -> Tensor:
     """InfoNCE over in-batch keys: positive for anchor i is key i."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     if anchors.shape != keys.shape or anchors.ndim != 2:
         raise ValueError(
             f"info_nce: anchors and keys must both be B x H, got {anchors.shape} vs {keys.shape}"
@@ -111,8 +106,8 @@ def info_nce_split(
     numerator scores (anchor_i, pos_key_i) while the denominator runs over
     ``denom_keys``.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     b = anchors.shape[0]
     a_n = ad.l2_normalize_rows(anchors, guard)
     p_n = ad.l2_normalize_rows(pos_keys, guard)

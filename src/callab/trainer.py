@@ -21,11 +21,11 @@ says what a mode is: ``TRAIN_MODES``, ``SUPERVISED_MODES`` and the dev
 metrics each can score.
 
 ``TrainConfig`` takes its alpha, epsilon, temperature, attack kind and
-negative mode defaults from ``LossConfig``/``AttackConfig``, whose checks it
-reuses. AdamW and clipping run over ``EncoderParams``' flat buffers: the
-weights, the gathered gradients and the two float64 moment vectors share one
-layout, and ``adamw_step`` goes through them in ``ADAM_CHUNK``-element chunks
-in a preallocated workspace, with the bytes of a per-tensor update.
+negative mode fields, default and domain, from ``LossConfig``/``AttackConfig``.
+AdamW and clipping run over ``EncoderParams``' flat buffers: the weights, the
+gathered gradients and the two float64 moment vectors share one layout, and
+``adamw_step`` goes through them in ``ADAM_CHUNK``-element chunks in a
+preallocated workspace, with the bytes of a per-tensor update.
 Checkpoints hold parameters and run metadata only; ``save_checkpoint``
 replaces its target atomically, and ``load_checkpoint`` parses each config
 line by its field's type (``hidden=16.0`` is a ``CheckpointHeaderError``).
@@ -48,10 +48,13 @@ from .attacks import AttackConfig, gen_supervised_adv, seam_attack
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    check_settings,
     classify,
     encode_from_embeddings,
     forward_full,
     pool,
+    setting,
+    setting_of,
 )
 from .metrics import CLS_METRICS
 from .objectives import (
@@ -91,49 +94,32 @@ class SkippedStepsError(NonFiniteLossError):
 
 @dataclass
 class TrainConfig:
-    mode: str = "scal"
-    lr: float = 3e-5
-    weight_decay: float = 0.01
-    warmup_ratio: float = 0.1
-    batch_size: int = 32
-    max_epochs: int = 15
-    max_steps: int = 0               # 0 = bounded by max_epochs only
-    early_stop_patience: int = 3     # evaluations without improvement before stopping
-    eval_interval_steps: int = 250
+    mode: str = setting("scal", choices=TRAIN_MODES)
+    lr: float = setting(3e-5, gt=0)
+    weight_decay: float = setting(0.01, ge=0)
+    warmup_ratio: float = setting(0.1, ge=0, lt=1)
+    batch_size: int = setting(32, ge=1)
+    max_epochs: int = setting(15, ge=1)
+    max_steps: int = setting(0, ge=0)            # 0 = bounded by max_epochs only
+    early_stop_patience: int = setting(3, ge=0)  # evaluations without improvement before stopping
+    eval_interval_steps: int = setting(250, ge=1)
     seed: int = 42
-    alpha: float = LossConfig.alpha
-    epsilon: float = AttackConfig.epsilon
-    temperature: float = LossConfig.temperature
-    attack_kind: str = AttackConfig.kind
-    negative_mode: str = LossConfig.negative_mode
+    alpha: float = setting_of(LossConfig, "alpha")
+    epsilon: float = setting_of(AttackConfig, "epsilon")
+    temperature: float = setting_of(LossConfig, "temperature")
+    attack_kind: str = setting_of(AttackConfig, "kind")
+    negative_mode: str = setting_of(LossConfig, "negative_mode")
     dev_metric: str = "accuracy"
-    grad_clip: float = 0.0           # global-norm clip; 0 disables ("faithful" mode)
+    grad_clip: float = setting(0.0, ge=0)        # global-norm clip; 0 disables ("faithful" mode)
 
     def validate(self) -> None:
-        if self.mode not in TRAIN_MODES:
-            raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.warmup_ratio < 1.0:
-            raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
-        if self.eval_interval_steps < 1:
-            raise ValueError("eval_interval_steps must be >= 1")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be >= 1")
-        if self.max_steps < 0 or self.early_stop_patience < 0:
-            raise ValueError("max_steps and early_stop_patience must be >= 0")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not 0 <= self.grad_clip < math.inf:
-            raise ValueError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
+        check_settings(self)
         dev_metrics = tuple(CLS_METRICS) if self.mode in SUPERVISED_MODES else ("spearman",)
         if self.dev_metric not in dev_metrics:
             raise ValueError(
-                f"dev_metric for mode {self.mode!r} must be one of {dev_metrics}, "
-                f"got {self.dev_metric!r}"
+                f"config field 'dev_metric': for mode {self.mode!r} expected one of "
+                f"{', '.join(map(repr, dev_metrics))}, got {self.dev_metric!r}"
             )
-        self.loss_config().validate()
-        self.attack_config().validate()
 
     def loss_config(self) -> LossConfig:
         return LossConfig(

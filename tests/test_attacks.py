@@ -30,7 +30,7 @@ class TestAttackConfig:
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
     def test_epsilon_non_finite_rejected(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be finite"):
+        with pytest.raises(ValueError, match="'epsilon'.*finite"):
             AttackConfig(epsilon=epsilon).validate()
 
 

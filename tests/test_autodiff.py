@@ -12,7 +12,7 @@ import pytest
 from callab import autodiff as ad
 from callab.autodiff import Tensor
 
-from conftest import attention_chain, linear_chain, reference_backward
+from conftest import attention_chain, linear_chain, reference_backward, reference_draw_keep
 
 
 @pytest.fixture(autouse=True)
@@ -336,8 +336,26 @@ class TestMaskWorker:
         want = ad.rng_from_seed(4).random(full)[:2, :130, :131] >= 0.5
         assert keep.tobytes() == want.tobytes()
         assert max(calls) <= ad._DRAW_CHUNK
-        # the first slab is read whole; nothing past the last row the crop needs
-        assert sum(calls) == 140 * 140 + 130 * 140
+        # nothing past the last word the crop needs, (1, 129, 130)
+        assert sum(calls) == 140 * 140 + 129 * 140 + 131
+
+    # (shape, full_shape) of selfcheck's worker mask, a 0-d mask, the [CLS]
+    # probability row, both workloads' hidden and probability masks at width
+    # 15, a slab over the chunk and an uncropped mask
+    REFERENCE_PAIRS = [
+        ((3, 256, 60), (4, 257, 64)), ((), ()), ((32, 4, 1, 15), (32, 4, 32, 32)),
+        ((32, 15, 32), (32, 16, 32)), ((32, 2, 15, 15), (32, 2, 16, 16)),
+        ((32, 2, 1, 15), (32, 2, 16, 16)), ((32, 15, 64), (32, 32, 64)),
+        ((32, 4, 15, 15), (32, 4, 32, 32)), ((32, 1, 64), (32, 32, 64)),
+        ((2, 130, 131), (3, 140, 140)), ((100, 100), (100, 100)),
+    ]
+
+    @pytest.mark.parametrize("shape, full", REFERENCE_PAIRS, ids=str)
+    def test_keep_bytes_equal_the_reference_walk(self, shape, full):
+        for seed, rate in ((42, 0.1), (7, 0.5)):
+            want = reference_draw_keep(seed, full, rate, np.empty(shape, dtype=bool))
+            got = ad._draw_keep(seed, full, rate, np.empty(shape, dtype=bool))
+            assert got.tobytes() == want.tobytes()
 
     def test_worker_error_is_raised_in_the_reader(self, monkeypatch):
         monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
@@ -843,12 +861,10 @@ class TestGradCheck:
         err = ad.grad_check(lambda t: ad.mean_all(ad.matmul(ad.transpose(t), ad.matmul(q, t))), x)
         assert err < 1e-6
 
-    def test_softmax_cross_entropy(self, rng):
-        from callab.objectives import cross_entropy
+    def test_softmax_cross_entropy(self):
+        from callab.selfcheck import check_softmax_ce_gradient
 
-        logits = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-        labels = rng.integers(0, 3, size=5)
-        assert ad.grad_check(lambda t: cross_entropy(t, labels), logits) < 1e-4
+        assert check_softmax_ce_gradient() is None
 
     def test_rejects_nondeterministic_function(self, rng):
         x = Tensor(np.ones(4), requires_grad=True)

@@ -4,6 +4,7 @@ import dataclasses
 import filecmp
 import itertools
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -370,6 +371,18 @@ class TestSingleDeclaration:
             "--heads", "--ffn-dim", "--dropout", "--max-len", "--num-classes",
         }
 
+    def test_every_numeric_train_flag_help_names_its_domain(self):
+        """The help prints each flag's domain from the field that declares it."""
+        actions = {a.option_strings[0]: a for a in _subparser("train")._actions}
+        numeric = {flag: a.help for flag, a in actions.items() if a.type in (int, float)}
+        bounded = re.compile(r"(int|finite float) (>=? \S+|in [\[(]\S+, \S+[\])]), default \S+$")
+        assert {flag for flag, text in numeric.items() if not bounded.match(text)} == {"--seed"}
+        assert numeric["--seed"] == "int, default 42"
+        assert numeric["--dropout"] == "finite float in [0, 1), default 0.1"
+        assert numeric["--max-len"] == "int >= 3, default 32"
+        assert actions["--mode"].help == "one of 'scal', 'uscal', 'ce', 'views', default 'scal'"
+        assert len(numeric) == 20
+
     def test_eval_attack_choices_are_the_attack_kinds(self):
         attack = next(a for a in _subparser("eval")._actions if a.dest == "attack")
         assert tuple(attack.choices) == ATTACK_KINDS
@@ -641,6 +654,23 @@ UNUSABLE = [  # (case, command, role of the broken file or path, how it is broke
 ]
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """The paths a command asks ``cli``'s loaders and ``Vocab.load`` for; each reads nothing."""
+    import callab.cli as cli_mod
+
+    paths = []
+
+    def record(path):
+        paths.append(path)
+        return []
+
+    for loader in ("load_supervised_tsv", "load_similarity_tsv", "load_unsupervised_lines"):
+        monkeypatch.setattr(cli_mod, loader, record)
+    monkeypatch.setattr(cli_mod.Vocab, "load", record)
+    return paths
+
+
 class TestExitContract:
     """main alone maps error kinds to exit codes; every input is read and
     checked before a command writes anything."""
@@ -681,23 +711,22 @@ class TestExitContract:
         else:
             assert not out.exists() and not (tmp_path / "missing").exists()
 
-    def test_unknown_mode_exit_2_before_any_read(self, workspace, tmp_path, monkeypatch,
-                                                  capsys):
-        import callab.cli as cli_mod
-
-        reads = []
-
-        def record(path):
-            reads.append(path)
-            return []
-
-        for loader in ("load_supervised_tsv", "load_similarity_tsv", "load_unsupervised_lines"):
-            monkeypatch.setattr(cli_mod, loader, record)
-        monkeypatch.setattr(cli_mod.Vocab, "load", record)
+    def test_unknown_mode_exit_2_before_any_read(self, workspace, tmp_path, reads, capsys):
         out = tmp_path / "sgd"
         assert _train(workspace, out, mode="sgd") == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "'sgd'" in err and all(repr(mode) in err for mode in TRAIN_MODES)
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--dropout", "dropout", "1.5"), ("--heads", "heads", "0"), ("--alpha", "alpha", "2"),
+    ])
+    def test_out_of_domain_flag_exit_2_before_any_read(self, workspace, tmp_path, reads,
+                                                       capsys, flag, field, value):
+        out = tmp_path / "run"
+        assert _train(workspace, out, extra=[f"{flag}={value}"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert f"config field {field!r}" in err and value in err and "Traceback" not in err
         assert reads == [] and not out.exists()
 
     @pytest.mark.parametrize("attack", [[], ["--attack", "fgm"]], ids=["clean", "attack"])
@@ -729,12 +758,12 @@ class TestExitContract:
         ("--weight-decay", "weight_decay", "-inf"), ("--dropout", "dropout", "nan"),
     ])
     def test_non_finite_float_flag_exit_2_before_writing(self, workspace, tmp_path, capsys,
-                                                         flag, field, value):
+                                                         reads, flag, field, value):
         out = tmp_path / "run"
         assert _train(workspace, out, extra=[f"{flag}={value}"]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert repr(field) in err and "finite" in err and "Traceback" not in err
-        assert not out.exists()
+        assert reads == [] and not out.exists()
 
     def test_non_finite_config_file_value_exit_2_named(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -775,12 +804,12 @@ class TestExitContract:
 
     @pytest.mark.parametrize("max_len", ["1", "2"])
     def test_max_len_below_three_exit_2_before_writing(self, workspace, tmp_path, capsys,
-                                                       max_len):
+                                                       reads, max_len):
         out = tmp_path / "run"
         assert _train(workspace, out, extra=["--max-len", max_len]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
-        assert "max_len must be >= 3" in err and "Traceback" not in err
-        assert not out.exists()
+        assert "'max_len': expected int >= 3" in err and "Traceback" not in err
+        assert reads == [] and not out.exists()
 
     def test_similarity_run_whose_encoder_ranks_no_pair_scores_zero(self, workspace, tmp_path):
         """A vocab that knows no corpus word encodes both sentences of a pair alike,

@@ -1,9 +1,12 @@
-"""Encoder tests: shapes, determinism, masking, weight sharing, oracles."""
+"""Encoder tests: setting domains, shapes, determinism, masking, weight sharing, oracles."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from callab import autodiff as ad
+from callab.attacks import AttackConfig
 from callab.autodiff import Tensor, derive_seed
 from callab.encoder import (
     EncoderConfig,
@@ -14,8 +17,9 @@ from callab.encoder import (
     forward_full,
     pool,
 )
-from callab.objectives import cross_entropy
+from callab.objectives import LossConfig, cross_entropy
 from callab.text import Batch
+from callab.trainer import TrainConfig
 
 from conftest import attention_chain, linear_chain, toy_setup
 
@@ -33,6 +37,68 @@ class TestConfig:
         cfg = EncoderConfig(vocab_size=30, hidden=16, layers=1, heads=2,
                             ffn_dim=32, dropout=0.2, max_len=8, num_classes=3)
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+
+
+BELOW_0, BELOW_1 = np.nextafter(0.0, -1.0), np.nextafter(1.0, 0.0)
+# every field of the four configs: the edge values it takes, the ones it refuses
+DOMAINS = {
+    (EncoderConfig, "vocab_size"): ([5], [4]),
+    (EncoderConfig, "hidden"): ([1], [0, 32.0]),
+    (EncoderConfig, "layers"): ([1], [0]),
+    (EncoderConfig, "heads"): ([1], [0]),
+    (EncoderConfig, "ffn_dim"): ([1], [0]),
+    (EncoderConfig, "dropout"): ([0, 0.0, BELOW_1], [BELOW_0, 1.0, np.nan]),
+    (EncoderConfig, "max_len"): ([1], [0]),
+    (EncoderConfig, "num_classes"): ([0], [-1]),
+    (TrainConfig, "mode"): (["scal", "uscal", "ce", "views"], ["sgd", ""]),
+    (TrainConfig, "lr"): ([5e-324], [0.0, np.inf, "1e-3"]),
+    (TrainConfig, "weight_decay"): ([0.0], [BELOW_0, np.inf]),
+    (TrainConfig, "warmup_ratio"): ([0.0, BELOW_1], [BELOW_0, 1.0]),
+    (TrainConfig, "batch_size"): ([1], [0, 2.5]),
+    (TrainConfig, "max_epochs"): ([1], [0]),
+    (TrainConfig, "max_steps"): ([0], [-1]),
+    (TrainConfig, "early_stop_patience"): ([0], [-1]),
+    (TrainConfig, "eval_interval_steps"): ([1], [0]),
+    (TrainConfig, "seed"): ([-(2**63), 0, 2**64], [1.0]),
+    (TrainConfig, "alpha"): ([0.0, 1.0], [BELOW_0, np.nextafter(1.0, 2.0)]),
+    (TrainConfig, "epsilon"): ([0.0], [BELOW_0, np.inf]),
+    (TrainConfig, "temperature"): ([5e-324], [0.0, np.nan]),
+    (TrainConfig, "attack_kind"): (["fgsm", "fgm"], ["pgd"]),
+    (TrainConfig, "negative_mode"): (["adv-keys", "clean-keys"], ["bogus"]),
+    (TrainConfig, "dev_metric"): (["accuracy", "f1", "mcc"], ["spearman", "bleu"]),
+    (TrainConfig, "grad_clip"): ([0.0], [BELOW_0, np.nan]),
+    (LossConfig, "temperature"): ([5e-324], [0.0, np.inf]),
+    (LossConfig, "alpha"): ([0.0, 1.0], [BELOW_0, np.nextafter(1.0, 2.0)]),
+    (LossConfig, "negative_mode"): (["adv-keys", "clean-keys"], ["bogus"]),
+    (AttackConfig, "kind"): (["fgsm", "fgm"], ["pgd"]),
+    (AttackConfig, "epsilon"): ([0.0], [BELOW_0, np.inf, -np.inf]),
+}
+
+
+def _config(cls, **values):
+    """``cls`` with ``values``, on settings that meet its cross-field rules."""
+    if cls is EncoderConfig:
+        values = {"vocab_size": 10, "heads": 1, **values}
+    if cls is TrainConfig and values.get("mode") in ("uscal", "views"):
+        values["dev_metric"] = "spearman"
+    return cls(**values)
+
+
+class TestSettingDomains:
+    def test_every_field_is_listed(self):
+        configs = (EncoderConfig, TrainConfig, LossConfig, AttackConfig)
+        assert set(DOMAINS) == {(cls, f.name) for cls in configs for f in fields(cls)}
+
+    @pytest.mark.parametrize("cls, name", DOMAINS, ids=[f"{c.__name__}.{n}" for c, n in DOMAINS])
+    def test_validate_takes_the_domain_and_refuses_the_rest_naming_the_field(self, cls, name):
+        """Each edge inside the domain passes; each edge outside it, a value of
+        the wrong type, ``None`` and a ``bool`` are a ``ValueError`` naming the field."""
+        takes, refuses = DOMAINS[cls, name]
+        for value in takes:
+            _config(cls, **{name: value}).validate()
+        for value in (*refuses, None, True):
+            with pytest.raises(ValueError, match=f"config field '{name}'"):
+                _config(cls, **{name: value}).validate()
 
 
 class TestEmbedTokens:

@@ -8,31 +8,15 @@ import pytest
 from callab import autodiff as ad
 from callab.autodiff import Tensor
 from callab.objectives import (
-    LossConfig,
     cross_entropy,
     info_nce,
     info_nce_split,
 )
-from callab.selfcheck import info_nce_bruteforce
-
-
-class TestLossConfig:
-    def test_defaults_valid(self):
-        LossConfig().validate()
-
-    def test_temperature_positive(self):
-        with pytest.raises(ValueError):
-            LossConfig(temperature=0.0).validate()
-
-    def test_alpha_range(self):
-        LossConfig(alpha=0.0).validate()   # 0 disables the contrastive term
-        LossConfig(alpha=1.0).validate()
-        with pytest.raises(ValueError):
-            LossConfig(alpha=1.5).validate()
-
-    def test_negative_mode_names(self):
-        with pytest.raises(ValueError):
-            LossConfig(negative_mode="bogus").validate()
+from callab.selfcheck import (
+    check_info_nce_gradient,
+    check_softmax_ce_gradient,
+    info_nce_bruteforce,
+)
 
 
 class TestCrossEntropy:
@@ -70,10 +54,8 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="label"):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
-    def test_gradient(self, rng):
-        logits = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-        labels = rng.integers(0, 4, size=6)
-        assert ad.grad_check(lambda t: cross_entropy(t, labels), logits) < 1e-4
+    def test_gradient(self):
+        assert check_softmax_ce_gradient() is None
 
 
 class TestInfoNCE:
@@ -133,13 +115,16 @@ class TestInfoNCE:
         assert math.isfinite(val)
         assert any("zero-norm" in r.message for r in caplog.records)
 
-    def test_gradient(self, rng):
-        anchors = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        keys = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
-        assert ad.grad_check(lambda t: info_nce(t, keys, 0.05), anchors) < 1e-4
-        keys_g = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        anchors_c = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
-        assert ad.grad_check(lambda t: info_nce(anchors_c, t, 0.05), keys_g) < 1e-4
+    def test_gradient(self):
+        assert check_info_nce_gradient() is None
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0])
+    def test_temperature_must_be_finite_and_positive(self, rng, temperature):
+        a = Tensor(rng.standard_normal((3, 4)))
+        with pytest.raises(ValueError, match="temperature"):
+            info_nce(a, a, temperature)
+        with pytest.raises(ValueError, match="temperature"):
+            info_nce_split(a, a, a, temperature)
 
     def test_split_variant_matches_standard_when_keys_coincide(self, rng):
         a = Tensor(rng.standard_normal((4, 6)).astype(np.float32))

@@ -182,7 +182,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["lr", "weight_decay", "grad_clip", "temperature"])
     def test_non_finite_float_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"'{name}'.*finite"):
             TrainConfig(**{name: value}).validate()
 
 
