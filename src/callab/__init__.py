@@ -11,9 +11,21 @@ under 4 MiB come from the heap rather than their own mmap, and a free top
 of the heap under 64 MiB stays mapped. Each step frees what the next one
 allocates again, so without this its pages are returned to the OS and
 faulted back in every step. Where libc has no ``mallopt`` nothing changes.
+
+When none of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` is set, importing the package sets all three to 1
+before numpy is imported: one BLAS thread, since the engine's own worker
+thread uses the second core and a second BLAS thread only spins against
+it. A variable the user set is kept, and none is added then. A process that
+imported numpy before ``callab`` keeps the BLAS threads it started with.
 """
 
 import ctypes
+import os
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 
 def _keep_freed_heap() -> None:

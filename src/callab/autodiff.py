@@ -52,17 +52,21 @@ as the node's backward has run, not when the step ends. ``grad_of`` runs
 the same walk and leaves the tape intact.
 
 The tape is single-threaded: one tape per step, recorded and walked by the
-thread that builds the graph. Only dropout mask draws leave that thread. A
-forward announces its large train-mode masks (``announce_masks``) and one
-daemon worker draws them while the forward computes; Philox is counter
-based, so a mask depends only on its seed and shape, and the worker calls
-the function an inline draw calls. The worker holds the GIL only between
-Philox calls, which run without it. Eval and inference announce nothing and
-start no thread.
+thread that builds the graph. One daemon worker runs two kinds of job off
+that thread, each with the function the inline path calls, so where a job
+ran changes no byte. A forward announces its large train-mode masks
+(``announce_masks``) and the worker draws them while the forward computes;
+Philox is counter based, so a mask depends only on its seed and shape.
+``backward``'s walk hands the worker the large weight and bias gradients of
+``linear`` (``GRAD_WORKER_FLOOR``), which only the optimizer reads, and
+goes on walking; it sums them in walk order when it ends. The worker holds
+the GIL only between numpy calls, which run without it. Eval, inference and
+``grad_of`` hand it nothing, and eval and inference start no thread.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -70,7 +74,7 @@ import queue
 import threading
 import weakref
 import zlib
-from typing import Callable, Optional, Sequence
+from typing import Callable, Container, Optional, Sequence
 
 import numpy as np
 
@@ -259,7 +263,9 @@ def _record(
     return out
 
 
-def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = None) -> dict:
+def _reverse_walk(
+    root: Tensor, nodes: Sequence[_Node], only: Optional[set] = None, defer: Container = ()
+) -> dict:
     """One reverse pass over ``nodes``; returns the gradients of the tensors no node produced.
 
     Gradients sum across fan-out, keyed by tensor key. A node's consumers
@@ -278,36 +284,74 @@ def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = No
     gradient through, so an entry's first array may be held elsewhere too.
     The first sum into an entry makes a new array that the entry owns, and
     only owned entries are summed into in place.
+
+    An input whose key is in ``defer`` (keys no node produces) is kept as
+    ``_DEFER``: its backward may return a ``_Job`` for it, whose result is
+    a tuple aligned with the node's inputs, each entry float32 and of its
+    input's shape. From its first job on, such a
+    key collects its entries in walk order, and when the walk ends they are
+    summed by the same rule: the first as is, then ``acc + g``, then in
+    place. No job is left running when the walk returns or raises.
     """
     if root.data.size != 1:
         raise ValueError(f"gradient root must be a scalar, got shape {root.data.shape}")
     consume = only is None
     grads: dict[int, np.ndarray] = {root.key: np.ones_like(root.data)}
     owned: set[int] = set()  # keys of the entries whose array this walk allocated for them
-    for node in reversed(nodes):
-        g_out = grads.pop(node.key, None)
-        if consume:
-            out = node.output()
-            if out is not None:
-                out.grad = g_out if g_out is not None else np.zeros_like(out.data)
-        if g_out is not None:
-            node.keep[:] = [rg and (consume or key in only) for key, _, rg in node.inputs]
-            for (key, shape, _), kept, g in zip(node.inputs, node.keep, node.backward(g_out)):
-                if g is None or not kept:
-                    continue
-                g = np.asarray(g, dtype=_F32)
-                if g.shape != shape:
-                    g = g.reshape(shape)
-                acc = grads.get(key)
-                if acc is None:
-                    grads[key] = g
-                elif key in owned:
-                    acc += g
+    deferred: dict[int, list] = {}  # key: its arrays and (job, input index) pairs in walk order
+    try:
+        for node in reversed(nodes):
+            g_out = grads.pop(node.key, None)
+            if consume:
+                out = node.output()
+                if out is not None:
+                    out.grad = g_out if g_out is not None else np.zeros_like(out.data)
+            if g_out is not None:
+                node.keep[:] = (
+                    [_DEFER if key in defer else rg for key, _, rg in node.inputs] if consume
+                    else [rg and key in only for key, _, rg in node.inputs]
+                )
+                for i, ((key, shape, _), kept, g) in enumerate(
+                    zip(node.inputs, node.keep, node.backward(g_out))
+                ):
+                    if g is None or not kept:
+                        continue
+                    if isinstance(g, _Job):
+                        if key not in deferred:
+                            acc = grads.pop(key, None)
+                            deferred[key] = [] if acc is None else [acc]
+                        deferred[key].append((g, i))
+                        continue
+                    g = np.asarray(g, dtype=_F32)
+                    if g.shape != shape:
+                        g = g.reshape(shape)
+                    if key in deferred:
+                        deferred[key].append(g)
+                        continue
+                    acc = grads.get(key)
+                    if acc is None:
+                        grads[key] = g
+                    elif key in owned:
+                        acc += g
+                    else:
+                        grads[key] = acc + g
+                        owned.add(key)
+            if consume:
+                node.inputs, node.leaves, node.output, node.backward = (), (), None, None
+        for key, entries in deferred.items():
+            acc = None
+            for n, entry in enumerate(entries):
+                g = entry if isinstance(entry, np.ndarray) else entry[0].result()[entry[1]]
+                if n == 0:
+                    acc = g
+                elif n == 1:
+                    acc = acc + g
                 else:
-                    grads[key] = acc + g
-                    owned.add(key)
-        if consume:
-            node.inputs, node.leaves, node.output, node.backward = (), (), None, None
+                    acc += g
+            grads[key] = acc
+    finally:
+        while _in_flight:
+            _in_flight.popleft().wait()
     return grads
 
 
@@ -338,7 +382,7 @@ def backward(root: Tensor) -> None:
     tape = _tape_or_raise("backward")
     tape.consumed = True
     leaves = {t.key: t for node in tape.nodes for t in node.leaves}
-    grads = _reverse_walk(root, tape.nodes)
+    grads = _reverse_walk(root, tape.nodes, defer=leaves)
     for key, t in leaves.items():
         g = grads.get(key)
         t.grad = g if g is not None else np.zeros_like(t.data)
@@ -463,7 +507,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     x's rows form one 2-D product, so the precision rule is matmul's: the
     forward and x's gradient in storage precision, w's gradient and the bias
-    sum over every row in float64.
+    sum over every row in float64. In ``backward``'s walk, a weight product
+    of at least ``GRAD_WORKER_FLOOR`` multiply-adds runs with the bias sum
+    on the worker (``_linear_param_grads``) while the walk goes on.
     """
     x_d, w_d, b_d = x.data, w.data, b.data
     if x_d.ndim not in (2, 3):
@@ -478,6 +524,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g, keep):
         g = g.reshape(-1, g.shape[-1])
         gx = _matmul_grad_a(g, w_d) if keep[0] else None
+        if (
+            keep[1] is _DEFER and keep[2] is _DEFER
+            and g.size * x_m.shape[1] >= GRAD_WORKER_FLOOR
+            and g.flags.c_contiguous and x_m.flags.c_contiguous
+        ):
+            gw, gb = np.empty(w_d.shape, dtype=_F32), np.empty(b_d.shape, dtype=_F32)
+            job = _submit_grad_job(_linear_param_grads, x_m, g, gw, gb)
+            return gx, job, job
         gw = _matmul_grad_b(x_m, g) if keep[1] else None
         gb = g.sum(axis=0, dtype=_F64).astype(_F32) if keep[2] else None
         return gx, gw, gb
@@ -664,12 +718,12 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: gamma/beta must have shape ({h},), got {gamma.data.shape} and {beta.data.shape}"
         )
     x = a.data.astype(_F64)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    out = (xhat * gamma.data.astype(_F64) + beta.data.astype(_F64)).astype(_st())
+    # x - mean once: numpy's var runs these same steps and subtracts again
+    d = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((d * d).sum(axis=-1, keepdims=True) / h + eps)
+    xhat = d * inv
     g_d = gamma.data.astype(_F64)
+    out = (xhat * g_d + beta.data.astype(_F64)).astype(_st())
 
     def bwd(g, keep):
         g64 = g.astype(_F64)
@@ -724,7 +778,7 @@ def _dropout_mask(
     Drawn from Philox keyed by ``seed`` at ``full_shape`` (default ``shape``)
     and cropped to the leading corner. ``random()`` is ``(raw >> 11) * 2**-53``
     of the raw words, so ``raw >= ceil(rate * 2**53) << 11`` is ``random() >= rate``.
-    A mask announced by ``announce_masks`` is taken from the mask worker
+    A mask announced by ``announce_masks`` is taken from the worker
     (waiting for it if need be); any other is drawn here, by the same function.
     """
     if not 0.0 <= rate < 1.0:
@@ -767,78 +821,152 @@ def _draw_keep(seed: int, full_shape: tuple, rate: float, keep: np.ndarray) -> n
     return keep
 
 
-# Masks of at least this many raw words (at full shape) are drawn on the mask
+# Masks of at least this many raw words (at full shape) are drawn on the
 # worker once announced; a smaller draw costs less inline than its hand-off.
 MASK_WORKER_FLOOR = 1 << 16
+# linear weight products of at least this many multiply-adds (rows x in x
+# out) run on the worker in backward's walk: every full-width layer product
+# at default size (a layer-0 wq at width 15 is 1,966,080), no demo-size one
+# (at most 2^20)
+GRAD_WORKER_FLOOR = 1_500_000
+# backward's walk waits for its oldest gradient job beyond this many, so the
+# inputs of the jobs still queued stay few
+GRAD_JOBS_IN_FLIGHT = 4
+
+# the keep entry backward's walk gives a leaf input: its gradient is wanted,
+# and the backward may return it as a _Job whose result holds it
+_DEFER = "defer"
 
 
-class _Draw:
-    """One announced mask: the worker draws it, ``_dropout_mask`` reads it once.
+class _Job:
+    """``fn(*args)`` for the worker; ``result`` waits for it and re-raises its error.
 
-    The keep array is allocated here, on the thread that will hold it, so it
-    comes from that thread's heap like an inline draw's and the worker's
-    heap holds only its chunk temporaries.
+    ``ready`` is held until the worker has run the job. The job drops its
+    arguments once run, and a job whose ``args`` another thread set to None
+    first runs nothing.
     """
 
-    __slots__ = ("args", "ready", "keep", "error")
+    __slots__ = ("fn", "args", "ready", "value", "error")
 
-    def __init__(self, seed: int, shape: tuple, full_shape: tuple, rate: float):
-        self.keep = np.empty(shape, dtype=bool)
-        self.args: Optional[tuple] = (seed, full_shape, rate, self.keep)  # None once dropped
+    def __init__(self, fn: Callable, *args):
+        self.fn = fn
+        self.args: Optional[tuple] = args
         self.ready = threading.Lock()
-        self.ready.acquire()  # released by the worker once keep is filled or error is set
+        self.ready.acquire()  # released by the worker once value or error is set
+        self.value = None
         self.error: Optional[BaseException] = None
 
     def run(self) -> None:
         try:
-            if self.args is not None:
-                _draw_keep(*self.args)
+            args = self.args
+            if args is not None:
+                self.value = self.fn(*args)
         except BaseException as exc:  # handed to the reader, which re-raises it
             self.error = exc
         finally:
+            self.args = None
             self.ready.release()
 
-    def result(self) -> np.ndarray:
+    def wait(self) -> None:
         with self.ready:
             pass
+
+    def result(self):
+        self.wait()
         if self.error is not None:
             raise self.error
-        return self.keep
+        return self.value
 
 
 # announced draws by (seed, shape, full_shape, rate); read by _dropout_mask
-_pending: dict[tuple, _Draw] = {}
+_pending: dict[tuple, _Job] = {}
+# gradient jobs of the running walk that it has not waited for, oldest first
+_in_flight: collections.deque = collections.deque()
 _queue: Optional[queue.SimpleQueue] = None
 
 
-def _draw_forever(q: queue.SimpleQueue) -> None:
+def _work_forever(q: queue.SimpleQueue) -> None:
     while True:
         q.get().run()
 
 
+def _submit(job: _Job) -> _Job:
+    """Queue ``job`` on the worker, starting the worker if there is none."""
+    global _queue
+    if _queue is None:
+        _queue = queue.SimpleQueue()
+        threading.Thread(
+            target=_work_forever, args=(_queue,), name="callab-worker", daemon=True
+        ).start()
+    _queue.put(job)
+    return job
+
+
+def _submit_grad_job(fn: Callable, *args) -> _Job:
+    """Queue a gradient job, first waiting for the oldest while ``GRAD_JOBS_IN_FLIGHT`` are out."""
+    if len(_in_flight) >= GRAD_JOBS_IN_FLIGHT:
+        _in_flight.popleft().wait()
+    job = _Job(fn, *args)
+    _in_flight.append(job)
+    return _submit(job)
+
+
 def _forget_worker() -> None:
-    """A forked child has no worker thread: it starts its own when it needs one."""
+    """A forked child has no worker thread: it drops the parent's jobs and starts its own worker."""
     global _queue
     _queue = None
     _pending.clear()
+    _in_flight.clear()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
+# the worker's float64 buffers for linear's weight product: its two operands,
+# one after the other, and its result; each grown to the largest product it
+# has run and kept, like AdamW's workspace
+_work64 = [np.empty(0, dtype=_F64), np.empty(0, dtype=_F64)]
+
+
+def _work_buffer(i: int, n: int) -> np.ndarray:
+    if _work64[i].size < n:
+        _work64[i] = np.empty(n, dtype=_F64)
+    return _work64[i][:n]
+
+
+def _linear_param_grads(x_m: np.ndarray, g: np.ndarray, gw: np.ndarray, gb: np.ndarray) -> tuple:
+    """``linear``'s weight and bias gradients, written into ``gw`` and ``gb``, aligned with its inputs.
+
+    The weight product is ``_matmul_grad_b`` in the worker's kept buffers:
+    ``x_m`` and ``g`` (both C-ordered) are cast into them with the layouts
+    the inline casts give, x^T F-ordered and g C-ordered, so BLAS gets the
+    same call and the bytes are the same. The outputs are float32, as the
+    walk casts every gradient, and are allocated by the walk's thread, which
+    frees them, so they come from its heap.
+    """
+    ops = _work_buffer(0, x_m.size + g.size)
+    x64 = ops[: x_m.size].reshape(x_m.shape)
+    x64[...] = x_m
+    g64 = ops[x_m.size :].reshape(g.shape)
+    g64[...] = g
+    gw[...] = np.matmul(x64.T, g64, out=_work_buffer(1, gw.size).reshape(gw.shape))
+    gb[...] = g.sum(axis=0, dtype=_F64)
+    return None, gw, gb
+
+
 def announce_masks(masks: Sequence[tuple[int, tuple, tuple]], rate: float) -> None:
-    """Queue the train-mode dropout masks a forward is about to read on the mask worker.
+    """Queue the train-mode dropout masks a forward is about to read on the worker.
 
     Each mask is ``(seed, shape, full_shape)`` exactly as the forward will
     pass them to ``dropout_apply`` or ``attention`` at ``rate``. Masks under
     ``MASK_WORKER_FLOOR`` words, and all masks at rate 0, stay inline. The
-    worker is one daemon thread, started by the first mask it is given, and
+    worker is one daemon thread, started by the first job it is given, and
     draws in announcement order with the function an inline draw uses, so a
-    mask's bytes do not depend on where it was drawn. Draws announced before
+    mask's bytes do not depend on where it was drawn. The keep array is
+    allocated here, on the thread that will hold it. Draws announced before
     and not read since (a forward that raised) are dropped.
     """
-    global _queue
     for draw in _pending.values():
         draw.args = None
     _pending.clear()
@@ -847,14 +975,9 @@ def announce_masks(masks: Sequence[tuple[int, tuple, tuple]], rate: float) -> No
     for seed, shape, full_shape in masks:
         if math.prod(full_shape) < MASK_WORKER_FLOOR:
             continue
-        if _queue is None:
-            _queue = queue.SimpleQueue()
-            threading.Thread(
-                target=_draw_forever, args=(_queue,), name="callab-mask-worker", daemon=True
-            ).start()
-        draw = _Draw(seed, shape, full_shape, rate)
-        _pending[(seed, shape, full_shape, rate)] = draw
-        _queue.put(draw)
+        keep = np.empty(shape, dtype=bool)
+        _pending[(seed, shape, full_shape, rate)] = _submit(
+            _Job(_draw_keep, seed, full_shape, rate, keep))
 
 
 _NEG_MASK = _F32(-1e9)

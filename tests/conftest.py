@@ -160,3 +160,28 @@ def assert_flat_views(params):
             assert arr.ctypes.data - flat.ctypes.data == lo * flat.itemsize, name
         lo += t.data.size
     assert lo == params.flat.size == params.grad_flat.size
+
+
+def reference_layer_norm(a, gamma, beta, eps=1e-5):
+    """Reference for ``ad.layer_norm``: mean and ``var`` by numpy's own calls, which
+    subtract the mean a second time, and ``gamma`` cast twice."""
+    x = a.data.astype(np.float64)
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    out = (xhat * gamma.data.astype(np.float64) + beta.data.astype(np.float64)).astype(ad._st())
+    g_d = gamma.data.astype(np.float64)
+
+    def bwd(g, keep):
+        g64 = g.astype(np.float64)
+        gxhat = g64 * g_d
+        m1 = gxhat.mean(axis=-1, keepdims=True)
+        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        ga = ((gxhat - m1 - xhat * m2) * inv).astype(np.float32) if keep[0] else None
+        lead = tuple(range(g64.ndim - 1))
+        ggamma = (g64 * xhat).sum(axis=lead).astype(np.float32) if keep[1] else None
+        gbeta = g64.sum(axis=lead).astype(np.float32) if keep[2] else None
+        return ga, ggamma, gbeta
+
+    return ad._record((a, gamma, beta), out, bwd, selective=True)

@@ -12,7 +12,13 @@ import pytest
 from callab import autodiff as ad
 from callab.autodiff import Tensor
 
-from conftest import attention_chain, linear_chain, reference_backward, reference_draw_keep
+from conftest import (
+    attention_chain,
+    linear_chain,
+    reference_backward,
+    reference_draw_keep,
+    reference_layer_norm,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -189,6 +195,28 @@ class TestLayerNorm:
                                                            ad.layer_norm(x, gamma, b))), beta)
         assert err_g < 1e-4 and err_b < 1e-4
 
+    @pytest.mark.parametrize("storage", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(32, 15, 64), (32, 15, 32), (32, 1, 64), (3, 6), (2, 5, 1)])
+    def test_bytes_equal_the_reference(self, rng, shape, storage):
+        """Output and all three gradients, on rows with a large mean and on constant rows."""
+        h = shape[-1]
+        x = rng.standard_normal(shape) * 3.0 + 50.0
+        x.reshape(-1, h)[0] = 7.0
+        g = rng.standard_normal(shape).astype(np.float32)
+        gamma_d = rng.standard_normal(h) + 1.0
+        beta_d = rng.standard_normal(h)
+        context = ad._float64_forward() if storage == "float64" else contextlib.nullcontext()
+        got = []
+        for op in (ad.layer_norm, reference_layer_norm):
+            with context, ad.Tape() as tape:
+                t = Tensor(x, requires_grad=True)
+                gamma, beta = Tensor(gamma_d, requires_grad=True), Tensor(beta_d, requires_grad=True)
+                out = op(t, gamma, beta)
+                assert out.data.dtype == np.dtype(storage)
+                got.append([out.data.tobytes()]
+                           + [d.tobytes() for d in tape.nodes[-1].backward(g)])
+        assert got[0] == got[1]
+
 
 class TestDropout:
     def test_rate_zero_identity(self, rng):
@@ -306,7 +334,7 @@ class TestMaskWorker:
         ad.announce_masks([(21, shape, full)], 0.3)
         draw = ad._pending[(21, shape, full, 0.3)]
         worker, _ = ad._dropout_mask("test", shape, 0.3, 21, True, full)
-        assert draw.keep is worker and not ad._pending
+        assert draw.value is worker and not ad._pending
         assert inline.tobytes() == worker.tobytes() == want.tobytes()
         assert worker.shape == shape and worker.dtype == np.bool_
 

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -712,7 +713,9 @@ class TestConsumingBackwardOnLossGraphs:
 
     @pytest.mark.parametrize("size", ["demo", "default"])
     @pytest.mark.parametrize("mode", ["scal", "uscal"])
-    def test_held_grads_equal_the_reference_walk(self, mode, size, seams):
+    def test_held_grads_equal_the_reference_walk(self, mode, size, seams, monkeypatch):
+        """With every linear's parameter gradients on the worker, at both sizes."""
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", 0)
         size = self.DEMO if size == "demo" else self.DEFAULT
         got = self._walked(lambda root, _tape: backward(root), mode, size, seams)
         want = self._walked(reference_backward, mode, size, seams)
@@ -724,12 +727,9 @@ class TestConsumingBackwardOnLossGraphs:
 class TestStepMemory:
     """A step's tape holds only what its backwards read."""
 
-    def test_default_uscal_step_peak_is_bounded(self):
-        """The traced peak of one default-size uscal step above its start.
-
-        The tape holds about 9.6 MB of what the backwards read; holding every
-        op's output as well raised it to 16.7 MB.
-        """
+    @staticmethod
+    def _step_peak():
+        """The traced peak of one default-size uscal step above its start, in bytes."""
         lines, _ = make_paraphrase_corpus(32, 2, seed=1)
         vocab = build_vocab(lines)
         cfg = EncoderConfig(vocab_size=len(vocab), dropout=0.1, **TestDynamicPadding.DEFAULT)
@@ -744,44 +744,133 @@ class TestStepMemory:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             train_step(batch, params, opt, tcfg, derive_seed(3, "step", 1), lr_t=1e-3)
-            peak = tracemalloc.get_traced_memory()[1] - start
+            return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
+
+    def test_default_uscal_step_peak_is_bounded(self):
+        """The tape holds about 9.6 MB of what the backwards read; holding every
+        op's output as well raised it to 16.7 MB."""
+        peak = self._step_peak()
         assert peak <= 11e6, f"step peak {peak / 1e6:.2f} MB"
+
+    def test_the_in_flight_cap_bounds_a_slow_workers_backlog(self, monkeypatch):
+        """A queued gradient job holds its linear's input and output gradient.
+
+        With a worker this slow and no cap, every job of the walk was queued
+        at once. The step peak stays at the guard's value either way, since
+        the walk frees more than the queued jobs hold (10.40 MB uncapped,
+        10.33 MB capped), so the backlog is counted as well.
+        """
+        run, submit = ad._Job.run, ad._submit_grad_job
+        backlog = []  # after each submission, the jobs of the walk not yet run
+
+        def slow(job):
+            time.sleep(0.002)
+            run(job)
+
+        def counting(*args):
+            job = submit(*args)
+            backlog.append(sum(queued.args is not None for queued in ad._in_flight))
+            return job
+
+        monkeypatch.setattr(ad._Job, "run", slow)
+        monkeypatch.setattr(ad, "_submit_grad_job", counting)
+        peak = self._step_peak()
+        assert peak <= 11e6, f"step peak {peak / 1e6:.2f} MB"
+        assert len(backlog) > 2 * ad.GRAD_JOBS_IN_FLIGHT
+        assert max(backlog) == ad.GRAD_JOBS_IN_FLIGHT
 
 
 class TestMaskWorkerSteps:
-    """Steps read every mask they announce, and where a mask is drawn changes no byte."""
+    """Steps read every mask they announce and wait for every gradient job they
+    queue, and what runs on the worker changes no byte."""
 
-    def _steps(self, mode, size, n=3):
+    @staticmethod
+    def _setup(mode, size):
         sup = mode in SUPERVISED_MODES
         cfg = EncoderConfig(vocab_size=len(TestDynamicPadding.DEFAULT_VOCAB), dropout=0.1,
                             num_classes=2 if sup else 0, **size)
         params = EncoderParams.init_random(cfg, seed=0)
-        opt = OptimizerState(params)
         tcfg = TrainConfig(mode=mode, lr=1e-3, alpha=0.5, epsilon=0.3, grad_clip=0.5)
         batch = encode_batch(TestDynamicPadding.DEFAULT_ROWS, TestDynamicPadding.DEFAULT_VOCAB,
                              cfg.max_len)
+        return params, OptimizerState(params), tcfg, batch
+
+    def _steps(self, mode, size, n=3):
+        params, opt, tcfg, batch = self._setup(mode, size)
         reports = []
         for step in range(n):
             reports.append(train_step(batch, params, opt, tcfg, derive_seed(3, "step", step),
                                       1e-3, step))
-            assert not ad._pending
+            assert not ad._pending and not ad._in_flight
         return reports, params.flat.tobytes()
+
+    @staticmethod
+    def _floors(monkeypatch, mask_floor, grad_floor):
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", mask_floor)
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", grad_floor)
 
     @pytest.mark.parametrize("mode", TRAIN_MODES)
     def test_bytes_equal_with_the_worker_on_everywhere_and_off(self, monkeypatch, mode):
+        """Masks and linear parameter gradients each on the worker at a floor of 0, or
+        never; the thread switches as often as the interpreter lets it."""
         size = TestDynamicPadding.SMALL
-        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
-        on = self._steps(mode, size)
-        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", math.inf)
-        assert self._steps(mode, size) == on
+        self._floors(monkeypatch, math.inf, math.inf)
+        off = self._steps(mode, size)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for floors in ((0, 0), (0, math.inf), (math.inf, 0)):
+                self._floors(monkeypatch, *floors)
+                assert self._steps(mode, size) == off, floors
+        finally:
+            sys.setswitchinterval(interval)
 
-    def test_default_size_bytes_equal_with_the_worker_off(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["uscal", "views"])
+    def test_default_size_bytes_equal_with_the_worker_off(self, monkeypatch, mode):
+        jobs = []
+        submit = ad._submit_grad_job
+        monkeypatch.setattr(ad, "_submit_grad_job", lambda *args: jobs.append(1) or submit(*args))
         size = TestDynamicPadding.DEFAULT
-        on = self._steps("uscal", size, n=2)
-        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", math.inf)
-        assert self._steps("uscal", size, n=2) == on
+        on = self._steps(mode, size, n=2)
+        assert len(jobs) >= 2 * 8 * 2  # at the shipped floors, every layer's linears
+        self._floors(monkeypatch, ad.MASK_WORKER_FLOOR, 0)
+        assert self._steps(mode, size, n=2) == on
+        self._floors(monkeypatch, math.inf, math.inf)
+        assert self._steps(mode, size, n=2) == on
+
+    def test_a_failed_gradient_job_is_raised_by_backward(self, monkeypatch):
+        """As its own type, once no job is left running; the next step is a fresh one's."""
+
+        class JobFailed(Exception):
+            pass
+
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", 0)
+        jobs, calls = [], []
+        submit, grads = ad._submit_grad_job, ad._linear_param_grads
+
+        def failing_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise JobFailed("third product")
+            if len(calls) > 3:
+                time.sleep(0.005)  # still running when the walk reads the third's error
+            return grads(*args)
+
+        monkeypatch.setattr(ad, "_submit_grad_job", lambda *args: jobs.append(submit(*args)) or jobs[-1])
+        monkeypatch.setattr(ad, "_linear_param_grads", failing_third)
+        params, opt, tcfg, batch = self._setup("uscal", TestDynamicPadding.SMALL)
+        with pytest.raises(JobFailed, match="third product"):
+            train_step(batch, params, opt, tcfg, derive_seed(3, "step", 0), 1e-3, 0)
+        assert len(jobs) > ad.GRAD_JOBS_IN_FLIGHT + 3
+        assert not ad._in_flight and not any(job.ready.locked() for job in jobs)
+        monkeypatch.setattr(ad, "_linear_param_grads", grads)
+        fresh, fresh_opt, _, _ = self._setup("uscal", TestDynamicPadding.SMALL)
+        got = train_step(batch, params, opt, tcfg, derive_seed(3, "step", 0), 1e-3, 0)
+        want = train_step(batch, fresh, fresh_opt, tcfg, derive_seed(3, "step", 0), 1e-3, 0)
+        assert got == want and params.flat.tobytes() == fresh.flat.tobytes()
+        assert opt.m.tobytes() == fresh_opt.m.tobytes()
 
     def test_a_forward_that_raises_leaves_one_forwards_draws(self, monkeypatch):
         monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
@@ -838,13 +927,18 @@ class TestMaskWorkerSteps:
             for step in range(3):
                 train_step(batch, params, opt, TrainConfig(mode="scal"), step, 1e-3, step)
                 assert threading.active_count() == 2, threading.enumerate()
-            # a forked child has no worker thread, and starts its own
+            # a forked child has no worker thread, and starts its own; it drops
+            # the jobs its parent had in flight (one planted here, never run)
+            import callab.autodiff as ad
+            ad._in_flight.append(ad._Job(print))
             pid = os.fork()
             if pid == 0:
                 signal.alarm(60)  # a child stuck waiting on a worker it lacks dies
+                assert not ad._in_flight
                 train_step(batch, params, opt, TrainConfig(mode="scal"), 3, 1e-3, 3)
                 os._exit(0 if threading.active_count() == 2 else 1)
             assert os.waitpid(pid, 0)[1] == 0
+            ad._in_flight.clear()
         """)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
