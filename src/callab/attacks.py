@@ -21,13 +21,12 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, derive_seed
+from .autodiff import Tensor
 from .encoder import (
     EncoderParams,
     check_settings,
     classify,
-    embed_tokens,
-    encode_from_embeddings,
+    embed_and_encode,
     forward_full,
     setting,
 )
@@ -87,13 +86,7 @@ def fgm_perturb(
     grad_emb = np.asarray(grad_emb, dtype=np.float32)
     if emb.shape != grad_emb.shape:
         raise ValueError(f"fgm_perturb: shape mismatch {emb.shape} vs {grad_emb.shape}")
-    if emb.ndim == 1:
-        g64 = grad_emb.astype(np.float64)
-        norm = float(np.sqrt((g64 * g64).sum()))
-        if norm <= guard:
-            return emb.copy()
-        return emb + (np.float64(epsilon) / norm * g64).astype(np.float32)
-    b = emb.shape[0]
+    b = emb.shape[0] if emb.ndim > 1 else 1
     g64 = grad_emb.reshape(b, -1).astype(np.float64)
     norms = np.sqrt((g64 * g64).sum(axis=1, keepdims=True))
     safe = norms > guard
@@ -136,10 +129,7 @@ def gen_supervised_adv(
     if batch.labels is None:
         raise ValueError("gen_supervised_adv: batch has no labels")
     with ad.Tape():
-        emb = embed_tokens(batch, params, derive_seed(seed, "embed"), train_mode)
-        h = encode_from_embeddings(
-            emb, batch.attn_mask, params, derive_seed(seed, "encode"), train_mode
-        )
+        emb, h = embed_and_encode(batch, params, seed, train_mode)
         logits = classify(h, params)
         ce = cross_entropy(logits, batch.labels)
         return seam_attack(ce, emb, attack_cfg, clean_logits=logits.data)

@@ -796,28 +796,17 @@ def _dropout_mask(
     return keep, _F32(1.0 / (1.0 - rate))
 
 
-# raw words per Philox call of a mask draw, so its uint64 temporaries stay small
-_DRAW_CHUNK = 16384
-
-
 def _draw_keep(seed: int, full_shape: tuple, rate: float, keep: np.ndarray) -> np.ndarray:
-    """Fill ``keep``, a bool array, with ``_dropout_mask``'s bits: one Philox per mask, read in chunks.
+    """Fill ``keep``, a bool array, with ``_dropout_mask``'s bits: one Philox call per mask.
 
-    The raw words, laid out at ``full_shape`` in C order, are read
-    ``_DRAW_CHUNK`` at a time up to the last one of the leading corner ``keep``
-    covers, compared into a bool array of ``full_shape``, and that corner is
-    copied into ``keep``: the bytes of one whole-shape draw, cropped.
+    One ``random_raw`` call returns the raw words at ``full_shape`` (C
+    order), and only their leading corner, ``keep``'s shape, is compared
+    into ``keep``.
     """
     if keep.size:
         threshold = np.uint64(math.ceil(rate * 2.0**53) << 11)
-        bitgen = np.random.Philox(key=seed & _MASK64)
-        end = int(np.ravel_multi_index([s - 1 for s in keep.shape], full_shape)) + 1
-        full = np.empty(full_shape, dtype=bool)
-        flat = full.reshape(-1)
-        for lo in range(0, end, _DRAW_CHUNK):
-            hi = min(lo + _DRAW_CHUNK, end)
-            np.greater_equal(bitgen.random_raw(hi - lo), threshold, out=flat[lo:hi])
-        keep[...] = full[tuple(slice(0, s) for s in keep.shape)]
+        raw = np.random.Philox(key=seed & _MASK64).random_raw(full_shape)
+        np.greater_equal(raw[tuple(slice(0, s) for s in keep.shape)], threshold, out=keep)
     return keep
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -37,8 +37,7 @@ def tokenize(text: str) -> list[str]:
 class Vocab:
     """Token-to-id map with reserved ids 0..3 for [PAD], [UNK], [CLS], [SEP]."""
 
-    def __init__(self, tokens: Sequence[str], min_freq: int = 1):
-        self.min_freq = min_freq
+    def __init__(self, tokens: Sequence[str]):
         self._id_to_token: list[str] = list(RESERVED) + list(tokens)
         self._token_to_id: dict[str, int] = {
             tok: i for i, tok in enumerate(self._id_to_token)
@@ -89,7 +88,7 @@ def build_vocab(corpus: Iterable[str], min_freq: int = 1) -> Vocab:
         raise ValueError("build_vocab: empty corpus")
     kept = [t for t, c in counts.items() if c >= min_freq]
     kept.sort(key=lambda t: (-counts[t], t))
-    return Vocab(kept, min_freq=min_freq)
+    return Vocab(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,6 @@ class Batch:
     token_ids: np.ndarray          # int64, B x L; L = min(max_len, longest packed row)
     attn_mask: np.ndarray          # float32 0/1, B x L; 1 exactly on non-PAD slots
     labels: Optional[np.ndarray] = None        # int64, B
-    raw_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def size(self) -> int:
@@ -204,7 +202,6 @@ def encode_batch(
     rows: Sequence[Union[LabeledExample, ScoredPair, str]],
     vocab: Vocab,
     max_len: int,
-    raw_indices: Optional[Sequence[int]] = None,
 ) -> Batch:
     """Tokenize and pad rows into one batch.
 
@@ -230,12 +227,7 @@ def encode_batch(
     labels = None
     if isinstance(rows[0], LabeledExample):
         labels = np.array([r.label for r in rows], dtype=np.int64)
-    idx = (
-        np.asarray(raw_indices, dtype=np.int64)
-        if raw_indices is not None
-        else np.arange(b, dtype=np.int64)
-    )
-    return Batch(token_ids, mask, labels=labels, raw_indices=idx)
+    return Batch(token_ids, mask, labels=labels)
 
 
 def decode_ids(batch: Batch, vocab: Vocab, row: int) -> list[str]:
@@ -263,4 +255,4 @@ def iter_batches(
     order = shuffled_indices(n, seed, epoch)
     for start in range(0, n, batch_size):
         take = order[start : start + batch_size]
-        yield encode_batch([rows[i] for i in take], vocab, max_len, raw_indices=take)
+        yield encode_batch([rows[i] for i in take], vocab, max_len)

@@ -61,36 +61,6 @@ def reference_backward(root, tape):
                 t.grad = g if g is not None else np.zeros_like(t.data)
 
 
-def reference_draw_keep(seed, full_shape, rate, keep):
-    """Reference for ``ad._draw_keep``: the slab walk that compares each chunk's
-    part of the leading corner straight into ``keep``, recursing one axis down
-    where a slab is over ``ad._DRAW_CHUNK`` words."""
-
-    def fill(bitgen, out, full, threshold, whole):
-        slab = math.prod(full[1:])
-        n = out.shape[0]
-        if slab > ad._DRAW_CHUNK:
-            for i in range(n):
-                fill(bitgen, out[i], full[1:], threshold, whole or i < n - 1)
-        else:
-            per = ad._DRAW_CHUNK // slab
-            inner = (slice(None),) + tuple(slice(0, s) for s in out.shape[1:])
-            for lo in range(0, n, per):
-                hi = min(lo + per, n)
-                raw = bitgen.random_raw((hi - lo,) + full[1:])
-                np.greater_equal(raw[inner], threshold, out=out[lo:hi])
-        if whole:
-            rest = (full[0] - n) * slab
-            for lo in range(0, rest, ad._DRAW_CHUNK):
-                bitgen.random_raw(min(ad._DRAW_CHUNK, rest - lo))
-
-    if keep.size:
-        threshold = np.uint64(math.ceil(rate * 2.0**53) << 11)
-        bitgen = np.random.Philox(key=seed & ad._MASK64)
-        fill(bitgen, keep.reshape((1,) + keep.shape), (1,) + full_shape, threshold, False)
-    return keep
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

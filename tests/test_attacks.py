@@ -65,6 +65,15 @@ class TestFgm:
         np.testing.assert_allclose(adv, [0.1, 0, 0, 0], atol=1e-8)
         assert abs(np.linalg.norm(adv) - 0.1) < 1e-6
 
+    def test_one_d_input_is_one_row(self, rng):
+        for n in (1, 7, 64):
+            emb = rng.standard_normal(n).astype(np.float32)
+            for g in (rng.standard_normal(n).astype(np.float32), np.zeros(n, dtype=np.float32)):
+                for eps in (0.1, 0.5):
+                    got = fgm_perturb(emb, g, eps)
+                    row = fgm_perturb(emb.reshape(1, n), g.reshape(1, n), eps)
+                    assert got.shape == (n,) and got.tobytes() == row.tobytes()
+
     def test_zero_gradient_guard(self):
         emb = np.ones((2, 3), dtype=np.float32)
         np.testing.assert_array_equal(fgm_perturb(emb, np.zeros((2, 3)), 0.3), emb)

@@ -16,7 +16,6 @@ from conftest import (
     attention_chain,
     linear_chain,
     reference_backward,
-    reference_draw_keep,
     reference_layer_norm,
 )
 
@@ -325,17 +324,27 @@ class TestMaskWorker:
         "scalar": ((), ()),
     }
 
+    @staticmethod
+    def truth(seed, shape, full, rate):
+        """The keep bits by definition: a whole-shape ``random()`` draw, cropped, at least ``rate``."""
+        return ad.rng_from_seed(seed).random(full)[tuple(slice(0, s) for s in shape)] >= rate
+
+    @staticmethod
+    def inline_and_worker(seed, shape, full, rate):
+        """The keep arrays ``_dropout_mask`` gives drawn inline, then announced to the worker."""
+        inline, _ = ad._dropout_mask("test", shape, rate, seed, True, full)
+        ad.announce_masks([(seed, shape, full)], rate)
+        draw = ad._pending[(seed, shape, full, rate)]
+        worker, _ = ad._dropout_mask("test", shape, rate, seed, True, full)
+        assert draw.value is worker and not ad._pending
+        return inline, worker
+
     @pytest.mark.parametrize("case", CASES)
     def test_worker_and_inline_keep_bytes_equal(self, monkeypatch, case):
         monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
         shape, full = self.CASES[case]
-        want = ad.rng_from_seed(21).random(full)[tuple(slice(0, s) for s in shape)] >= 0.3
-        inline, _ = ad._dropout_mask("test", shape, 0.3, 21, True, full)
-        ad.announce_masks([(21, shape, full)], 0.3)
-        draw = ad._pending[(21, shape, full, 0.3)]
-        worker, _ = ad._dropout_mask("test", shape, 0.3, 21, True, full)
-        assert draw.value is worker and not ad._pending
-        assert inline.tobytes() == worker.tobytes() == want.tobytes()
+        inline, worker = self.inline_and_worker(21, shape, full, 0.3)
+        assert inline.tobytes() == worker.tobytes() == self.truth(21, shape, full, 0.3).tobytes()
         assert worker.shape == shape and worker.dtype == np.bool_
 
     def test_rate_zero_and_eval_draw_nothing(self, monkeypatch):
@@ -350,7 +359,8 @@ class TestMaskWorker:
         ad.announce_masks([(5, small, small)], 0.1)
         assert not ad._pending
 
-    def test_chunks_are_bounded_and_follow_the_stream(self, monkeypatch):
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_random_raw_call_of_the_full_shape(self, monkeypatch, case):
         calls = []
 
         class Recording(np.random.Philox):
@@ -359,17 +369,14 @@ class TestMaskWorker:
                 return super().random_raw(size, output)
 
         monkeypatch.setattr(np.random, "Philox", Recording)
-        shape, full = self.CASES["slab_over_chunk"]
+        shape, full = self.CASES[case]
         keep = ad._draw_keep(4, full, 0.5, np.empty(shape, dtype=bool))
-        want = ad.rng_from_seed(4).random(full)[:2, :130, :131] >= 0.5
-        assert keep.tobytes() == want.tobytes()
-        assert max(calls) <= ad._DRAW_CHUNK
-        # nothing past the last word the crop needs, (1, 129, 130)
-        assert sum(calls) == 140 * 140 + 129 * 140 + 131
+        assert keep.tobytes() == self.truth(4, shape, full, 0.5).tobytes()
+        assert calls == [math.prod(full)]
 
     # (shape, full_shape) of selfcheck's worker mask, a 0-d mask, the [CLS]
     # probability row, both workloads' hidden and probability masks at width
-    # 15, a slab over the chunk and an uncropped mask
+    # 15, a mask cropped on every axis and an uncropped mask
     REFERENCE_PAIRS = [
         ((3, 256, 60), (4, 257, 64)), ((), ()), ((32, 4, 1, 15), (32, 4, 32, 32)),
         ((32, 15, 32), (32, 16, 32)), ((32, 2, 15, 15), (32, 2, 16, 16)),
@@ -379,11 +386,13 @@ class TestMaskWorker:
     ]
 
     @pytest.mark.parametrize("shape, full", REFERENCE_PAIRS, ids=str)
-    def test_keep_bytes_equal_the_reference_walk(self, shape, full):
+    def test_keep_bytes_equal_the_reference_walk(self, monkeypatch, shape, full):
+        """The reference is the ground truth, ``truth``: inline and worker draws equal it."""
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
         for seed, rate in ((42, 0.1), (7, 0.5)):
-            want = reference_draw_keep(seed, full, rate, np.empty(shape, dtype=bool))
-            got = ad._draw_keep(seed, full, rate, np.empty(shape, dtype=bool))
-            assert got.tobytes() == want.tobytes()
+            want = self.truth(seed, shape, full, rate).tobytes()
+            inline, worker = self.inline_and_worker(seed, shape, full, rate)
+            assert inline.tobytes() == worker.tobytes() == want
 
     def test_worker_error_is_raised_in_the_reader(self, monkeypatch):
         monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
@@ -399,7 +408,7 @@ class TestMaskWorker:
         monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
         ad.announce_masks([(8, (2, 3), (2, 3))], 0.2)  # the worker lives on
         keep, _ = ad._dropout_mask("test", (2, 3), 0.2, 8, True, None)
-        assert keep.tobytes() == (ad.rng_from_seed(8).random((2, 3)) >= 0.2).tobytes()
+        assert keep.tobytes() == self.truth(8, (2, 3), (2, 3), 0.2).tobytes()
 
     def test_stress_with_a_short_switch_interval(self, monkeypatch):
         """Forwards announce, read some masks and drop the rest while the worker draws."""
@@ -414,8 +423,7 @@ class TestMaskWorker:
                 ad.announce_masks(masks, 0.25)
                 for seed, shape, full in masks[: int(rng.integers(0, len(masks) + 1))]:
                     keep, _ = ad._dropout_mask("test", shape, 0.25, seed, True, full)
-                    want = ad.rng_from_seed(seed).random(full)[: shape[0], :7] >= 0.25
-                    assert keep.tobytes() == want.tobytes()
+                    assert keep.tobytes() == self.truth(seed, shape, full, 0.25).tobytes()
             ad.announce_masks([], 0.25)
             assert not ad._pending
         finally:

@@ -234,16 +234,16 @@ class TestBatchIteration:
         assert not np.array_equal(a, c)
 
     def test_epoch_covers_all_rows_and_keeps_short_batch(self):
-        vocab = Vocab(["a"])
-        rows = ["a"] * 10
+        rows = [f"w{i}" for i in range(10)]
+        vocab = Vocab(rows)
         batches = list(iter_batches(rows, vocab, 4, batch_size=4, seed=0, epoch=0))
         assert [b.size for b in batches] == [4, 4, 2]
-        seen = np.concatenate([b.raw_indices for b in batches])
-        assert sorted(seen.tolist()) == list(range(10))
+        seen = [decode_ids(b, vocab, r)[1] for b in batches for r in range(b.size)]
+        assert sorted(seen) == sorted(rows)
 
     def test_identical_epochs_across_runs(self):
-        vocab = Vocab(["a"])
-        rows = [f"a" for _ in range(17)]
-        run1 = [b.raw_indices.tolist() for b in iter_batches(rows, vocab, 4, 5, seed=9, epoch=1)]
-        run2 = [b.raw_indices.tolist() for b in iter_batches(rows, vocab, 4, 5, seed=9, epoch=1)]
+        rows = [f"w{i}" for i in range(17)]
+        vocab = Vocab(rows)
+        run1 = [b.token_ids.tolist() for b in iter_batches(rows, vocab, 4, 5, seed=9, epoch=1)]
+        run2 = [b.token_ids.tolist() for b in iter_batches(rows, vocab, 4, 5, seed=9, epoch=1)]
         assert run1 == run2

@@ -15,7 +15,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import callab.attacks as attacks_mod
 import callab.autodiff as ad
 import callab.encoder as encoder_mod
 import callab.trainer as trainer_mod
@@ -583,7 +582,6 @@ def seams(monkeypatch):
         return emb
 
     monkeypatch.setattr(encoder_mod, "embed_tokens", recording)
-    monkeypatch.setattr(attacks_mod, "embed_tokens", recording)
     return got
 
 
@@ -1090,7 +1088,7 @@ class TestSeamGradient:
             calls.append(1)
             return encode(*args, **kwargs)
 
-        for mod in (encoder_mod, attacks_mod, trainer_mod):
+        for mod in (encoder_mod, trainer_mod):
             monkeypatch.setattr(mod, "encode_from_embeddings", counting)
         supervised = mode in ("scal", "ce")
         cfg, params, batch = toy_setup(num_classes=3 if supervised else 0, batch=4)
