@@ -43,8 +43,10 @@ input's (key, shape, requires_grad), its leaf inputs (requires-grad tensors
 no node of the tape produced) and a weak reference to its output, so an
 intermediate nobody holds, such as a projection's output, dies during the
 forward. Gradients are keyed by ``Tensor.key``, a serial number that, unlike
-``id()``, is never reused. A dropout mask is a ``bool`` keep array and a
-float32 scale, applied as ``(x * keep) * scale``.
+``id()``, is never reused. A dropout mask is a value that ``dropout_mask``
+makes and the caller hands to the op that reads it (``dropout_apply``,
+``attention``): a ``bool`` keep array and a float32 scale, applied as
+``(x * keep) * scale``.
 
 ``backward`` consumes its tape: the reverse walk frees each node's saved
 arrays and intermediate gradients (those the caller does not hold) as soon
@@ -54,9 +56,9 @@ the same walk and leaves the tape intact.
 The tape is single-threaded: one tape per step, recorded and walked by the
 thread that builds the graph. One daemon worker runs two kinds of job off
 that thread, each with the function the inline path calls, so where a job
-ran changes no byte. A forward announces its large train-mode masks
-(``announce_masks``) and the worker draws them while the forward computes;
-Philox is counter based, so a mask depends only on its seed and shape.
+ran changes no byte. ``dropout_mask`` hands it the large train-mode masks,
+which it draws while the forward computes; Philox is counter based, so a
+mask depends only on its seed and shape.
 ``backward``'s walk hands the worker the large weight and bias gradients of
 ``linear`` (``GRAD_WORKER_FLOOR``), which only the optimizer reads, and
 goes on walking; it sums them in walk order when it ends. The worker holds
@@ -739,65 +741,66 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record((a, gamma, beta), out, bwd, selective=True)
 
 
-def dropout_apply(
-    a: Tensor,
-    rate: float,
+def dropout_mask(
     seed: int,
+    shape: Sequence[int],
+    rate: float,
     train_mode: bool,
     full_shape: Optional[Sequence[int]] = None,
-) -> Tensor:
-    """Zero elements with probability ``rate`` and rescale survivors by 1/(1-rate).
+) -> Optional[tuple[_Job, np.float32]]:
+    """A dropout mask for ``shape``: ``(job, scale)``, or None when nothing drops.
 
-    The mask comes from a counter-based generator keyed by ``seed`` alone, so
-    the same seed always produces the same mask for a given shape; rebuilding
-    a graph replays dropout bit-identically. In eval mode or at rate 0 it
-    returns ``a`` itself and records nothing.
-
-    With ``full_shape`` the mask is drawn at that shape and its leading corner
-    is cropped to ``a``'s shape, so an element keeps its mask value however
-    far the tensor was trimmed (sequences padded only to the batch's longest
-    row draw the same masks as at full width).
+    ``job.result()`` is the bool keep array and ``scale`` the float32
+    1/(1 - rate), read by ``dropout_apply`` or ``attention``. In eval mode
+    or at rate 0 nothing drops. The keep bits come from Philox keyed by
+    ``seed`` alone, drawn at ``full_shape`` (default ``shape``) and cropped
+    to its leading corner, so an element keeps its mask value however far
+    the tensor was trimmed and rebuilding a graph replays dropout
+    bit-identically. ``random()`` is ``(raw >> 11) * 2**-53`` of the raw
+    words, so ``raw >= ceil(rate * 2**53) << 11`` is ``random() >= rate``.
+    A mask of at least ``MASK_WORKER_FLOOR`` words at full shape is drawn on
+    the worker while the caller computes; a smaller one is drawn here, by
+    the same function.
     """
-    mask = _dropout_mask("dropout_apply", a.data.shape, rate, seed, train_mode, full_shape)
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout_mask: rate must be in [0, 1), got {rate}")
+    shape = tuple(shape)
+    full_shape = shape if full_shape is None else tuple(full_shape)
+    if len(full_shape) != len(shape) or any(f < s for f, s in zip(full_shape, shape)):
+        raise ValueError(f"dropout_mask: cannot crop {full_shape} to {shape}")
+    if not train_mode or rate == 0.0:
+        return None
+    job = _Job(_draw_keep, seed, full_shape, rate, np.empty(shape, dtype=bool))
+    if math.prod(full_shape) >= MASK_WORKER_FLOOR:
+        _submit(job)
+    else:
+        job.run()
+    return job, _F32(1.0 / (1.0 - rate))
+
+
+def _read_mask(op: str, mask: tuple, shape: tuple) -> tuple[np.ndarray, np.float32]:
+    """``mask``'s keep array (waiting for its draw) and scale, once the keep array has ``shape``."""
+    job, scale = mask
+    keep = job.result()
+    if keep.shape != shape:
+        raise ValueError(f"{op}: mask of shape {keep.shape} does not fit {shape}")
+    return keep, scale
+
+
+def dropout_apply(a: Tensor, mask: Optional[tuple]) -> Tensor:
+    """``(a * keep) * scale`` for a ``dropout_mask`` of ``a``'s shape.
+
+    With no mask (eval mode, rate 0) it returns ``a`` itself and records
+    nothing.
+    """
     if mask is None:
         return a
-    keep, s = mask
+    keep, s = _read_mask("dropout_apply", mask, a.data.shape)
     return _record((a,), (a.data * keep) * s, lambda g: ((g * keep) * s,))
 
 
-def _dropout_mask(
-    op: str,
-    shape: tuple,
-    rate: float,
-    seed: int,
-    train_mode: bool,
-    full_shape: Optional[Sequence[int]],
-) -> Optional[tuple[np.ndarray, np.float32]]:
-    """The bool keep array for ``shape`` and the float32 1/(1 - rate), or None when nothing drops.
-
-    Drawn from Philox keyed by ``seed`` at ``full_shape`` (default ``shape``)
-    and cropped to the leading corner. ``random()`` is ``(raw >> 11) * 2**-53``
-    of the raw words, so ``raw >= ceil(rate * 2**53) << 11`` is ``random() >= rate``.
-    A mask announced by ``announce_masks`` is taken from the worker
-    (waiting for it if need be); any other is drawn here, by the same function.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"{op}: rate must be in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
-        return None
-    full_shape = shape if full_shape is None else tuple(full_shape)
-    if len(full_shape) != len(shape) or any(f < s for f, s in zip(full_shape, shape)):
-        raise ValueError(f"{op}: cannot crop {full_shape} to {shape}")
-    draw = _pending.pop((seed, shape, full_shape, rate), None)
-    if draw is not None:
-        keep = draw.result()
-    else:
-        keep = _draw_keep(seed, full_shape, rate, np.empty(shape, dtype=bool))
-    return keep, _F32(1.0 / (1.0 - rate))
-
-
 def _draw_keep(seed: int, full_shape: tuple, rate: float, keep: np.ndarray) -> np.ndarray:
-    """Fill ``keep``, a bool array, with ``_dropout_mask``'s bits: one Philox call per mask.
+    """Fill ``keep``, a bool array, with ``dropout_mask``'s bits: one Philox call per mask.
 
     One ``random_raw`` call returns the raw words at ``full_shape`` (C
     order), and only their leading corner, ``keep``'s shape, is compared
@@ -811,7 +814,8 @@ def _draw_keep(seed: int, full_shape: tuple, rate: float, keep: np.ndarray) -> n
 
 
 # Masks of at least this many raw words (at full shape) are drawn on the
-# worker once announced; a smaller draw costs less inline than its hand-off.
+# worker from the moment dropout_mask makes them; a smaller draw costs less
+# inline than its hand-off.
 MASK_WORKER_FLOOR = 1 << 16
 # linear weight products of at least this many multiply-adds (rows x in x
 # out) run on the worker in backward's walk: every full-width layer product
@@ -828,11 +832,10 @@ _DEFER = "defer"
 
 
 class _Job:
-    """``fn(*args)`` for the worker; ``result`` waits for it and re-raises its error.
+    """``fn(*args)``, run on the worker or inline; ``result`` waits and re-raises its error.
 
-    ``ready`` is held until the worker has run the job. The job drops its
-    arguments once run, and a job whose ``args`` another thread set to None
-    first runs nothing.
+    ``ready`` is held until the job has run. The job drops its arguments
+    once run.
     """
 
     __slots__ = ("fn", "args", "ready", "value", "error")
@@ -847,9 +850,7 @@ class _Job:
 
     def run(self) -> None:
         try:
-            args = self.args
-            if args is not None:
-                self.value = self.fn(*args)
+            self.value = self.fn(*self.args)
         except BaseException as exc:  # handed to the reader, which re-raises it
             self.error = exc
         finally:
@@ -867,8 +868,6 @@ class _Job:
         return self.value
 
 
-# announced draws by (seed, shape, full_shape, rate); read by _dropout_mask
-_pending: dict[tuple, _Job] = {}
 # gradient jobs of the running walk that it has not waited for, oldest first
 _in_flight: collections.deque = collections.deque()
 _queue: Optional[queue.SimpleQueue] = None
@@ -904,7 +903,6 @@ def _forget_worker() -> None:
     """A forked child has no worker thread: it drops the parent's jobs and starts its own worker."""
     global _queue
     _queue = None
-    _pending.clear()
     _in_flight.clear()
 
 
@@ -944,31 +942,6 @@ def _linear_param_grads(x_m: np.ndarray, g: np.ndarray, gw: np.ndarray, gb: np.n
     return None, gw, gb
 
 
-def announce_masks(masks: Sequence[tuple[int, tuple, tuple]], rate: float) -> None:
-    """Queue the train-mode dropout masks a forward is about to read on the worker.
-
-    Each mask is ``(seed, shape, full_shape)`` exactly as the forward will
-    pass them to ``dropout_apply`` or ``attention`` at ``rate``. Masks under
-    ``MASK_WORKER_FLOOR`` words, and all masks at rate 0, stay inline. The
-    worker is one daemon thread, started by the first job it is given, and
-    draws in announcement order with the function an inline draw uses, so a
-    mask's bytes do not depend on where it was drawn. The keep array is
-    allocated here, on the thread that will hold it. Draws announced before
-    and not read since (a forward that raised) are dropped.
-    """
-    for draw in _pending.values():
-        draw.args = None
-    _pending.clear()
-    if rate == 0.0:
-        return
-    for seed, shape, full_shape in masks:
-        if math.prod(full_shape) < MASK_WORKER_FLOOR:
-            continue
-        keep = np.empty(shape, dtype=bool)
-        _pending[(seed, shape, full_shape, rate)] = _submit(
-            _Job(_draw_keep, seed, full_shape, rate, keep))
-
-
 _NEG_MASK = _F32(-1e9)
 
 
@@ -978,20 +951,18 @@ def attention(
     v: Tensor,
     key_mask: np.ndarray,
     heads: int,
-    rate: float,
-    seed: int,
-    train_mode: bool,
-    full_shape: Optional[Sequence[int]] = None,
+    drop: Optional[tuple],
 ) -> Tensor:
     """Multi-head scaled dot-product attention, recorded as one node.
 
     ``q`` is (B, n, H); ``k`` and ``v`` are (B, L, H). Splits H into
     ``heads``, scores ``q k^T / sqrt(H / heads)``, adds -1e9 at keys whose
     ``key_mask`` (B, L) entry is not positive, takes the softmax over keys,
-    drops probabilities as ``dropout_apply`` does (mask drawn at
-    ``full_shape`` and cropped) and merges the heads of ``probs @ v`` back to
-    (B, n, H). All three batched products accumulate in float64, forward and
-    backward. Values equal the op-by-op chain's bit for bit.
+    drops probabilities as ``dropout_apply`` does with ``drop``, a
+    ``dropout_mask`` of shape (B, heads, n, L) or None, and merges the heads
+    of ``probs @ v`` back to (B, n, H). All three batched products
+    accumulate in float64, forward and backward. Values equal the op-by-op
+    chain's bit for bit.
     """
     q_d, k_d, v_d = q.data, k.data, v.data
     if k_d.ndim != 3 or k_d.shape != v_d.shape:
@@ -1012,7 +983,8 @@ def attention(
     vh = np.ascontiguousarray(v_d.reshape(b, l, heads, dh).transpose(0, 2, 1, 3))
     bias = np.where(key_mask[:, None, None, :] > 0, _F32(0.0), _NEG_MASK)
     probs = _softmax(_f64_matmul(qh, kt) * c + bias)
-    drop = _dropout_mask("attention", probs.shape, rate, seed, train_mode, full_shape)
+    if drop is not None:
+        drop = _read_mask("attention", drop, probs.shape)
     p = probs if drop is None else (probs * drop[0]) * drop[1]
     out = _f64_matmul(p, vh).transpose(0, 2, 1, 3).reshape(b, n, h)
 

@@ -210,9 +210,6 @@ class EncoderParams:
         for t in self.tensors.values():
             t.grad = None
 
-    def checksum(self) -> float:
-        return float(sum(float(np.abs(t.data).sum(dtype=np.float64)) for t in self.tensors.values()))
-
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
@@ -266,15 +263,13 @@ def embed_tokens(
         raise ValueError(
             f"token id {int(ids.max())} out of range for vocab_size {cfg.vocab_size}"
         )
-    seed = derive_seed(dropout_seed, "emb")
-    shape, full_shape = ids.shape + (cfg.hidden,), (ids.shape[0], cfg.max_len, cfg.hidden)
-    if train_mode:
-        ad.announce_masks([(seed, shape, full_shape)], cfg.dropout)
+    mask = ad.dropout_mask(derive_seed(dropout_seed, "emb"), ids.shape + (cfg.hidden,),
+                           cfg.dropout, train_mode, (ids.shape[0], cfg.max_len, cfg.hidden))
     tok = ad.embedding_lookup(params["tok_emb"], ids)
     pos = ad.slice_rows(params["pos_emb"], ids.shape[1])
     x = ad.add_bias(tok, pos)
     x = ad.layer_norm(x, params["emb_ln_g"], params["emb_ln_b"])
-    return ad.dropout_apply(x, cfg.dropout, seed, train_mode, full_shape)
+    return ad.dropout_apply(x, mask)
 
 
 def encode_from_embeddings(
@@ -306,21 +301,21 @@ def encode_from_embeddings(
         raise ValueError(f"sequence length {l} exceeds max_len {cfg.max_len}")
     full_act = (b, cfg.max_len, h)
     full_probs = (b, cfg.heads, cfg.max_len, cfg.max_len)
-    # per layer, the (seed, shape, full_shape) of its attn_probs, attn_out and
-    # ffn masks: announced here, and each op below reads its seed and full shape
+    # per layer, its attn_probs, attn_out and ffn masks, all made before the
+    # stack runs, so the worker draws the large ones while it computes
     layer_masks = []
     for i in range(cfg.layers):
         lseed = derive_seed(dropout_seed, "layer", i)
         n = 1 if i == cfg.layers - 1 else l
-        layer_masks.append([(derive_seed(lseed, "attn_probs"), (b, cfg.heads, n, l), full_probs),
-                            (derive_seed(lseed, "attn_out"), (b, n, h), full_act),
-                            (derive_seed(lseed, "ffn"), (b, n, h), full_act)])
-    if train_mode:
-        ad.announce_masks([m for masks in layer_masks for m in masks], cfg.dropout)
+        layer_masks.append([
+            ad.dropout_mask(derive_seed(lseed, site), shape, cfg.dropout, train_mode, full)
+            for site, shape, full in (("attn_probs", (b, cfg.heads, n, l), full_probs),
+                                      ("attn_out", (b, n, h), full_act),
+                                      ("ffn", (b, n, h), full_act))
+        ])
 
     x = emb
-    for i, masks in enumerate(layer_masks):
-        (s_probs, _, f_probs), (s_out, _, f_out), (s_ffn, _, f_ffn) = masks
+    for i, (m_probs, m_out, m_ffn) in enumerate(layer_masks):
         p = f"layer{i}."
         last = i == cfg.layers - 1
         # slice Q's input before K and V and the residual after attention, so
@@ -329,19 +324,14 @@ def encode_from_embeddings(
         q = ad.linear(x_q, params[p + "wq"], params[p + "bq"])
         k = ad.linear(x, params[p + "wk"], params[p + "bk"])
         v = ad.linear(x, params[p + "wv"], params[p + "bv"])
-        ctx = ad.attention(
-            q, k, v, attn_mask, cfg.heads, cfg.dropout, s_probs, train_mode, f_probs
-        )
-        attn_out = ad.dropout_apply(
-            ad.linear(ctx, params[p + "wo"], params[p + "bo"]),
-            cfg.dropout, s_out, train_mode, f_out,
-        )
+        ctx = ad.attention(q, k, v, attn_mask, cfg.heads, m_probs)
+        attn_out = ad.dropout_apply(ad.linear(ctx, params[p + "wo"], params[p + "bo"]), m_out)
         x_res = ad.first_position(x) if last else x
         x = ad.layer_norm(ad.add(x_res, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
 
         ffn = ad.linear(ad.relu(ad.linear(x, params[p + "w1"], params[p + "b1"])),
                         params[p + "w2"], params[p + "b2"])
-        ffn = ad.dropout_apply(ffn, cfg.dropout, s_ffn, train_mode, f_ffn)
+        ffn = ad.dropout_apply(ffn, m_ffn)
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
 
     # the last layer ran at [CLS] alone: B x 1 x H

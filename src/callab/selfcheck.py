@@ -70,15 +70,16 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
     # attention over two rows of four keys, the second row's last two padding
     qkv = {name: rng.standard_normal((2, 4, 4)) for name in "qkv"}
     key_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float32)
+    x_mask = ad.dropout_mask(5, x.shape, 0.3, True)
 
     def attention_case(wrt: str, n: int):
         data = {**qkv, "q": qkv["q"][:, :n]}
         fixed = {name: Tensor(a) for name, a in data.items()}
+        drop = ad.dropout_mask(3, (2, 2, n, 4), 0.2, True, (2, 2, 5, 5))
 
         def f(t):
             args = {**fixed, wrt: t}
-            out = ad.attention(args["q"], args["k"], args["v"], key_mask, heads=2, rate=0.2,
-                               seed=3, train_mode=True, full_shape=(2, 2, 5, 5))
+            out = ad.attention(args["q"], args["k"], args["v"], key_mask, heads=2, drop=drop)
             return ad.mean_all(ad.mul(out, out))
 
         return f, data[wrt]
@@ -107,7 +108,7 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
         "log_softmax_rows": (lambda t: ad.mean_all(ad.log_softmax_rows(t)), x),
         "logsumexp_rows": (lambda t: ad.mean_all(ad.logsumexp_rows(t)), x),
         "layer_norm": (lambda t: ad.mean_all(ad.tanh(ad.layer_norm(t, gamma, beta))), x),
-        "dropout": (lambda t: ad.mean_all(ad.dropout_apply(t, 0.3, seed=5, train_mode=True)), x),
+        "dropout": (lambda t: ad.mean_all(ad.dropout_apply(t, x_mask)), x),
         "l2_normalize_rows": (lambda t: ad.mean_all(ad.mul(ad.l2_normalize_rows(t),
                                                            ad.l2_normalize_rows(t))), x),
         "embedding_lookup": (lambda t: ad.mean_all(ad.mul(ad.embedding_lookup(t, table_ids),
@@ -326,24 +327,22 @@ def check_softmax_properties() -> Optional[str]:
 
 def check_dropout_determinism() -> Optional[str]:
     x = Tensor(np.ones((100, 100), dtype=np.float32))
-    a = ad.dropout_apply(x, 0.1, seed=42, train_mode=True).data
-    b = ad.dropout_apply(x, 0.1, seed=42, train_mode=True).data
+    a = ad.dropout_apply(x, ad.dropout_mask(42, x.shape, 0.1, True)).data
+    b = ad.dropout_apply(x, ad.dropout_mask(42, x.shape, 0.1, True)).data
     if not np.array_equal(a, b):
         return "same-seed dropout masks differ"
     frac = float((a == 0).mean())
     if abs(frac - 0.1) > 0.01:
         return f"dropout zero fraction {frac} outside 0.1 +- 0.01"
-    ident = ad.dropout_apply(x, 0.0, seed=1, train_mode=True).data
+    ident = ad.dropout_apply(x, ad.dropout_mask(1, x.shape, 0.0, True)).data
     if not np.array_equal(ident, x.data):
         return "rate-0 dropout is not the identity"
     # a mask above the worker floor, cropped, drawn on the mask worker and inline
     full = (4, ad.MASK_WORKER_FLOOR // 4 // 64 + 1, 64)
     shape = (3, full[1] - 1, 60)
-    inline = ad._dropout_mask("selfcheck", shape, 0.1, 42, True, full)[0]
-    ad.announce_masks([(42, shape, full)], 0.1)
-    if not ad._pending:
-        return "a mask above the worker floor was not handed to the mask worker"
-    if not np.array_equal(ad._dropout_mask("selfcheck", shape, 0.1, 42, True, full)[0], inline):
+    worker = ad.dropout_mask(42, shape, 0.1, True, full)[0].result()
+    inline = ad._draw_keep(42, full, 0.1, np.empty(shape, dtype=bool))
+    if not np.array_equal(worker, inline):
         return "worker-drawn dropout mask differs from the inline draw"
     return None
 

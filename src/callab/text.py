@@ -230,13 +230,6 @@ def encode_batch(
     return Batch(token_ids, mask, labels=labels)
 
 
-def decode_ids(batch: Batch, vocab: Vocab, row: int) -> list[str]:
-    """Tokens at non-pad positions of one batch row (includes [CLS]/[SEP])."""
-    ids = batch.token_ids[row]
-    keep = batch.attn_mask[row] > 0
-    return [vocab.token_of(int(i)) for i in ids[keep]]
-
-
 def shuffled_indices(n: int, seed: int, epoch: int) -> np.ndarray:
     """Deterministic permutation of range(n) for one epoch."""
     return rng_from_seed(derive_seed(seed, "shuffle", epoch)).permutation(n)

@@ -17,7 +17,7 @@ def linear_chain(x, w, b):
     return ad.reshape(ad.add_bias(ad.matmul(flat, w), b), x.shape[:-1] + (w.shape[1],))
 
 
-def attention_chain(q, k, v, key_mask, heads, rate, seed, train_mode, full_shape=None):
+def attention_chain(q, k, v, key_mask, heads, drop):
     """Reference for ``ad.attention`` built op by op, the mask as a full-size additive tensor."""
     b, n, h = q.shape
     dh = h // heads
@@ -29,7 +29,7 @@ def attention_chain(q, k, v, key_mask, heads, rate, seed, train_mode, full_shape
     bias = Tensor(np.broadcast_to(bias, (b, heads, n, k.shape[1])).copy())
     scores = ad.matmul(split_heads(q), ad.transpose(split_heads(k), (0, 1, 3, 2)))
     probs = ad.softmax_rows(ad.add(ad.scale(scores, 1.0 / math.sqrt(dh)), bias))
-    probs = ad.dropout_apply(probs, rate, seed, train_mode, full_shape)
+    probs = ad.dropout_apply(probs, drop)
     ctx = ad.transpose(ad.matmul(probs, split_heads(v)), (0, 2, 1, 3))
     return ad.reshape(ctx, (b, n, h))
 

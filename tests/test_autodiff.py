@@ -217,35 +217,41 @@ class TestLayerNorm:
         assert got[0] == got[1]
 
 
+def _dropped(a, rate, seed, train_mode=True, full_shape=None):
+    """``dropout_apply`` of ``a`` with a new ``dropout_mask`` of its shape."""
+    return ad.dropout_apply(a, ad.dropout_mask(seed, a.shape, rate, train_mode, full_shape))
+
+
 class TestDropout:
     def test_rate_zero_identity(self, rng):
         x = Tensor(rng.standard_normal((5, 5)).astype(np.float32))
-        out = ad.dropout_apply(x, 0.0, seed=3, train_mode=True)
+        out = _dropped(x, 0.0, seed=3)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_eval_mode_identity(self, rng):
         x = Tensor(rng.standard_normal((5, 5)).astype(np.float32))
-        out = ad.dropout_apply(x, 0.9, seed=3, train_mode=False)
+        out = _dropped(x, 0.9, seed=3, train_mode=False)
         np.testing.assert_array_equal(out.data, x.data)
 
     @pytest.mark.parametrize("rate, train_mode", [(0.9, False), (0.0, True)])
     def test_identity_returns_input_and_passes_gradients(self, rng, rate, train_mode):
         x = Tensor(rng.standard_normal((5, 5)).astype(np.float32), requires_grad=True)
         c = rng.standard_normal((5, 5)).astype(np.float32)
+        assert ad.dropout_mask(3, x.shape, rate, train_mode) is None
         with ad.Tape() as tape:
-            out = ad.dropout_apply(x, rate, seed=3, train_mode=train_mode)
+            out = _dropped(x, rate, seed=3, train_mode=train_mode)
             assert out is x and not tape.nodes
             ad.backward(ad.sum_all(ad.mul(out, Tensor(c))))
         np.testing.assert_array_equal(x.grad, c)
 
     def test_rate_validated_before_identity(self):
         with pytest.raises(ValueError, match="rate"):
-            ad.dropout_apply(Tensor(np.ones(3)), 1.5, seed=0, train_mode=False)
+            ad.dropout_mask(0, (3,), 1.5, train_mode=False)
 
     def test_statistics_and_determinism(self):
         x = Tensor(np.ones((400, 250), dtype=np.float32))  # 1e5 elements
-        a = ad.dropout_apply(x, 0.1, seed=77, train_mode=True)
-        b = ad.dropout_apply(x, 0.1, seed=77, train_mode=True)
+        a = _dropped(x, 0.1, seed=77)
+        b = _dropped(x, 0.1, seed=77)
         np.testing.assert_array_equal(a.data, b.data)
         zero_frac = float((a.data == 0).mean())
         assert abs(zero_frac - 0.1) < 0.01
@@ -254,26 +260,33 @@ class TestDropout:
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            ad.dropout_apply(Tensor(np.ones(3)), 1.0, seed=0, train_mode=True)
+            ad.dropout_mask(0, (3,), 1.0, train_mode=True)
 
     def test_full_shape_mask_is_cropped_corner(self, rng):
         full = Tensor(rng.standard_normal((3, 8, 5)).astype(np.float32), requires_grad=True)
         part = Tensor(full.data[:, :6, :].copy(), requires_grad=True)
         with ad.Tape():
-            a = ad.dropout_apply(full, 0.3, seed=11, train_mode=True)
-            b = ad.dropout_apply(part, 0.3, seed=11, train_mode=True, full_shape=(3, 8, 5))
+            a = _dropped(full, 0.3, seed=11)
+            b = _dropped(part, 0.3, seed=11, full_shape=(3, 8, 5))
             ad.backward(ad.add(ad.sum_all(a), ad.sum_all(b)))
         np.testing.assert_array_equal(b.data, a.data[:, :6, :])
         np.testing.assert_array_equal(part.grad, full.grad[:, :6, :])
         with pytest.raises(ValueError, match="crop"):
-            ad.dropout_apply(full, 0.3, seed=11, train_mode=True, full_shape=(3, 7, 5))
+            ad.dropout_mask(11, (3, 8, 5), 0.3, True, full_shape=(3, 7, 5))
+
+    def test_a_mask_of_another_shape_is_refused(self):
+        mask = ad.dropout_mask(4, (3, 5), 0.2, True)
+        match = r"dropout_apply: mask of shape \(3, 5\) does not fit \(3, 4\)"
+        with pytest.raises(ValueError, match=match):
+            ad.dropout_apply(Tensor(np.ones((3, 4))), mask)
 
     @pytest.mark.parametrize("rate", [0.1, 0.25, 0.5, 1e-9, 0.9999])
     def test_raw_word_keep_is_the_uniform_draw_test(self, rate):
         """Comparing raw Philox words with the integer threshold keeps what random() >= rate keeps."""
         full, shape = (4, 160, 160), (4, 97, 131)
         for cropped in (full, shape):
-            keep, scale = ad._dropout_mask("test", cropped, rate, 123, True, full)
+            job, scale = ad.dropout_mask(123, cropped, rate, True, full)
+            keep = job.result()
             want = ad.rng_from_seed(123).random(full)[:, :cropped[1], :cropped[2]] >= rate
             assert keep.dtype == np.bool_ and keep.shape == cropped
             assert np.array_equal(keep, want)
@@ -306,14 +319,14 @@ class TestDropout:
         mask = (ad.rng_from_seed(5).random(full)[:, :9] >= rate).astype(np.float32)
         mask = mask * np.float32(1.0 / (1.0 - rate))
         with np.errstate(all="ignore"), ad.Tape() as tape:
-            out = ad.dropout_apply(Tensor(a, requires_grad=True), rate, 5, True, full)
+            out = _dropped(Tensor(a, requires_grad=True), rate, 5, full_shape=full)
             (got,) = tape.nodes[-1].backward(g)
             assert out.data.tobytes() == (a * mask).tobytes()
             assert got.tobytes() == (g * mask).tobytes()
 
 
 class TestMaskWorker:
-    """Announced masks are drawn on the worker with the bytes of an inline draw."""
+    """Masks drawn on the worker have the bytes of an inline draw."""
 
     CASES = {  # name: (shape, full_shape)
         "crop": ((3, 5, 7), (3, 9, 8)),
@@ -330,34 +343,45 @@ class TestMaskWorker:
         return ad.rng_from_seed(seed).random(full)[tuple(slice(0, s) for s in shape)] >= rate
 
     @staticmethod
-    def inline_and_worker(seed, shape, full, rate):
-        """The keep arrays ``_dropout_mask`` gives drawn inline, then announced to the worker."""
-        inline, _ = ad._dropout_mask("test", shape, rate, seed, True, full)
-        ad.announce_masks([(seed, shape, full)], rate)
-        draw = ad._pending[(seed, shape, full, rate)]
-        worker, _ = ad._dropout_mask("test", shape, rate, seed, True, full)
-        assert draw.value is worker and not ad._pending
-        return inline, worker
+    def inline_and_worker(monkeypatch, seed, shape, full, rate):
+        """The keep arrays of ``dropout_mask`` drawn inline (no floor reached), then on the worker."""
+        keeps = []
+        for floor in (math.inf, 0):
+            monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", floor)
+            job, _ = ad.dropout_mask(seed, shape, rate, True, full)
+            keeps.append(job.result())
+        return keeps
+
+    @staticmethod
+    def submitted(monkeypatch):
+        """The list of the jobs handed to ``_submit`` from now on."""
+        jobs, submit = [], ad._submit
+        monkeypatch.setattr(ad, "_submit", lambda job: jobs.append(job) or submit(job))
+        return jobs
 
     @pytest.mark.parametrize("case", CASES)
     def test_worker_and_inline_keep_bytes_equal(self, monkeypatch, case):
-        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
         shape, full = self.CASES[case]
-        inline, worker = self.inline_and_worker(21, shape, full, 0.3)
+        inline, worker = self.inline_and_worker(monkeypatch, 21, shape, full, 0.3)
         assert inline.tobytes() == worker.tobytes() == self.truth(21, shape, full, 0.3).tobytes()
         assert worker.shape == shape and worker.dtype == np.bool_
 
     def test_rate_zero_and_eval_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
-        ad.announce_masks([(5, (2, 3), (2, 4))], 0.0)
-        assert not ad._pending
-        assert ad._dropout_mask("test", (2, 3), 0.0, 5, True, (2, 4)) is None
-        assert ad._dropout_mask("test", (2, 3), 0.5, 5, False, (2, 4)) is None
+        jobs = self.submitted(monkeypatch)
+        assert ad.dropout_mask(5, (2, 3), 0.0, True, (2, 4)) is None
+        assert ad.dropout_mask(5, (2, 3), 0.5, False, (2, 4)) is None
+        assert not jobs
 
-    def test_masks_under_the_floor_stay_inline(self):
-        small = (2, ad.MASK_WORKER_FLOOR // 2 - 1)
-        ad.announce_masks([(5, small, small)], 0.1)
-        assert not ad._pending
+    def test_only_masks_at_the_floor_reach_the_worker(self, monkeypatch):
+        jobs = self.submitted(monkeypatch)
+        shape, under, at = (2, 7), (2, ad.MASK_WORKER_FLOOR // 2 - 1), (2, ad.MASK_WORKER_FLOOR // 2)
+        small, _ = ad.dropout_mask(5, shape, 0.1, True, under)
+        assert not jobs and not small.ready.locked()  # drawn before dropout_mask returned
+        large, _ = ad.dropout_mask(5, shape, 0.1, True, at)
+        assert jobs == [large]
+        for job, full in ((small, under), (large, at)):
+            assert job.result().tobytes() == self.truth(5, shape, full, 0.1).tobytes()
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_random_raw_call_of_the_full_shape(self, monkeypatch, case):
@@ -388,56 +412,44 @@ class TestMaskWorker:
     @pytest.mark.parametrize("shape, full", REFERENCE_PAIRS, ids=str)
     def test_keep_bytes_equal_the_reference_walk(self, monkeypatch, shape, full):
         """The reference is the ground truth, ``truth``: inline and worker draws equal it."""
-        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
         for seed, rate in ((42, 0.1), (7, 0.5)):
             want = self.truth(seed, shape, full, rate).tobytes()
-            inline, worker = self.inline_and_worker(seed, shape, full, rate)
+            inline, worker = self.inline_and_worker(monkeypatch, seed, shape, full, rate)
             assert inline.tobytes() == worker.tobytes() == want
 
-    def test_worker_error_is_raised_in_the_reader(self, monkeypatch):
-        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
+    @pytest.mark.parametrize("floor", [0, math.inf], ids=["worker", "inline"])
+    def test_draw_error_is_raised_in_the_reader(self, monkeypatch, floor):
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", floor)
 
         def broken(*args):
             raise MemoryError("no room for the mask")
 
         monkeypatch.setattr(ad, "_draw_keep", broken)
-        ad.announce_masks([(8, (2, 3), (2, 3))], 0.2)
+        mask = ad.dropout_mask(8, (2, 3), 0.2, True)
         with pytest.raises(MemoryError, match="no room"):
-            ad._dropout_mask("test", (2, 3), 0.2, 8, True, None)
+            ad.dropout_apply(Tensor(np.ones((2, 3))), mask)
         monkeypatch.undo()
-        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
-        ad.announce_masks([(8, (2, 3), (2, 3))], 0.2)  # the worker lives on
-        keep, _ = ad._dropout_mask("test", (2, 3), 0.2, 8, True, None)
-        assert keep.tobytes() == self.truth(8, (2, 3), (2, 3), 0.2).tobytes()
+        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", floor)
+        job, _ = ad.dropout_mask(8, (2, 3), 0.2, True)  # the worker lives on
+        assert job.result().tobytes() == self.truth(8, (2, 3), (2, 3), 0.2).tobytes()
 
     def test_stress_with_a_short_switch_interval(self, monkeypatch):
-        """Forwards announce, read some masks and drop the rest while the worker draws."""
+        """Forwards make masks, read some and drop the rest while the worker draws."""
         monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
         rng = np.random.default_rng(0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for forward in range(40):
-                masks = [(forward * 100 + i, (int(rng.integers(1, 5)), 7, 9), (5, 12, 9))
+                sites = [(forward * 100 + i, (int(rng.integers(1, 5)), 7, 9), (5, 12, 9))
                          for i in range(int(rng.integers(1, 7)))]
-                ad.announce_masks(masks, 0.25)
-                for seed, shape, full in masks[: int(rng.integers(0, len(masks) + 1))]:
-                    keep, _ = ad._dropout_mask("test", shape, 0.25, seed, True, full)
-                    assert keep.tobytes() == self.truth(seed, shape, full, 0.25).tobytes()
-            ad.announce_masks([], 0.25)
-            assert not ad._pending
+                masks = [ad.dropout_mask(seed, shape, 0.25, True, full)
+                         for seed, shape, full in sites]
+                for (seed, shape, full), (job, _) in list(zip(sites, masks))[
+                        : int(rng.integers(0, len(sites) + 1))]:
+                    assert job.result().tobytes() == self.truth(seed, shape, full, 0.25).tobytes()
         finally:
             sys.setswitchinterval(interval)
-
-    def test_next_announce_drops_unread_draws(self, monkeypatch):
-        monkeypatch.setattr(ad, "MASK_WORKER_FLOOR", 0)
-        ad.announce_masks([(1, (2, 3), (2, 3)), (2, (2, 3), (2, 3))], 0.2)
-        stale = list(ad._pending.values())
-        ad.announce_masks([(3, (2, 3), (2, 3))], 0.2)
-        assert list(ad._pending) == [(3, (2, 3), (2, 3), 0.2)]
-        assert all(d.args is None for d in stale)
-        ad._dropout_mask("test", (2, 3), 0.2, 3, True, None)
-        assert not ad._pending
 
 
 class TestActivations:
@@ -569,7 +581,7 @@ class TestConsumingBackward:
             with ad.Tape():
                 hid = ad.relu(ad.matmul(x, w))
                 alive = weakref.ref(hid.data)
-                root = ad.sum_all(ad.dropout_apply(ad.tanh(hid), 0.5, seed=1, train_mode=True))
+                root = ad.sum_all(_dropped(ad.tanh(hid), 0.5, seed=1))
                 del hid
                 ad.backward(root)
                 assert alive() is None
@@ -686,7 +698,7 @@ class TestTapeLifetime:
             with ad.Tape():
                 hid = ad.layer_norm(ad.add_bias(ad.matmul(x, w), beta), gamma, beta)
                 alive = [weakref.ref(hid.data)]
-                root = ad.sum_all(ad.dropout_apply(hid, 0.5, seed=1, train_mode=True))
+                root = ad.sum_all(_dropped(hid, 0.5, seed=1))
                 alive.append(weakref.ref(root.data))
                 ad.grad_of(root, hid)
                 ad.backward(root)
@@ -850,8 +862,8 @@ class TestFusedOps:
         arrays = [rng.standard_normal((b, n, h))] + [rng.standard_normal((b, l, h)) for _ in "kv"]
         key_mask = (np.arange(l)[None, :] < np.array([[9], [5], [2]])).astype(np.float32)
         g = rng.standard_normal((b, n, h))
-        kwargs = dict(key_mask=key_mask, heads=4, rate=0.3, seed=17, train_mode=train_mode,
-                      full_shape=(b, 4, 12, 12))
+        kwargs = dict(key_mask=key_mask, heads=4,
+                      drop=ad.dropout_mask(17, (b, 4, n, l), 0.3, train_mode, (b, 4, 12, 12)))
         with ad._float64_forward() if f64 else contextlib.nullcontext():
             fused = self._run(ad.attention, arrays, g, **kwargs)
             assert fused == self._run(attention_chain, arrays, g, **kwargs)
@@ -872,10 +884,11 @@ class TestFusedOps:
         ("q_batch", r"queries \(3, 1, 6\) do not fit keys \(2, 5, 6\)"),
         ("q_width", r"queries \(2, 1, 4\) do not fit keys \(2, 5, 6\)"),
         ("mask", r"key mask \(2, 4\) is not \(B, L\) = \(2, 5\)"),
+        ("drop", r"attention: mask of shape \(2, 2, 5, 5\) does not fit \(2, 2, 1, 5\)"),
     ])
     def test_attention_names_the_shapes(self, case, match):
         q, k, v = np.zeros((2, 1, 6)), np.zeros((2, 5, 6)), np.zeros((2, 5, 6))
-        mask, heads = np.ones((2, 5)), 2
+        mask, heads, drop_shape = np.ones((2, 5)), 2, (2, 2, 1, 5)
         if case == "heads":
             heads = 4
         elif case == "kv":
@@ -884,10 +897,13 @@ class TestFusedOps:
             q = np.zeros((3, 1, 6))
         elif case == "q_width":
             q = np.zeros((2, 1, 4))
-        else:
+        elif case == "mask":
             mask = np.ones((2, 4))
+        else:
+            drop_shape = (2, 2, 5, 5)
+        drop = ad.dropout_mask(0, drop_shape, 0.1, True)
         with pytest.raises(ValueError, match=match):
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), mask, heads, 0.1, 0, True)
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), mask, heads, drop)
 
 
 class TestGradCheck:

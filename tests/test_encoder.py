@@ -317,16 +317,19 @@ def _encode_full_width(emb, attn_mask, params, dropout_seed, train_mode):
         q = linear_chain(x, params[p + "wq"], params[p + "bq"])
         k = linear_chain(x, params[p + "wk"], params[p + "bk"])
         v = linear_chain(x, params[p + "wv"], params[p + "bv"])
-        ctx = attention_chain(q, k, v, attn_mask, cfg.heads, cfg.dropout,
-                              derive_seed(lseed, "attn_probs"), train_mode, full_probs)
+        ctx = attention_chain(q, k, v, attn_mask, cfg.heads, ad.dropout_mask(
+            derive_seed(lseed, "attn_probs"), (b, cfg.heads, l, l), cfg.dropout, train_mode,
+            full_probs))
         attn_out = ad.dropout_apply(
             linear_chain(ctx, params[p + "wo"], params[p + "bo"]),
-            cfg.dropout, derive_seed(lseed, "attn_out"), train_mode, full_act,
+            ad.dropout_mask(derive_seed(lseed, "attn_out"), (b, l, h), cfg.dropout, train_mode,
+                            full_act),
         )
         x = ad.layer_norm(ad.add(x, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
         ffn = linear_chain(ad.relu(linear_chain(x, params[p + "w1"], params[p + "b1"])),
                            params[p + "w2"], params[p + "b2"])
-        ffn = ad.dropout_apply(ffn, cfg.dropout, derive_seed(lseed, "ffn"), train_mode, full_act)
+        ffn = ad.dropout_apply(ffn, ad.dropout_mask(derive_seed(lseed, "ffn"), (b, l, h),
+                                                    cfg.dropout, train_mode, full_act))
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
     return ad.reshape(ad.first_position(x), (b, h))
 

@@ -17,7 +17,6 @@ from callab.text import (
     ScoredPair,
     Vocab,
     build_vocab,
-    decode_ids,
     encode_batch,
     iter_batches,
     load_similarity_tsv,
@@ -160,7 +159,8 @@ class TestEncodeBatch:
     def test_roundtrip_decode(self, vocab):
         text = "a b c d"
         batch = encode_batch([text], vocab, max_len=10)
-        toks = decode_ids(batch, vocab, 0)
+        ids = batch.token_ids[0][batch.attn_mask[0] > 0]
+        toks = [vocab.token_of(int(i)) for i in ids]
         assert toks == ["[CLS]", "a", "b", "c", "d", "[SEP]"]
 
     def test_unknown_token_becomes_unk(self, vocab):
@@ -238,7 +238,7 @@ class TestBatchIteration:
         vocab = Vocab(rows)
         batches = list(iter_batches(rows, vocab, 4, batch_size=4, seed=0, epoch=0))
         assert [b.size for b in batches] == [4, 4, 2]
-        seen = [decode_ids(b, vocab, r)[1] for b in batches for r in range(b.size)]
+        seen = [vocab.token_of(int(b.token_ids[r, 1])) for b in batches for r in range(b.size)]
         assert sorted(seen) == sorted(rows)
 
     def test_identical_epochs_across_runs(self):
