@@ -24,19 +24,21 @@ train differently from one padded to ``max_len``; in float64 the rounded
 result does not see the width. Under ``_float64_forward`` (the gradient
 checker's oracle) every product is float64.
 
-``linear`` and ``attention`` are fused: each is one tape node whose
-hand-written backward runs the same numpy operations, on the same operand
-layouts, as the op-by-op chain it replaces (reshape, matmul, add_bias; head
-split, scores, scale, mask, softmax, dropout, context, head merge), so both
-give the chain's bytes with a fraction of its nodes.
+``linear``, ``attention`` and ``residual_norm`` are fused: each is one tape
+node whose hand-written backward runs the same numpy operations, on the same
+operand layouts, as the op-by-op chain it replaces (reshape, matmul,
+add_bias; head split, scores, scale, mask, softmax, dropout, context, head
+merge; dropout_apply, add, layer_norm), so both give the chain's bytes with
+a fraction of its nodes. ``layer_norm`` and ``residual_norm`` share one
+float64 body that works in place on its own copies.
 
 Operations record onto an explicit tape (define-by-run) only while a
 ``Tape`` context is active and at least one input requires grad; outside a
 tape everything is plain numpy, which is what evaluation paths use. A
 reverse walk tells each node which of its inputs it keeps, and matmul,
-add_bias, layer_norm, linear and attention compute no gradient for an input
-that is not kept, so ``grad_of`` differentiates no parameter on its way to
-the seam.
+add_bias, layer_norm, residual_norm, linear and attention compute no
+gradient for an input that is not kept, so ``grad_of`` differentiates no
+parameter on its way to the seam.
 
 A node holds only what its backward reads: its closure's arrays, each
 input's (key, shape, requires_grad), its leaf inputs (requires-grad tensors
@@ -395,12 +397,12 @@ def grad_of(root: Tensor, wrt: Tensor) -> np.ndarray:
 
     Only nodes downstream of ``wrt`` are walked, so nothing upstream of it
     is differentiated, and the walk keeps no input that is not downstream
-    of ``wrt``: the selective ops (matmul, add_bias, layer_norm, linear,
-    attention) skip the gradients of the parameters they read. Each
-    intermediate gradient is dropped once its node has used it. The tape
-    stays intact, so ``backward`` may follow; after ``backward`` it raises
-    ``RuntimeError``. Zeros when ``root`` does not depend on ``wrt`` through
-    the tape.
+    of ``wrt``: the selective ops (matmul, add_bias, layer_norm,
+    residual_norm, linear, attention) skip the gradients of the parameters
+    they read. Each intermediate gradient is dropped once its node has used
+    it. The tape stays intact, so ``backward`` may follow; after
+    ``backward`` it raises ``RuntimeError``. Zeros when ``root`` does not
+    depend on ``wrt`` through the tape.
     """
     tape = _tape_or_raise("grad_of")
     downstream = {wrt.key}
@@ -521,7 +523,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear: weight {w_d.shape} and bias {b_d.shape} do not fit input {x_d.shape}"
         )
     x_m = x_d.reshape(-1, x_d.shape[-1])
-    out = (_st_matmul(x_m, w_d) + b_d).reshape(x_d.shape[:-1] + w_d.shape[1:])
+    out = _st_matmul(x_m, w_d)
+    out += b_d  # into the product's own new array
+    out = out.reshape(x_d.shape[:-1] + w_d.shape[1:])
 
     def bwd(g, keep):
         g = g.reshape(-1, g.shape[-1])
@@ -667,12 +671,20 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    # out > 0 exactly where a > 0 (NaN and -0.0 included), so no mask is saved
-    return _record((a,), out, lambda g: (g * (out > 0),))
+    # out > 0 exactly where a > 0 (NaN and -0.0 included), so no mask is
+    # saved; cast to g's dtype, the mask multiplies faster, to the same bytes
+    return _record((a,), out, lambda g: (g * (out > 0).astype(g.dtype),))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
+    # the row max as an elementwise max over last-axis slabs: numpy reduces a
+    # contiguous row at a time, slowly for short rows. A max is exact, so only
+    # which NaN a row holding NaNs of both signs returns could differ; such
+    # rows take numpy's row max
+    m = np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)[..., None]
+    if np.isnan(m).any():
+        m = x.max(axis=-1, keepdims=True)
+    shifted = x - m
     e = np.exp(shifted, dtype=_F64)
     return (e / e.sum(axis=-1, keepdims=True)).astype(_st())
 
@@ -712,33 +724,97 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     return _record((a,), out64.astype(_st()), lambda g: ((soft * g[..., None]).astype(_F32),))
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    h = a.data.shape[-1]
+def _norm_params(op: str, h: int, gamma: Tensor, beta: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma`` and ``beta`` cast to float64, once both have shape ``(h,)``."""
     if gamma.data.shape != (h,) or beta.data.shape != (h,):
         raise ValueError(
-            f"layer_norm: gamma/beta must have shape ({h},), got {gamma.data.shape} and {beta.data.shape}"
+            f"{op}: gamma/beta must have shape ({h},), got {gamma.data.shape} and {beta.data.shape}"
         )
-    x = a.data.astype(_F64)
+    return gamma.data.astype(_F64), beta.data.astype(_F64)
+
+
+def _norm_forward(s: np.ndarray, g_d: np.ndarray, b_d: np.ndarray, eps: float = 1e-5) -> tuple:
+    """The float64 body of a layer norm of ``s``'s last axis: ``(xhat, inv, out)``.
+
+    ``xhat`` and ``inv`` are what ``_norm_grads`` reads. One float64 copy of
+    ``s`` becomes ``xhat`` in place, and one square buffer becomes the
+    scaled and shifted output before its cast to storage precision.
+    """
+    d = s.astype(_F64)
     # x - mean once: numpy's var runs these same steps and subtracts again
-    d = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((d * d).sum(axis=-1, keepdims=True) / h + eps)
-    xhat = d * inv
-    g_d = gamma.data.astype(_F64)
-    out = (xhat * g_d + beta.data.astype(_F64)).astype(_st())
+    d -= d.mean(axis=-1, keepdims=True)
+    sq = d * d
+    inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / s.shape[-1] + eps)
+    d *= inv
+    np.multiply(d, g_d, out=sq)
+    sq += b_d
+    return d, inv, sq.astype(_st())
+
+
+def _norm_grads(
+    g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, g_d: np.ndarray,
+    want_a: bool, want_gamma: bool, want_beta: bool,
+) -> tuple:
+    """A layer norm's gradients (input, gamma, beta), each None unless wanted.
+
+    ``gamma`` and ``beta`` read the float64 ``g`` first; the input's
+    gradient then reuses it, and one product buffer, in place.
+    """
+    g64 = g.astype(_F64)
+    lead = tuple(range(g64.ndim - 1))
+    prod = g64 * xhat
+    ggamma = prod.sum(axis=lead).astype(_F32) if want_gamma else None
+    gbeta = g64.sum(axis=lead).astype(_F32) if want_beta else None
+    if not want_a:
+        return None, ggamma, gbeta
+    g64 *= g_d  # the gradient of xhat
+    m1 = g64.mean(axis=-1, keepdims=True)
+    m2 = np.multiply(g64, xhat, out=prod).mean(axis=-1, keepdims=True)
+    g64 -= m1
+    g64 -= np.multiply(xhat, m2, out=prod)
+    g64 *= inv
+    return g64.astype(_F32), ggamma, gbeta
+
+
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    g_d, b_d = _norm_params("layer_norm", a.data.shape[-1], gamma, beta)
+    xhat, inv, out = _norm_forward(a.data, g_d, b_d, eps)
 
     def bwd(g, keep):
-        g64 = g.astype(_F64)
-        gxhat = g64 * g_d
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        ga = ((gxhat - m1 - xhat * m2) * inv).astype(_F32) if keep[0] else None
-        lead = tuple(range(g64.ndim - 1))
-        ggamma = (g64 * xhat).sum(axis=lead).astype(_F32) if keep[1] else None
-        gbeta = g64.sum(axis=lead).astype(_F32) if keep[2] else None
-        return ga, ggamma, gbeta
+        return _norm_grads(g, xhat, inv, g_d, *keep)
 
     return _record((a, gamma, beta), out, bwd, selective=True)
+
+
+def residual_norm(
+    x: Tensor, y: Tensor, mask: Optional[tuple], gamma: Tensor, beta: Tensor
+) -> Tensor:
+    """``layer_norm(add(x, dropout_apply(y, mask)), gamma, beta)``, recorded as one node.
+
+    A transformer sublayer's epilogue: ``y`` is dropped out with ``mask``
+    (a ``dropout_mask`` of ``y``'s shape, or None), added to the residual
+    ``x`` in storage precision and layer-normed by ``layer_norm``'s float64
+    body. Its values and gradients equal the chain's bit for bit; ``x``'s
+    gradient reaches the walk where the chain's ``add`` handed it over, so
+    sums over fan-out run in the same order. The input gradient is computed
+    only when ``x`` or ``y`` is kept.
+    """
+    _require_same_shape(x, y, "residual_norm")
+    g_d, b_d = _norm_params("residual_norm", x.data.shape[-1], gamma, beta)
+    if mask is None:
+        s = x.data + y.data
+    else:
+        keep, scale = _read_mask("residual_norm", mask, y.data.shape)
+        s = x.data + (y.data * keep) * scale
+    xhat, inv, out = _norm_forward(s, g_d, b_d)
+
+    def bwd(g, kept):
+        ga, ggamma, gbeta = _norm_grads(g, xhat, inv, g_d, kept[0] or kept[1], kept[2], kept[3])
+        gy = ga if mask is None or not kept[1] else (ga * keep) * scale
+        return ga, gy, ggamma, gbeta
+
+    return _record((x, y, gamma, beta), out, bwd, selective=True)
 
 
 def dropout_mask(

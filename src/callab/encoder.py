@@ -7,10 +7,13 @@ injected and where their driving gradients are read), and
 matrix. The [CLS]-position hidden vector ``h`` is the sentence
 representation; a dense+tanh pooler maps it to the contrastive space ``z``
 and an affine head produces classification logits. Every projection is the
-engine's fused ``linear`` and every self-attention its fused ``attention``,
-one tape node each. Because nothing else of the last layer is read, that
-layer computes K and V at every position and everything else at [CLS]
-alone; the values equal position 0 of a full-width layer.
+engine's fused ``linear``, every self-attention its fused ``attention`` and
+every sublayer's dropout, residual add and layer norm its fused
+``residual_norm``, one tape node each, so a layer records 10 nodes (12 in
+the last, with its two [CLS] slices). Because nothing else of the last
+layer is read, that layer computes K and V at every position and
+everything else at [CLS] alone; the values equal position 0 of a
+full-width layer.
 
 All branches of a training step (clean, adversarial, both dropout views)
 share one ``EncoderParams`` object, so one optimizer update is seen by all.
@@ -283,15 +286,15 @@ def encode_from_embeddings(
 
     A layer is three ``linear`` projections, one fused ``attention`` over
     the keys ``attn_mask`` marks real, the ``wo`` projection, and a
-    ``linear``-relu-``linear`` FFN, each sublayer dropped out, added to its
-    input and layer-normed. Every layer but the last runs at all L
-    positions. The last layer's output is read only at [CLS] (position 0),
-    so it computes K and V at every position and everything else at
-    position 0 alone: Q from a [CLS] slice of its input, attention at
-    B x heads x 1 x L, then ``wo``, the residual (a second [CLS] slice),
-    both layer norms and the FFN at B x 1 x H. Dropout masks are drawn at
-    full shape and cropped to the leading corner, so every value equals
-    position 0 of the full-width computation.
+    ``linear``-relu-``linear`` FFN, each sublayer's output dropped out,
+    added to its input and layer-normed by one ``residual_norm``. Every
+    layer but the last runs at all L positions. The last layer's output is
+    read only at [CLS] (position 0), so it computes K and V at every
+    position and everything else at position 0 alone: Q from a [CLS] slice
+    of its input, attention at B x heads x 1 x L, then ``wo``, the residual
+    (a second [CLS] slice), both layer norms and the FFN at B x 1 x H.
+    Dropout masks are drawn at full shape and cropped to the leading
+    corner, so every value equals position 0 of the full-width computation.
     """
     cfg = params.config
     b, l, h = emb.shape
@@ -325,14 +328,13 @@ def encode_from_embeddings(
         k = ad.linear(x, params[p + "wk"], params[p + "bk"])
         v = ad.linear(x, params[p + "wv"], params[p + "bv"])
         ctx = ad.attention(q, k, v, attn_mask, cfg.heads, m_probs)
-        attn_out = ad.dropout_apply(ad.linear(ctx, params[p + "wo"], params[p + "bo"]), m_out)
+        attn_out = ad.linear(ctx, params[p + "wo"], params[p + "bo"])
         x_res = ad.first_position(x) if last else x
-        x = ad.layer_norm(ad.add(x_res, attn_out), params[p + "ln1_g"], params[p + "ln1_b"])
+        x = ad.residual_norm(x_res, attn_out, m_out, params[p + "ln1_g"], params[p + "ln1_b"])
 
         ffn = ad.linear(ad.relu(ad.linear(x, params[p + "w1"], params[p + "b1"])),
                         params[p + "w2"], params[p + "b2"])
-        ffn = ad.dropout_apply(ffn, m_ffn)
-        x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
+        x = ad.residual_norm(x, ffn, m_ffn, params[p + "ln2_g"], params[p + "ln2_b"])
 
     # the last layer ran at [CLS] alone: B x 1 x H
     return ad.reshape(x, (b, h))

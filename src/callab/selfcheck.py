@@ -108,6 +108,8 @@ def _op_grad_cases() -> dict[str, tuple[Callable, np.ndarray]]:
         "log_softmax_rows": (lambda t: ad.mean_all(ad.log_softmax_rows(t)), x),
         "logsumexp_rows": (lambda t: ad.mean_all(ad.logsumexp_rows(t)), x),
         "layer_norm": (lambda t: ad.mean_all(ad.tanh(ad.layer_norm(t, gamma, beta))), x),
+        "residual_norm": (lambda t: ad.mean_all(ad.tanh(ad.residual_norm(
+            t, ad.tanh(t), x_mask, gamma, beta))), x),
         "dropout": (lambda t: ad.mean_all(ad.dropout_apply(t, x_mask)), x),
         "l2_normalize_rows": (lambda t: ad.mean_all(ad.mul(ad.l2_normalize_rows(t),
                                                            ad.l2_normalize_rows(t))), x),

@@ -34,6 +34,18 @@ def attention_chain(q, k, v, key_mask, heads, drop):
     return ad.reshape(ctx, (b, n, h))
 
 
+def residual_norm_chain(x, y, mask, gamma, beta):
+    """Reference for ``ad.residual_norm``: dropout_apply, add, layer_norm, one node each."""
+    return ad.layer_norm(ad.add(x, ad.dropout_apply(y, mask)), gamma, beta)
+
+
+def reference_softmax(x):
+    """Reference for ``ad._softmax``: the row max by numpy's own last-axis reduction."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted, dtype=np.float64)
+    return (e / e.sum(axis=-1, keepdims=True)).astype(ad._st())
+
+
 def reference_backward(root, tape):
     """Reference for ``ad.backward``: a walk that never sums in place, then a second pass.
 

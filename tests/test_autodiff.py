@@ -17,6 +17,8 @@ from conftest import (
     linear_chain,
     reference_backward,
     reference_layer_norm,
+    reference_softmax,
+    residual_norm_chain,
 )
 
 
@@ -163,6 +165,40 @@ class TestSoftmax:
         a = ad.softmax_rows(Tensor(x)).data
         b = ad.softmax_rows(Tensor(x + 7.25)).data
         np.testing.assert_allclose(a, b, atol=1e-6)
+
+    @staticmethod
+    def _inputs(rng):
+        """Random rows in 2-D and 4-D, float32 and float64, of length 1 and longer,
+        each plain, with masked key columns, with ±0.0 ties and with NaN rows."""
+        neg_nan = np.copysign(np.nan, -1.0)
+        for shape in ((6, 1), (2, 3, 4, 1), (7, 5), (4, 9), (32, 4, 15, 15), (3, 2, 1, 9)):
+            for dtype in (np.float32, np.float64):
+                x = (rng.standard_normal(shape) * 3.0).astype(dtype)
+                yield x
+                # attention's -1e9 at the key columns a batch row masks; row 0 masks all
+                keys = rng.random((shape[0],) + (1,) * (len(shape) - 2) + shape[-1:]) < 0.4
+                keys[0] = True
+                yield x + np.where(keys, -1e9, 0.0).astype(dtype)
+                ties = -np.abs(x)
+                ties[rng.random(shape) < 0.4] = 0.0
+                ties[rng.random(shape) < 0.4] = -0.0
+                yield ties
+                yield np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(dtype)
+                for fill in ((np.nan,), (neg_nan,), (np.nan, neg_nan), (np.inf, -np.inf)):
+                    odd = x.copy()
+                    for value in fill:
+                        odd[rng.random(shape) < 0.15] = value
+                    yield odd
+
+    def test_bytes_equal_the_row_max_reference(self, rng):
+        """``_softmax`` takes its row max column by column; a max is exact, so no byte moves."""
+        with np.errstate(invalid="ignore"):
+            for storage in (contextlib.nullcontext, ad._float64_forward):
+                for x in self._inputs(rng):
+                    with storage():
+                        got, want = ad._softmax(x), reference_softmax(x)
+                    assert got.dtype == want.dtype and got.shape == x.shape
+                    assert got.tobytes() == want.tobytes(), (x.shape, x.dtype)
 
 
 class TestLayerNorm:
@@ -834,7 +870,8 @@ class TestSeamWalkSkipsParameters:
 
 
 class TestFusedOps:
-    """``linear`` and ``attention`` give the op-by-op chain's bytes, forward and backward."""
+    """``linear``, ``attention`` and ``residual_norm`` give the op-by-op chain's bytes,
+    forward and backward."""
 
     @staticmethod
     def _run(op, arrays, g, **kwargs):
@@ -904,6 +941,65 @@ class TestFusedOps:
         drop = ad.dropout_mask(0, drop_shape, 0.1, True)
         with pytest.raises(ValueError, match=match):
             ad.attention(Tensor(q), Tensor(k), Tensor(v), mask, heads, drop)
+
+
+    @pytest.mark.parametrize("f64", [False, True], ids=["f32", "f64"])
+    @pytest.mark.parametrize("train_mode", [True, False], ids=["mask", "none"])
+    @pytest.mark.parametrize("n", [15, 1], ids=["full", "cls"])
+    def test_residual_norm_matches_chain(self, rng, n, train_mode, f64):
+        """At a full-width and a [CLS] shape, on rows with a large mean and on a constant row."""
+        shape = (32, n, 64)
+        x, y = rng.standard_normal(shape) * 3.0 + 50.0, rng.standard_normal(shape)
+        x.reshape(-1, 64)[0], y.reshape(-1, 64)[0] = 7.0, 0.0
+        arrays = [x, y, rng.standard_normal(64) + 1.0, rng.standard_normal(64)]
+        g = rng.standard_normal(shape)
+        mask = ad.dropout_mask(11, shape, 0.1, train_mode, (32, 32, 64))
+        with ad._float64_forward() if f64 else contextlib.nullcontext():
+            fused, chain = (
+                self._run(lambda x, y, gamma, beta: op(x, y, mask, gamma, beta), arrays, g)
+                for op in (ad.residual_norm, residual_norm_chain)
+            )
+            assert fused == chain
+
+    @pytest.mark.parametrize("wrt", ["x", "y"])
+    def test_residual_norm_with_one_input_kept(self, rng, wrt):
+        """``grad_of`` and ``backward`` when only ``x`` or only ``y`` requires grad, and
+        ``grad_of`` of one input when the other and the parameters require grad too."""
+        shape = (4, 5, 16)
+        arrays = {"x": rng.standard_normal(shape), "y": rng.standard_normal(shape)}
+        params = [rng.standard_normal(16) + 1.0, rng.standard_normal(16)]
+        mask = ad.dropout_mask(9, shape, 0.3, True)
+        g = Tensor(rng.standard_normal(shape))
+        got = []
+        for op in (ad.residual_norm, residual_norm_chain):
+            for alone in (True, False):
+                ts = {name: Tensor(a, requires_grad=not alone or name == wrt)
+                      for name, a in arrays.items()}
+                gamma, beta = (Tensor(p, requires_grad=not alone) for p in params)
+                with ad.Tape():
+                    root = ad.sum_all(ad.mul(op(ts["x"], ts["y"], mask, gamma, beta), g))
+                    seen = ad.grad_of(root, ts[wrt])
+                    ad.backward(root)
+                assert seen.tobytes() == ts[wrt].grad.tobytes()
+                assert (gamma.grad is None) == alone
+                got.append(seen.tobytes())
+        assert len(set(got)) == 1
+
+    @pytest.mark.parametrize("case, match", [
+        ("y", r"residual_norm: shape mismatch \(2, 3, 4\) vs \(2, 3, 5\)"),
+        ("gamma", r"residual_norm: gamma/beta must have shape \(4,\), got \(5,\) and \(4,\)"),
+        ("mask", r"residual_norm: mask of shape \(2, 1, 4\) does not fit \(2, 3, 4\)"),
+    ])
+    def test_residual_norm_names_the_shapes(self, case, match):
+        x, y, gamma, mask = np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), np.ones(4), None
+        if case == "y":
+            y = np.zeros((2, 3, 5))
+        elif case == "gamma":
+            gamma = np.ones(5)
+        else:
+            mask = ad.dropout_mask(0, (2, 1, 4), 0.1, True)
+        with pytest.raises(ValueError, match=match):
+            ad.residual_norm(Tensor(x), Tensor(y), mask, Tensor(gamma), Tensor(np.zeros(4)))
 
 
 class TestGradCheck:

@@ -64,6 +64,7 @@ from conftest import (
     reference_adamw_step,
     reference_backward,
     reference_clip_gradients,
+    residual_norm_chain,
     toy_setup,
 )
 
@@ -1261,3 +1262,52 @@ class TestFlatBuffers:
             train_step(batch, params, opt, tcfg, 11, 1e-3, step=step)
         assert calls == ["clip_gradients", "adamw_step"] * 2
         assert opt.t == 2
+
+
+class TestResidualNormInTraining:
+    """``train_step`` gives the same bytes with the fused sublayer epilogue as with the
+    three-op chain it replaces, in one process, so whatever the BLAS build."""
+
+    # nodes on each tape a step records, in order: one fused layer records 10
+    # nodes (12 in the last), the chain 15 (17)
+    TAPE_NODES = {
+        ("demo", "scal"): [23, 59], ("demo", "uscal"): [76],
+        ("demo", "ce"): [25], ("demo", "views"): [49],
+        ("default", "scal"): [33, 79], ("default", "uscal"): [106],
+        ("default", "ce"): [35], ("default", "views"): [69],
+    }
+
+    @staticmethod
+    def _train(mode, size, monkeypatch):
+        """Three steps on 32-row batches: reports, parameter and AdamW moment bytes, tape sizes."""
+        supervised = mode in SUPERVISED_MODES
+        cfg = EncoderConfig(vocab_size=len(TestFlatBuffers.VOCAB), dropout=0.1,
+                            num_classes=2 if supervised else 0, **TestFlatBuffers.SIZES[size])
+        params = EncoderParams.init_random(cfg, seed=0)
+        opt = OptimizerState(params)
+        tcfg = TrainConfig(mode=mode, lr=1e-3, alpha=0.5, epsilon=0.3, temperature=0.15,
+                           grad_clip=0.5)
+        tapes = []
+        tape_exit = ad.Tape.__exit__
+        monkeypatch.setattr(ad.Tape, "__exit__",
+                            lambda tape, *exc: tapes.append(len(tape.nodes)) or tape_exit(tape, *exc))
+        reports = []
+        for step in range(3):
+            tapes.clear()
+            batch = encode_batch(TestFlatBuffers.ROWS[32 * step : 32 * (step + 1)],
+                                 TestFlatBuffers.VOCAB, cfg.max_len)
+            reports.append(train_step(batch, params, opt, tcfg, derive_seed(3, "step", step),
+                                      lr_t=1e-3, step=step))
+        monkeypatch.setattr(ad.Tape, "__exit__", tape_exit)
+        return (reports, params.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes()), tapes
+
+    @pytest.mark.parametrize("size", ["demo", "default"])
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_steps_byte_equal_to_the_chain(self, mode, size, monkeypatch):
+        fused, fused_tapes = self._train(mode, size, monkeypatch)
+        monkeypatch.setattr(ad, "residual_norm", residual_norm_chain)
+        chain, chain_tapes = self._train(mode, size, monkeypatch)
+        assert fused == chain
+        assert fused_tapes == self.TAPE_NODES[size, mode]
+        assert len(chain_tapes) == len(fused_tapes)
+        assert all(c > f for c, f in zip(chain_tapes, fused_tapes))
