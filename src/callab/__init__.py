@@ -10,7 +10,10 @@ Importing the package sets glibc's malloc to keep the heap it frees: blocks
 under 4 MiB come from the heap rather than their own mmap, and a free top
 of the heap under 64 MiB stays mapped. Each step frees what the next one
 allocates again, so without this its pages are returned to the OS and
-faulted back in every step. Where libc has no ``mallopt`` nothing changes.
+faulted back in every step. It also keeps one malloc arena, so what the
+engine's worker thread allocates comes from that same kept heap rather
+than from a second arena of its own. Where libc has no ``mallopt``
+nothing changes.
 
 When none of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` is set, importing the package sets all three to 1
@@ -36,6 +39,7 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _keep_freed_heap()

@@ -56,16 +56,21 @@ as the node's backward has run, not when the step ends. ``grad_of`` runs
 the same walk and leaves the tape intact.
 
 The tape is single-threaded: one tape per step, recorded and walked by the
-thread that builds the graph. One daemon worker runs two kinds of job off
+thread that builds the graph. One daemon worker runs three kinds of job off
 that thread, each with the function the inline path calls, so where a job
 ran changes no byte. ``dropout_mask`` hands it the large train-mode masks,
 which it draws while the forward computes; Philox is counter based, so a
 mask depends only on its seed and shape.
 ``backward``'s walk hands the worker the large weight and bias gradients of
 ``linear`` (``GRAD_WORKER_FLOOR``), which only the optimizer reads, and
-goes on walking; it sums them in walk order when it ends. The worker holds
-the GIL only between numpy calls, which run without it. Eval, inference and
-``grad_of`` hand it nothing, and eval and inference start no thread.
+goes on walking; it sums them in walk order when it ends. ``map_batches``
+hands it every second eval batch whose projections reach the same floor,
+outside any tape, and computes the batch before it meanwhile. The worker
+holds the GIL only between numpy calls, which run without it. Importing
+``callab`` limits malloc to one arena, so the worker's arrays come from the
+heap the main thread keeps. Attack evaluation and ``grad_of`` hand it
+nothing, and an eval or inference whose batches stay under the floor, or
+that has a single batch, starts no thread.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ import queue
 import threading
 import weakref
 import zlib
-from typing import Callable, Container, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -947,6 +952,7 @@ class _Job:
 # gradient jobs of the running walk that it has not waited for, oldest first
 _in_flight: collections.deque = collections.deque()
 _queue: Optional[queue.SimpleQueue] = None
+_worker: Optional[threading.Thread] = None
 
 
 def _work_forever(q: queue.SimpleQueue) -> None:
@@ -956,14 +962,55 @@ def _work_forever(q: queue.SimpleQueue) -> None:
 
 def _submit(job: _Job) -> _Job:
     """Queue ``job`` on the worker, starting the worker if there is none."""
-    global _queue
+    global _queue, _worker
     if _queue is None:
         _queue = queue.SimpleQueue()
-        threading.Thread(
+        _worker = threading.Thread(
             target=_work_forever, args=(_queue,), name="callab-worker", daemon=True
-        ).start()
+        )
+        _worker.start()
     _queue.put(job)
     return job
+
+
+_END = object()
+
+
+def map_batches(fn: Callable, batches: Iterable, cost: Callable[[object], int]) -> list:
+    """``[fn(b) for b in batches]``, with every second large batch run on the worker.
+
+    Batches are read two at a time. The second goes to the worker as a
+    ``_Job`` when no tape is active, the caller is not the worker and its
+    ``cost`` (multiply-adds of one projection) reaches ``GRAD_WORKER_FLOOR``;
+    the first runs here meanwhile. Each batch runs ``fn`` either way, so
+    where it ran changes no byte, and results and errors come back in batch
+    order, as the loop gives them: the first batch's error is raised once
+    the second's job has ended. ``fn`` must record nothing and enter no
+    tape, since the worker sees this thread's tapes.
+    """
+    out = []
+    it = iter(batches)
+    for first in it:
+        try:
+            second = next(it, _END)
+        except Exception:
+            out.append(fn(first))  # the loop runs this batch before it reads the next
+            raise
+        job = None
+        if (
+            second is not _END and _active_tape() is None
+            and threading.current_thread() is not _worker
+            and cost(second) >= GRAD_WORKER_FLOOR
+        ):
+            job = _submit(_Job(fn, second))
+        try:
+            out.append(fn(first))
+        finally:
+            if job is not None:
+                job.wait()
+        if second is not _END:
+            out.append(fn(second) if job is None else job.result())
+    return out
 
 
 def _submit_grad_job(fn: Callable, *args) -> _Job:
@@ -977,8 +1024,8 @@ def _submit_grad_job(fn: Callable, *args) -> _Job:
 
 def _forget_worker() -> None:
     """A forked child has no worker thread: it drops the parent's jobs and starts its own worker."""
-    global _queue
-    _queue = None
+    global _queue, _worker
+    _queue = _worker = None
     _in_flight.clear()
 
 

@@ -10,17 +10,18 @@ evaluate_* helpers and ``callab train`` apply the same ones.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .attacks import AttackConfig, gen_supervised_adv
-from .autodiff import derive_seed
+from .autodiff import derive_seed, map_batches
 from .encoder import EncoderParams, classify, embed_and_encode, encode_from_embeddings
-from .text import LabeledExample, ScoredPair, Vocab, encode_batch
+from .text import Batch, LabeledExample, ScoredPair, Vocab, encode_batch
 
 
 class MetricError(ValueError):
@@ -163,21 +164,37 @@ def _apply_metric(name: str, preds: np.ndarray, labels: np.ndarray) -> float:
     return CLS_METRICS[name](preds, labels)
 
 
+def _batches(rows: Sequence, vocab: Vocab, max_len: int, batch_size: int) -> Iterator[Batch]:
+    """``encode_batch`` of each consecutive ``batch_size`` slice of ``rows``, built when read."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    return (
+        encode_batch(list(rows[start : start + batch_size]), vocab, max_len)
+        for start in range(0, len(rows), batch_size)
+    )
+
+
+def _eval_batches(params: EncoderParams, fn: Callable, batches: Iterable[Batch]) -> list:
+    """``fn`` of each batch, in order, by ``map_batches``: every second
+    default-size batch runs on the worker. A batch's cost is one projection
+    of its rows, B x width x H x H (demo size stays under the floor)."""
+    hidden = params.config.hidden
+    return map_batches(fn, batches, lambda b: b.token_ids.size * hidden * hidden)
+
+
 def _predict_batches(
     params: EncoderParams,
     rows: Sequence[LabeledExample],
     vocab: Vocab,
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    preds: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    max_len = params.config.max_len
-    for start in range(0, len(rows), batch_size):
-        batch = encode_batch(rows[start : start + batch_size], vocab, max_len)
+    def predict(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
         _, h = embed_and_encode(batch, params, seed=0, train_mode=False)
         # argmax ties break toward the lowest class index
-        preds.append(np.argmax(classify(h, params).data, axis=1))
-        labels.append(batch.labels)
+        return np.argmax(classify(h, params).data, axis=1), batch.labels
+
+    outs = _eval_batches(params, predict, _batches(rows, vocab, params.config.max_len, batch_size))
+    preds, labels = zip(*outs)
     return np.concatenate(preds), np.concatenate(labels)
 
 
@@ -202,6 +219,13 @@ def evaluate_classification(
     return MetricReport(metric, value, support=len(rows), per_class=per_class)
 
 
+def _encode_h(params: EncoderParams, batches: Iterable[Batch]) -> list[np.ndarray]:
+    """The [CLS] hidden vectors h of each batch, in batch order."""
+    return _eval_batches(
+        params, lambda b: embed_and_encode(b, params, seed=0, train_mode=False)[1].data, batches
+    )
+
+
 def encode_sentences(
     params: EncoderParams,
     sentences: Sequence[str],
@@ -209,13 +233,9 @@ def encode_sentences(
     batch_size: int = 64,
 ) -> np.ndarray:
     """Sentence representations: the [CLS] hidden vector h of each single sentence."""
-    outs: list[np.ndarray] = []
-    max_len = params.config.max_len
-    for start in range(0, len(sentences), batch_size):
-        batch = encode_batch(list(sentences[start : start + batch_size]), vocab, max_len)
-        _, h = embed_and_encode(batch, params, seed=0, train_mode=False)
-        outs.append(h.data)
-    return np.concatenate(outs, axis=0)
+    check_nonempty(sentences, "sentences")
+    batches = _batches(sentences, vocab, params.config.max_len, batch_size)
+    return np.concatenate(_encode_h(params, batches), axis=0)
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray, guard: float = 1e-12) -> np.ndarray:
@@ -242,8 +262,15 @@ def evaluate_similarity(
     on degenerate margins.
     """
     check_similarity_set(pairs)
-    left = encode_sentences(params, [p.text_a for p in pairs], vocab, batch_size)
-    right = encode_sentences(params, [p.text_b for p in pairs], vocab, batch_size)
+    max_len = params.config.max_len
+    sides = [
+        _batches([p.text_a for p in pairs], vocab, max_len, batch_size),
+        _batches([p.text_b for p in pairs], vocab, max_len, batch_size),
+    ]
+    # both sides' batches in one run, so the last left batch pairs with the first right one
+    hs = _encode_h(params, itertools.chain(*sides))
+    left = np.concatenate(hs[: len(hs) // 2], axis=0)
+    right = np.concatenate(hs[len(hs) // 2 :], axis=0)
     cosines = cosine_rows(left, right)
     gold = np.array([p.score for p in pairs], dtype=np.float64)
     value = spearman(cosines, gold) if np.ptp(cosines) > 0 else 0.0
@@ -274,13 +301,12 @@ def evaluate_under_attack(
     """
     check_nonempty(rows)
     attack_cfg.validate()
-    max_len = params.config.max_len
     adv_preds: list[np.ndarray] = []
     clean_preds: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    for start in range(0, len(rows), batch_size):
-        batch = encode_batch(rows[start : start + batch_size], vocab, max_len)
-        branch_seed = derive_seed(seed, "attack-eval", start)
+    # one batch at a time: two attack tapes in flight hold twice the memory
+    for i, batch in enumerate(_batches(rows, vocab, params.config.max_len, batch_size)):
+        branch_seed = derive_seed(seed, "attack-eval", i * batch_size)
         adv = gen_supervised_adv(batch, params, attack_cfg, branch_seed, train_mode=False)
         enc_seed = derive_seed(branch_seed, "encode")
         h_adv = encode_from_embeddings(

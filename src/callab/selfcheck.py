@@ -21,12 +21,12 @@ from . import autodiff as ad
 from .autodiff import Tensor, derive_seed
 from .attacks import (AttackConfig, fgm_perturb, fgsm_perturb, gen_supervised_adv,
                       gen_unsupervised_adv)
-from .encoder import (EncoderConfig, EncoderParams, classify, encode_from_embeddings,
-                      forward_full, pool)
+from .encoder import (EncoderConfig, EncoderParams, classify, embed_and_encode,
+                      encode_from_embeddings, forward_full, pool)
 from .objectives import LossConfig, cross_entropy, info_nce
-from .text import Batch
+from .text import Batch, Vocab, encode_batch
 from .trainer import Checkpoint, load_checkpoint, loss_graph, save_checkpoint
-from .metrics import accuracy, f1_binary, mcc, spearman
+from .metrics import accuracy, encode_sentences, f1_binary, mcc, spearman
 
 EPSILON_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -349,6 +349,32 @@ def check_dropout_determinism() -> Optional[str]:
     return None
 
 
+def check_eval_on_both_cores() -> Optional[str]:
+    """A default-size encode of 3 batches, one on the worker, equals each batch encoded inline."""
+    vocab = Vocab([f"w{i}" for i in range(40)])
+    params = EncoderParams.init_random(EncoderConfig(vocab_size=len(vocab), num_classes=0), seed=5)
+    rng = np.random.default_rng(5)
+    sentences = [" ".join(f"w{j}" for j in rng.integers(0, 40, size=rng.integers(8, 30)))
+                 for _ in range(150)]
+    jobs = []
+    submit = ad._submit
+    ad._submit = lambda job: jobs.append(job) or submit(job)
+    try:
+        got = encode_sentences(params, sentences, vocab)
+    finally:
+        ad._submit = submit
+    want = np.concatenate([
+        embed_and_encode(encode_batch(sentences[i : i + 64], vocab, params.config.max_len),
+                         params, seed=0, train_mode=False)[1].data
+        for i in range(0, len(sentences), 64)
+    ])
+    if not jobs:
+        return "no eval batch reached the worker"
+    if got.tobytes() != want.tobytes():
+        return "encode_sentences differs from its batches encoded inline"
+    return None
+
+
 def check_checkpoint_roundtrip() -> Optional[str]:
     cfg, params, _ = toy_setup(seed=9)
     ckpt = Checkpoint.from_params(params, step=7, dev_metric_value=0.5, rng_seed=9)
@@ -386,6 +412,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], Optional[str]]]] = [
     ("metric:oracles", _gate(metric_oracles, lambda worst, inverted, tied:
                              max(worst.values()) < 1e-10 and inverted < 1e-12 and tied < 1e-12)),
     ("io:checkpoint_roundtrip", check_checkpoint_roundtrip),
+    ("eval:both_cores", check_eval_on_both_cores),
 ]
 
 

@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from callab import attacks, autodiff, selfcheck
+from callab import attacks, autodiff, metrics, selfcheck
 from callab.attacks import ATTACK_KINDS, AttackConfig
 from callab.cli import (
     EXIT_BAD_INPUT,
@@ -1035,6 +1035,7 @@ class TestSelfcheck:
         ("attack:ascent", attacks, "_perturb", lambda f: lambda emb, g, cfg: f(emb, -g, cfg)),
         ("loss:info_nce_oracle", selfcheck, "info_nce", lambda f: lambda a, k, t: f(a, k, 1.001 * t)),
         ("metric:oracles", selfcheck, "spearman", lambda f: lambda x, y: f(x, y) + 1e-9),
+        ("eval:both_cores", metrics, "map_batches", lambda f: lambda *args: f(*args)[::-1]),
     ])
     def test_mutation_fails_its_check(self, monkeypatch, check, module, name, mutate):
         monkeypatch.setattr(module, name, mutate(getattr(module, name)))

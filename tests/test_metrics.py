@@ -1,11 +1,14 @@
 """Metric implementations against brute-force oracles; evaluation helpers."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import callab.autodiff as ad
 from callab.attacks import AttackConfig
+from callab.autodiff import Tape
 from callab.metrics import (
     MetricError,
     MetricReport,
@@ -20,7 +23,7 @@ from callab.metrics import (
     mcc,
     spearman,
 )
-from callab.encoder import forward_full
+from callab.encoder import EncoderConfig, EncoderParams, embed_and_encode, forward_full
 from callab.text import LabeledExample, ScoredPair, Vocab, encode_batch
 
 from conftest import toy_setup
@@ -213,6 +216,156 @@ class TestReadPathComputesOnlyWhatItReads:
         monkeypatch.setattr(metrics_mod, "classify", unread)
         got_h = encode_sentences(params, [r.text_a for r in rows], vocab, batch_size=16)
         assert got_h.dtype == want_h.dtype and got_h.tobytes() == want_h.tobytes()
+
+
+DEMO = dict(hidden=32, layers=1, heads=2, ffn_dim=64, max_len=16)
+DEFAULT = dict(hidden=64, layers=2, heads=4, ffn_dim=256, max_len=32)
+WORDS = 40
+
+
+def _sized_setup(size, n, vocab_size=WORDS + 4, seed=0):
+    """A model of ``size`` and ``n`` labelled rows of 6 to 29 words; ids past
+    ``vocab_size`` are outside the model's vocab."""
+    vocab = Vocab([f"w{i}" for i in range(WORDS)])
+    cfg = EncoderConfig(vocab_size=vocab_size, num_classes=2, **size)
+    params = EncoderParams.init_random(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    words = vocab_size - 4
+    rows = [
+        LabeledExample(int(rng.integers(2)),
+                       " ".join(f"w{j}" for j in rng.integers(0, words, size=rng.integers(6, 30))))
+        for _ in range(n)
+    ]
+    return params, vocab, rows
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """Every job handed to the worker, in order."""
+    handed = []
+    submit = ad._submit
+    monkeypatch.setattr(ad, "_submit", lambda job: handed.append(job) or submit(job))
+    return handed
+
+
+class TestEvalOnTheWorker:
+    """Every second large eval batch runs on the worker; where a batch ran changes no byte."""
+
+    @staticmethod
+    def _outputs(params, vocab, rows, batch_size):
+        sentences = [r.text_a for r in rows]
+        pairs = [ScoredPair(float(i % 6), a.text_a, b.text_a) for i, (a, b) in
+                 enumerate(zip(rows[::2], rows[1::2]))]
+        sim = evaluate_similarity(params, pairs, vocab, batch_size)
+        cls = evaluate_classification(params, rows, vocab, "accuracy", batch_size)
+        return (encode_sentences(params, sentences, vocab, batch_size).tobytes(),
+                sim.value, sim.extras, cls.value, cls.per_class)
+
+    @pytest.mark.parametrize("size", [DEMO, DEFAULT], ids=["demo", "default"])
+    @pytest.mark.parametrize("n, batch_size", [(150, 64), (70, 16)])
+    def test_bytes_equal_with_the_floor_at_zero_and_infinity(self, monkeypatch, jobs, size, n,
+                                                              batch_size):
+        """150 rows at 64 are 3 batches, the last short; 70 at 16 are 5, and their
+        35 pairs 3 a side."""
+        params, vocab, rows = _sized_setup(size, n)
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", math.inf)
+        off = self._outputs(params, vocab, rows, batch_size)
+        assert not jobs
+        want = np.concatenate([
+            embed_and_encode(encode_batch([r.text_a for r in rows[i : i + batch_size]], vocab,
+                                          params.config.max_len),
+                             params, seed=0, train_mode=False)[1].data
+            for i in range(0, n, batch_size)
+        ])
+        assert off[0] == want.tobytes()
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            on = self._outputs(params, vocab, rows, batch_size)
+        finally:
+            sys.setswitchinterval(interval)
+        assert on == off
+        batches = -(-n // batch_size)
+        pair_batches = -(-(n // 2) // batch_size)
+        assert len(jobs) == batches // 2 + pair_batches + batches // 2
+
+    @pytest.mark.parametrize("floor", [0, math.inf])
+    def test_a_failing_batch_raises_the_same_error_inline_and_on_the_worker(
+        self, monkeypatch, jobs, floor
+    ):
+        """Batch 1 (the worker's at floor 0), then batch 0 as well, then batch 0 alone
+        hold an id the model lacks; the first failing batch's error is the one raised,
+        once no job is left running."""
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", floor)
+        params, vocab, rows = _sized_setup(DEFAULT, 150, vocab_size=30)
+        clean = [r.text_a for r in rows]
+        sentences = list(clean)
+        sentences[70] += " w39"
+        with pytest.raises(ValueError, match=r"^token id 43 out of range for vocab_size 30$"):
+            encode_sentences(params, sentences, vocab)
+        sentences[3] += " w30"
+        for bad in (sentences, clean[:3] + sentences[3:4] + clean[4:]):
+            with pytest.raises(ValueError, match=r"^token id 34 out of range for vocab_size 30$"):
+                encode_sentences(params, bad, vocab)
+            assert not any(job.ready.locked() for job in jobs)
+        assert len(jobs) == (3 if floor == 0 else 0)
+        got = encode_sentences(params, clean, vocab)
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", math.inf)
+        assert got.tobytes() == encode_sentences(params, clean, vocab).tobytes()
+
+    @pytest.mark.parametrize("floor", [0, math.inf])
+    def test_a_batch_that_fails_to_build_raises_after_the_batch_before_it(self, monkeypatch,
+                                                                         floor):
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", floor)
+        params, vocab, rows = _sized_setup(DEFAULT, 150, vocab_size=30)
+        rows[100] = LabeledExample(0, None)
+        with pytest.raises(ValueError, match="row 36 is missing its sentence"):
+            evaluate_classification(params, rows, vocab)
+        rows[3] = LabeledExample(0, rows[3].text_a + " w30")
+        with pytest.raises(ValueError, match="token id 34 out of range"):
+            evaluate_classification(params, rows, vocab)
+
+    def test_nothing_reaches_the_worker_inside_a_tape(self, monkeypatch, jobs):
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", 0)
+        params, vocab, rows = _sized_setup(DEFAULT, 150)
+        with Tape():
+            encode_sentences(params, [r.text_a for r in rows], vocab)
+            evaluate_classification(params, rows, vocab)
+        assert not jobs
+
+    def test_at_the_real_floor_demo_batches_stay_inline_and_default_ones_do_not(self, jobs):
+        params, vocab, rows = _sized_setup(DEMO, 256)
+        encode_sentences(params, [r.text_a for r in rows], vocab)
+        evaluate_classification(params, rows, vocab)
+        assert not jobs
+        params, vocab, rows = _sized_setup(DEFAULT, 256)
+        encode_sentences(params, [r.text_a for r in rows], vocab)
+        assert len(jobs) == 2
+        evaluate_classification(params, rows, vocab)
+        assert len(jobs) == 4
+
+
+class TestBatchArguments:
+    def test_encode_sentences_rejects_no_sentences(self):
+        params, vocab, _ = _tiny_eval_setup()
+        with pytest.raises(MetricError, match="empty sentences"):
+            encode_sentences(params, [], vocab)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_named(self, batch_size):
+        params, vocab, rows = _tiny_eval_setup()
+        pairs = [ScoredPair(float(i), r.text_a, r.text_a) for i, r in enumerate(rows)]
+        calls = [
+            lambda: encode_sentences(params, [r.text_a for r in rows], vocab, batch_size),
+            lambda: evaluate_classification(params, rows, vocab, batch_size=batch_size),
+            lambda: evaluate_similarity(params, pairs, vocab, batch_size),
+            lambda: evaluate_under_attack(params, rows, vocab, AttackConfig(),
+                                          batch_size=batch_size),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+                call()
 
 
 class TestEvaluateUnderAttack:

@@ -956,6 +956,33 @@ class TestMaskWorkerSteps:
             ad._in_flight.clear()
         """)
 
+    def test_a_default_size_encode_starts_one_worker_and_a_demo_size_one_none(self):
+        """Demo-size batches stay under the floor; every second default-size batch
+        goes to the one worker, which later encodes reuse."""
+        self._fresh_interpreter("""
+            import threading
+            from callab.encoder import EncoderConfig, EncoderParams
+            from callab.metrics import encode_sentences, evaluate_classification
+            from callab.synthdata import make_motif_task
+            from callab.text import build_vocab
+            rows, _ = make_motif_task(200, 2, seed=1)
+            sentences = [r.text_a for r in rows]
+            vocab = build_vocab(sentences)
+            demo = EncoderConfig(vocab_size=len(vocab), hidden=32, layers=1, heads=2,
+                                 ffn_dim=64, max_len=16, num_classes=2)
+            params = EncoderParams.init_random(demo, seed=0)
+            encode_sentences(params, sentences, vocab)
+            evaluate_classification(params, rows, vocab)
+            assert threading.active_count() == 1, threading.enumerate()
+            default = EncoderConfig(vocab_size=len(vocab), num_classes=2)
+            params = EncoderParams.init_random(default, seed=0)
+            for _ in range(2):
+                encode_sentences(params, sentences, vocab)
+                evaluate_classification(params, rows, vocab)
+                assert threading.active_count() == 2, threading.enumerate()
+            assert threading.enumerate()[1].name == "callab-worker"
+        """)
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
     def test_default_steps_do_not_fault_their_heap_back(self):
         """Freed heap stays mapped between steps; returned to the OS, it read ~1,500 faults a step."""
