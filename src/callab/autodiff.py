@@ -62,15 +62,15 @@ ran changes no byte. ``dropout_mask`` hands it the large train-mode masks,
 which it draws while the forward computes; Philox is counter based, so a
 mask depends only on its seed and shape.
 ``backward``'s walk hands the worker the large weight and bias gradients of
-``linear`` (``GRAD_WORKER_FLOOR``), which only the optimizer reads, and
-goes on walking; it sums them in walk order when it ends. ``map_batches``
-hands it every second eval batch whose projections reach the same floor,
-outside any tape, and computes the batch before it meanwhile. The worker
-holds the GIL only between numpy calls, which run without it. Importing
-``callab`` limits malloc to one arena, so the worker's arrays come from the
-heap the main thread keeps. Attack evaluation and ``grad_of`` hand it
-nothing, and an eval or inference whose batches stay under the floor, or
-that has a single batch, starts no thread.
+``linear`` (``GRAD_WORKER_FLOOR``), which only the optimizer reads, and goes
+on walking; when it ends, it sums each leaf's gradients, from the worker or
+not, in walk order. ``map_batches`` hands it every second eval batch whose
+projections reach the same floor, outside any tape, and computes the batch
+before it meanwhile. The worker holds the GIL only between numpy calls,
+which run without it. Importing ``callab`` limits malloc to one arena, so
+the worker's arrays come from the heap the main thread keeps. Attack
+evaluation and ``grad_of`` hand it nothing, and an eval or inference whose
+batches stay under the floor, or that has a single batch, starts no thread.
 """
 
 from __future__ import annotations
@@ -296,18 +296,18 @@ def _reverse_walk(
 
     An input whose key is in ``defer`` (keys no node produces) is kept as
     ``_DEFER``: its backward may return a ``_Job`` for it, whose result is
-    a tuple aligned with the node's inputs, each entry float32 and of its
-    input's shape. From its first job on, such a
-    key collects its entries in walk order, and when the walk ends they are
-    summed by the same rule: the first as is, then ``acc + g``, then in
-    place. No job is left running when the walk returns or raises.
+    a tuple aligned with the node's inputs, each entry of its input's shape.
+    Such a key collects its entries, arrays and jobs alike, in walk order,
+    and when the walk ends they are summed by the same rule: the first as
+    is, then ``acc + g``, then in place. No job is left running when the
+    walk returns or raises.
     """
     if root.data.size != 1:
         raise ValueError(f"gradient root must be a scalar, got shape {root.data.shape}")
     consume = only is None
     grads: dict[int, np.ndarray] = {root.key: np.ones_like(root.data)}
     owned: set[int] = set()  # keys of the entries whose array this walk allocated for them
-    deferred: dict[int, list] = {}  # key: its arrays and (job, input index) pairs in walk order
+    leaf_grads: dict[int, list] = {}  # _DEFER key: its arrays and (job, input index) pairs
     try:
         for node in reversed(nodes):
             g_out = grads.pop(node.key, None)
@@ -326,16 +326,13 @@ def _reverse_walk(
                     if g is None or not kept:
                         continue
                     if isinstance(g, _Job):
-                        if key not in deferred:
-                            acc = grads.pop(key, None)
-                            deferred[key] = [] if acc is None else [acc]
-                        deferred[key].append((g, i))
-                        continue
-                    g = np.asarray(g, dtype=_F32)
-                    if g.shape != shape:
-                        g = g.reshape(shape)
-                    if key in deferred:
-                        deferred[key].append(g)
+                        g = (g, i)
+                    else:
+                        g = np.asarray(g, dtype=_F32)
+                        if g.shape != shape:
+                            g = g.reshape(shape)
+                    if kept is _DEFER:
+                        leaf_grads.setdefault(key, []).append(g)
                         continue
                     acc = grads.get(key)
                     if acc is None:
@@ -347,10 +344,10 @@ def _reverse_walk(
                         owned.add(key)
             if consume:
                 node.inputs, node.leaves, node.output, node.backward = (), (), None, None
-        for key, entries in deferred.items():
-            acc = None
-            for n, entry in enumerate(entries):
-                g = entry if isinstance(entry, np.ndarray) else entry[0].result()[entry[1]]
+        for key, entries in leaf_grads.items():
+            for n, g in enumerate(entries):
+                if not isinstance(g, np.ndarray):
+                    g = np.asarray(g[0].result()[g[1]], dtype=_F32)
                 if n == 0:
                     acc = g
                 elif n == 1:
@@ -511,14 +508,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, bwd, selective=True)
 
 
+def _linear_param_grads(x_m: np.ndarray, g: np.ndarray, want_w, want_b) -> tuple:
+    """``linear``'s weight and bias gradients, each None unless wanted, aligned with its inputs."""
+    gw = _matmul_grad_b(x_m, g) if want_w else None
+    gb = g.sum(axis=0, dtype=_F64).astype(_F32) if want_b else None
+    return None, gw, gb
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` over the last axis of a 2-D or 3-D ``x``, recorded as one node.
 
     x's rows form one 2-D product, so the precision rule is matmul's: the
     forward and x's gradient in storage precision, w's gradient and the bias
-    sum over every row in float64. In ``backward``'s walk, a weight product
-    of at least ``GRAD_WORKER_FLOOR`` multiply-adds runs with the bias sum
-    on the worker (``_linear_param_grads``) while the walk goes on.
+    sum over every row in float64, both by ``_linear_param_grads``. In
+    ``backward``'s walk, a weight product of at least ``GRAD_WORKER_FLOOR``
+    multiply-adds runs that function on the worker while the walk goes on.
     """
     x_d, w_d, b_d = x.data, w.data, b.data
     if x_d.ndim not in (2, 3):
@@ -535,16 +539,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g, keep):
         g = g.reshape(-1, g.shape[-1])
         gx = _matmul_grad_a(g, w_d) if keep[0] else None
-        if (
-            keep[1] is _DEFER and keep[2] is _DEFER
-            and g.size * x_m.shape[1] >= GRAD_WORKER_FLOOR
-            and g.flags.c_contiguous and x_m.flags.c_contiguous
-        ):
-            gw, gb = np.empty(w_d.shape, dtype=_F32), np.empty(b_d.shape, dtype=_F32)
-            job = _submit_grad_job(_linear_param_grads, x_m, g, gw, gb)
+        if keep[1] is _DEFER and keep[2] is _DEFER and g.size * x_m.shape[1] >= GRAD_WORKER_FLOOR:
+            job = _submit_grad_job(_linear_param_grads, x_m, g, True, True)
             return gx, job, job
-        gw = _matmul_grad_b(x_m, g) if keep[1] else None
-        gb = g.sum(axis=0, dtype=_F64).astype(_F32) if keep[2] else None
+        _, gw, gb = _linear_param_grads(x_m, g, keep[1], keep[2])
         return gx, gw, gb
 
     return _record((x, w, b), out, bwd, selective=True)
@@ -1031,38 +1029,6 @@ def _forget_worker() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
-
-
-# the worker's float64 buffers for linear's weight product: its two operands,
-# one after the other, and its result; each grown to the largest product it
-# has run and kept, like AdamW's workspace
-_work64 = [np.empty(0, dtype=_F64), np.empty(0, dtype=_F64)]
-
-
-def _work_buffer(i: int, n: int) -> np.ndarray:
-    if _work64[i].size < n:
-        _work64[i] = np.empty(n, dtype=_F64)
-    return _work64[i][:n]
-
-
-def _linear_param_grads(x_m: np.ndarray, g: np.ndarray, gw: np.ndarray, gb: np.ndarray) -> tuple:
-    """``linear``'s weight and bias gradients, written into ``gw`` and ``gb``, aligned with its inputs.
-
-    The weight product is ``_matmul_grad_b`` in the worker's kept buffers:
-    ``x_m`` and ``g`` (both C-ordered) are cast into them with the layouts
-    the inline casts give, x^T F-ordered and g C-ordered, so BLAS gets the
-    same call and the bytes are the same. The outputs are float32, as the
-    walk casts every gradient, and are allocated by the walk's thread, which
-    frees them, so they come from its heap.
-    """
-    ops = _work_buffer(0, x_m.size + g.size)
-    x64 = ops[: x_m.size].reshape(x_m.shape)
-    x64[...] = x_m
-    g64 = ops[x_m.size :].reshape(g.shape)
-    g64[...] = g
-    gw[...] = np.matmul(x64.T, g64, out=_work_buffer(1, gw.size).reshape(gw.shape))
-    gb[...] = g.sum(axis=0, dtype=_F64)
-    return None, gw, gb
 
 
 _NEG_MASK = _F32(-1e9)

@@ -383,7 +383,7 @@ class CheckpointConfigError(CheckpointError):
 
 
 class CheckpointHeaderError(CheckpointError):
-    """The header is not valid UTF-8 or a line in it does not parse."""
+    """The header is not valid UTF-8, a line in it does not parse, or a metadata line is missing."""
 
 
 @dataclass
@@ -509,9 +509,11 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
                 f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
             )
         config = EncoderConfig.from_dict(config_kv)
-        step = int(meta.get("step", "0"))
-        dev_metric_value = float(meta.get("dev_metric_value", "0.0"))
-        rng_seed = int(meta.get("rng_seed", "0"))
+        # save_checkpoint writes every one of these; a missing one is a KeyError
+        step = int(meta["step"])
+        dev_metric_name = meta["dev_metric_name"]
+        dev_metric_value = float(meta["dev_metric_value"])
+        rng_seed = int(meta["rng_seed"])
     except (ValueError, IndexError, KeyError, OverflowError) as exc:
         raise CheckpointHeaderError(f"{path}: unreadable checkpoint header: {exc!r}") from exc
 
@@ -528,6 +530,8 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
     offset = header_start + header_len
     tensors: dict[str, np.ndarray] = {}
     for name, dims in directory:
+        if name in tensors:
+            raise CheckpointShapeError(f"{path}: tensor {name!r} is named twice in directory")
         count = int(np.prod(dims)) if dims else 1
         nbytes = count * 4
         if offset + nbytes > len(blob):
@@ -548,7 +552,7 @@ def load_checkpoint(path: str, expected_config: Optional[EncoderConfig] = None) 
         config=config,
         tensors=tensors,
         step=step,
-        dev_metric_name=meta.get("dev_metric_name", "accuracy"),
+        dev_metric_name=dev_metric_name,
         dev_metric_value=dev_metric_value,
         rng_seed=rng_seed,
     )

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from callab import autodiff as ad
 from callab.autodiff import Tensor
 from callab.selfcheck import toy_setup  # noqa: F401  (the one toy fixture, re-exported)
-from callab.trainer import ADAM_EPS, BETA1, BETA2
+from callab.trainer import ADAM_EPS, BETA1, BETA2, CHECKPOINT_MAGIC
 
 
 def linear_chain(x, w, b):
@@ -142,6 +143,16 @@ def assert_flat_views(params):
             assert arr.ctypes.data - flat.ctypes.data == lo * flat.itemsize, name
         lo += t.data.size
     assert lo == params.flat.size == params.grad_flat.size
+
+
+def with_extra_tensor(blob: bytes, name: str, arr: np.ndarray) -> bytes:
+    """A checkpoint file's bytes with one more directory entry, ``name``, whose
+    payload ``arr`` follows the others."""
+    start = len(CHECKPOINT_MAGIC) + 4
+    end = start + struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))[0]
+    header = blob[start:end] + f"{name} {arr.ndim} {' '.join(map(str, arr.shape))}\n".encode()
+    return (CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + blob[end:]
+            + arr.astype("<f4").tobytes())
 
 
 def reference_layer_norm(a, gamma, beta, eps=1e-5):

@@ -635,28 +635,48 @@ class TestConsumingBackward:
             with pytest.raises(RuntimeError, match="consumed"):
                 again(root)
 
-    def test_every_held_grad_matches_the_reference_walk(self, rng):
-        def graph(t):
-            w = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4) / 7, requires_grad=True)
-            unused = Tensor(np.ones(3), requires_grad=True)
-            a = ad.matmul(t, w)
-            b = ad.relu(a)
-            c = ad.add(a, ad.scale(b, 2.0))
-            ad.mul(unused, unused)  # recorded, not on the path to the root
-            root = ad.sum_all(ad.mul(ad.tanh(c), b))
-            return [w, unused, a, b, c, root], root
+    @staticmethod
+    def _fan_out(t):
+        w = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4) / 7, requires_grad=True)
+        unused = Tensor(np.ones(3), requires_grad=True)
+        a = ad.matmul(t, w)
+        b = ad.relu(a)
+        c = ad.add(a, ad.scale(b, 2.0))
+        ad.mul(unused, unused)  # recorded, not on the path to the root
+        root = ad.sum_all(ad.mul(ad.tanh(c), b))
+        return [w, unused, a, b, c, root], root
 
+    @staticmethod
+    def _leaf_of_arrays_and_jobs(t):
+        """``w`` and ``b`` read by a linear under the floor (24 multiply-adds) and
+        one over it (96), then ``w`` by an elementwise op: ``w`` collects an array,
+        a job and an array in walk order, ``b`` a job and an array."""
+        w = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4) / 7, requires_grad=True)
+        b = Tensor(np.linspace(-1, 1, 4), requires_grad=True)
+        under = ad.linear(t, w, b)
+        over = ad.linear(Tensor(np.linspace(-2, 2, 24).reshape(8, 3)), w, b)
+        root = ad.add(ad.add(ad.sum_all(ad.tanh(under)), ad.sum_all(ad.mul(over, over))),
+                      ad.sum_all(ad.mul(w, w)))
+        return [w, b, under, over, root], root
+
+    @pytest.mark.parametrize("graph, jobs", [("_fan_out", 0), ("_leaf_of_arrays_and_jobs", 1)])
+    def test_every_held_grad_matches_the_reference_walk(self, rng, monkeypatch, graph, jobs):
+        monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", 50)
+        submitted = []
+        submit = ad._submit_grad_job
+        monkeypatch.setattr(ad, "_submit_grad_job", lambda *args: submitted.append(1) or submit(*args))
         data = rng.standard_normal((2, 3))
         held = []
         for reference in (False, True):
             x = Tensor(data, requires_grad=True)
             with ad.Tape() as tape:
-                tensors, root = graph(x)
+                tensors, root = getattr(self, graph)(x)
                 if reference:
                     reference_backward(root, tape)
                 else:
                     ad.backward(root)
             held.append([x, *tensors])
+        assert len(submitted) == jobs
         for got, want in zip(*held):
             assert got.grad.tobytes() == want.grad.tobytes()
 

@@ -47,6 +47,8 @@ from callab.trainer import (
     save_checkpoint,
 )
 
+from conftest import with_extra_tensor
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -510,6 +512,22 @@ class TestEval:
         blob = bytearray((trained / "best.ckpt").read_bytes())
         blob[blob.index(b"[config]") + 1] = 0xFF  # header is no longer UTF-8
         bad.write_bytes(bytes(blob))
+        assert main([
+            "eval", "--checkpoint", str(bad),
+            "--vocab", str(workspace / "vocab.txt"),
+            "--data", str(workspace / "dev.tsv"),
+        ]) == EXIT_CKPT_MISMATCH
+
+    @pytest.mark.parametrize("refusal", ["missing_meta_key", "tensor_named_twice"])
+    def test_header_refusals_exit_4(self, workspace, trained, tmp_path, refusal):
+        bad = tmp_path / f"{refusal}.ckpt"
+        blob = (trained / "best.ckpt").read_bytes()
+        if refusal == "missing_meta_key":
+            blob = blob.replace(b"\nstep=", b"\nstap=", 1)  # same length, same header length
+        else:
+            shape = load_checkpoint(str(trained / "best.ckpt")).tensors["tok_emb"].shape
+            blob = with_extra_tensor(blob, "tok_emb", np.full(shape, 7.0))
+        bad.write_bytes(blob)
         assert main([
             "eval", "--checkpoint", str(bad),
             "--vocab", str(workspace / "vocab.txt"),

@@ -66,6 +66,7 @@ from conftest import (
     reference_clip_gradients,
     residual_norm_chain,
     toy_setup,
+    with_extra_tensor,
 )
 
 
@@ -418,13 +419,7 @@ class TestCheckpoints:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(self._checkpoint(), path)
         blob = open(path, "rb").read()
-        start = len(CHECKPOINT_MAGIC) + 4
-        end = start + struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))[0]
-        header = blob[start:end] + b"opt.m.pooler_w 2 16 16\n"
-        payload = blob[end:] + np.zeros((16, 16), dtype="<f4").tobytes()
-        open(path, "wb").write(
-            CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + payload
-        )
+        open(path, "wb").write(with_extra_tensor(blob, "opt.m.pooler_w", np.zeros((16, 16))))
         with pytest.raises(CheckpointShapeError, match="unexpected tensor 'opt.m.pooler_w'"):
             load_checkpoint(path)
 
@@ -505,6 +500,17 @@ class TestCheckpoints:
         with pytest.raises(CheckpointShapeError, match="pooler_w"):
             load_checkpoint(path)
 
+    def test_tensor_named_twice_is_refused(self, tmp_path):
+        """A second ``tok_emb`` entry and payload would replace the first."""
+        path = str(tmp_path / "m.ckpt")
+        ckpt = self._checkpoint()
+        save_checkpoint(ckpt, path)
+        blob = open(path, "rb").read()
+        second = np.full(ckpt.tensors["tok_emb"].shape, 7.0)
+        open(path, "wb").write(with_extra_tensor(blob, "tok_emb", second))
+        with pytest.raises(CheckpointShapeError, match="'tok_emb' is named twice"):
+            load_checkpoint(path)
+
     def test_header_parse_failures_name_the_file(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(self._checkpoint(), path)
@@ -519,6 +525,10 @@ class TestCheckpoints:
             (b"pooler_w 2 16 16", b"pooler_w two 16 16"),  # bad rank
             (b"pooler_w 2 16 16", b"pooler_w"),           # missing rank
             (b"step=12", b"step=1.2"),                   # bad meta value
+            (b"step=12", b"stap=12"),                    # a meta key save writes, misspelt
+            (b"dev_metric_name=", b"dev_metric_nome="),
+            (b"dev_metric_value=", b"dev_metric_valve="),
+            (b"rng_seed=5", b"rng_sead=5"),
         ]
         for old, new in edits:
             bad = bytearray(blob.replace(old, new, 1))
@@ -847,25 +857,30 @@ class TestMaskWorkerSteps:
             pass
 
         monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", 0)
-        jobs, calls = [], []
-        submit, grads = ad._submit_grad_job, ad._linear_param_grads
+        jobs = []
+        submit = ad._submit_grad_job
 
-        def failing_third(*args):
-            calls.append(1)
-            if len(calls) == 3:
-                raise JobFailed("third product")
-            if len(calls) > 3:
-                time.sleep(0.005)  # still running when the walk reads the third's error
-            return grads(*args)
+        def failing_third(fn, *args):
+            """Queues ``fn`` wrapped to fail as the third job; inline calls of ``fn`` pass."""
+            n = len(jobs) + 1
 
-        monkeypatch.setattr(ad, "_submit_grad_job", lambda *args: jobs.append(submit(*args)) or jobs[-1])
-        monkeypatch.setattr(ad, "_linear_param_grads", failing_third)
+            def job_fn(*args):
+                if n == 3:
+                    raise JobFailed("third product")
+                if n > 3:
+                    time.sleep(0.005)  # still running when the walk reads the third's error
+                return fn(*args)
+
+            jobs.append(submit(job_fn, *args))
+            return jobs[-1]
+
+        monkeypatch.setattr(ad, "_submit_grad_job", failing_third)
         params, opt, tcfg, batch = self._setup("uscal", TestDynamicPadding.SMALL)
         with pytest.raises(JobFailed, match="third product"):
             train_step(batch, params, opt, tcfg, derive_seed(3, "step", 0), 1e-3, 0)
         assert len(jobs) > ad.GRAD_JOBS_IN_FLIGHT + 3
         assert not ad._in_flight and not any(job.ready.locked() for job in jobs)
-        monkeypatch.setattr(ad, "_linear_param_grads", grads)
+        monkeypatch.setattr(ad, "_submit_grad_job", submit)
         fresh, fresh_opt, _, _ = self._setup("uscal", TestDynamicPadding.SMALL)
         got = train_step(batch, params, opt, tcfg, derive_seed(3, "step", 0), 1e-3, 0)
         want = train_step(batch, fresh, fresh_opt, tcfg, derive_seed(3, "step", 0), 1e-3, 0)
