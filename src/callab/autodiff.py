@@ -6,8 +6,8 @@ which keeps finite-difference gradient checks tight on deep graphs.
 
 Scalars follow one rule: a 0-d tensor is stored as a 0-d float64 array.
 ``sum_all`` and ``mean_all`` return their float64 accumulator unrounded,
-so loss values and the arithmetic on them (``add``, ``sub``, ``mul``,
-``scale``) are plain float64 numpy, and ``item()`` reads that value. The
+so loss values and the arithmetic on them (``add``, ``mul``, ``scale``)
+are plain float64 numpy, and ``item()`` reads that value. The
 gradients flowing back through them are float32 like every other gradient.
 
 Matrix products follow one precision rule. A product that contracts only a
@@ -30,7 +30,9 @@ operand layouts, as the op-by-op chain it replaces (reshape, matmul,
 add_bias; head split, scores, scale, mask, softmax, dropout, context, head
 merge; dropout_apply, add, layer_norm), so both give the chain's bytes with
 a fraction of its nodes. ``layer_norm`` and ``residual_norm`` share one
-float64 body that works in place on its own copies.
+float64 body that works in place on its own copies; each node keeps its
+float32 input, from which the backward rebuilds the normalized values by the
+forward's own steps. ``crop`` (a leading corner) is the one slicing op.
 
 Operations record onto an explicit tape (define-by-run) only while a
 ``Tape`` context is active and at least one input requires grad; outside a
@@ -432,11 +434,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), a.data + b.data, lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return _record((a, b), a.data - b.data, lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
     a_d, b_d = a.data, b.data
@@ -572,35 +569,19 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def first_position(a: Tensor) -> Tensor:
-    """Position 0 along axis 1, kept as a length-1 axis: (B, L, ...) -> (B, 1, ...).
-
-    The gradient scatters back into position 0.
-    """
-    shape = a.data.shape
-    if len(shape) < 2 or shape[1] < 1:
-        raise ValueError(f"first_position: needs a non-empty axis 1, got shape {shape}")
+def crop(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """The leading corner of ``a``, each length in ``(0, full]``; the gradient zero-pads."""
+    shape, full = tuple(shape), a.data.shape
+    if len(shape) != len(full) or not all(0 < s <= f for s, f in zip(shape, full)):
+        raise ValueError(f"crop: cannot crop {full} to {shape}")
+    corner = tuple(slice(0, s) for s in shape)
 
     def bwd(g):
-        full = np.zeros(shape, dtype=_F32)
-        full[:, :1] = g
-        return (full,)
+        out = np.zeros(full, dtype=_F32)
+        out[corner] = g
+        return (out,)
 
-    return _record((a,), a.data[:, :1].copy(), bwd)
-
-
-def slice_rows(a: Tensor, n: int) -> Tensor:
-    """First ``n`` rows along axis 0."""
-    if not 0 < n <= a.data.shape[0]:
-        raise ValueError(f"slice_rows: cannot take {n} rows from shape {a.data.shape}")
-    shape = a.data.shape
-
-    def bwd(g):
-        full = np.zeros(shape, dtype=_F32)
-        full[:n] = g
-        return (full,)
-
-    return _record((a,), a.data[:n].copy(), bwd)
+    return _record((a,), a.data[corner].copy(), bwd)
 
 
 def add_bias(a: Tensor, b: Tensor) -> Tensor:
@@ -653,13 +634,6 @@ def mean_all(a: Tensor) -> Tensor:
     return _record(
         (a,), a.data.sum(dtype=_F64) / n, lambda g: (np.full(shape, g / _F32(n), dtype=_F32),)
     )
-
-
-def sum_last(a: Tensor) -> Tensor:
-    """Sum over the last axis."""
-    shape = a.data.shape
-    out = a.data.sum(axis=-1, dtype=_F64).astype(_st())
-    return _record((a,), out, lambda g: (np.broadcast_to(g[..., None], shape).astype(_F32),))
 
 
 # ---------------------------------------------------------------------------
@@ -718,15 +692,6 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     return _record((a,), out, bwd)
 
 
-def logsumexp_rows(a: Tensor) -> Tensor:
-    x = a.data.astype(_F64)
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    out64 = (m + np.log(e.sum(axis=-1, keepdims=True)))[..., 0]
-    soft = (e / e.sum(axis=-1, keepdims=True)).astype(_F32)
-    return _record((a,), out64.astype(_st()), lambda g: ((soft * g[..., None]).astype(_F32),))
-
-
 def _norm_params(op: str, h: int, gamma: Tensor, beta: Tensor) -> tuple[np.ndarray, np.ndarray]:
     """``gamma`` and ``beta`` cast to float64, once both have shape ``(h,)``."""
     if gamma.data.shape != (h,) or beta.data.shape != (h,):
@@ -737,32 +702,41 @@ def _norm_params(op: str, h: int, gamma: Tensor, beta: Tensor) -> tuple[np.ndarr
 
 
 def _norm_forward(s: np.ndarray, g_d: np.ndarray, b_d: np.ndarray, eps: float = 1e-5) -> tuple:
-    """The float64 body of a layer norm of ``s``'s last axis: ``(xhat, inv, out)``.
+    """The float64 body of a layer norm of ``s``'s last axis: ``(mean, inv, out)``.
 
-    ``xhat`` and ``inv`` are what ``_norm_grads`` reads. One float64 copy of
-    ``s`` becomes ``xhat`` in place, and one square buffer becomes the
-    scaled and shifted output before its cast to storage precision.
+    ``mean`` and ``inv`` are what ``_norm_grads`` reads, beside ``s``
+    itself: it rebuilds ``xhat`` from them with these same steps, so a
+    backward holds ``s`` in storage precision rather than a float64
+    ``xhat``. One float64 copy of ``s`` becomes ``xhat`` in place, and one
+    square buffer becomes the scaled and shifted output before its cast to
+    storage precision.
     """
     d = s.astype(_F64)
     # x - mean once: numpy's var runs these same steps and subtracts again
-    d -= d.mean(axis=-1, keepdims=True)
+    mean = d.mean(axis=-1, keepdims=True)
+    d -= mean
     sq = d * d
     inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / s.shape[-1] + eps)
     d *= inv
     np.multiply(d, g_d, out=sq)
     sq += b_d
-    return d, inv, sq.astype(_st())
+    return mean, inv, sq.astype(_st())
 
 
 def _norm_grads(
-    g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, g_d: np.ndarray,
+    g: np.ndarray, s: np.ndarray, mean: np.ndarray, inv: np.ndarray, g_d: np.ndarray,
     want_a: bool, want_gamma: bool, want_beta: bool,
 ) -> tuple:
     """A layer norm's gradients (input, gamma, beta), each None unless wanted.
 
-    ``gamma`` and ``beta`` read the float64 ``g`` first; the input's
-    gradient then reuses it, and one product buffer, in place.
+    ``xhat`` is rebuilt from ``s`` by ``_norm_forward``'s own steps, so its
+    bytes are the forward's. ``gamma`` and ``beta`` read the float64 ``g``
+    first; the input's gradient then reuses it, and one product buffer, in
+    place.
     """
+    xhat = s.astype(_F64)
+    xhat -= mean
+    xhat *= inv
     g64 = g.astype(_F64)
     lead = tuple(range(g64.ndim - 1))
     prod = g64 * xhat
@@ -782,10 +756,11 @@ def _norm_grads(
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     g_d, b_d = _norm_params("layer_norm", a.data.shape[-1], gamma, beta)
-    xhat, inv, out = _norm_forward(a.data, g_d, b_d, eps)
+    s = a.data
+    mean, inv, out = _norm_forward(s, g_d, b_d, eps)
 
     def bwd(g, keep):
-        return _norm_grads(g, xhat, inv, g_d, *keep)
+        return _norm_grads(g, s, mean, inv, g_d, *keep)
 
     return _record((a, gamma, beta), out, bwd, selective=True)
 
@@ -810,10 +785,10 @@ def residual_norm(
     else:
         keep, scale = _read_mask("residual_norm", mask, y.data.shape)
         s = x.data + (y.data * keep) * scale
-    xhat, inv, out = _norm_forward(s, g_d, b_d)
+    mean, inv, out = _norm_forward(s, g_d, b_d)
 
     def bwd(g, kept):
-        ga, ggamma, gbeta = _norm_grads(g, xhat, inv, g_d, kept[0] or kept[1], kept[2], kept[3])
+        ga, ggamma, gbeta = _norm_grads(g, s, mean, inv, g_d, kept[0] or kept[1], *kept[2:])
         gy = ga if mask is None or not kept[1] else (ga * keep) * scale
         return ga, gy, ggamma, gbeta
 

@@ -269,7 +269,7 @@ def embed_tokens(
     mask = ad.dropout_mask(derive_seed(dropout_seed, "emb"), ids.shape + (cfg.hidden,),
                            cfg.dropout, train_mode, (ids.shape[0], cfg.max_len, cfg.hidden))
     tok = ad.embedding_lookup(params["tok_emb"], ids)
-    pos = ad.slice_rows(params["pos_emb"], ids.shape[1])
+    pos = ad.crop(params["pos_emb"], (ids.shape[1], cfg.hidden))
     x = ad.add_bias(tok, pos)
     x = ad.layer_norm(x, params["emb_ln_g"], params["emb_ln_b"])
     return ad.dropout_apply(x, mask)
@@ -323,13 +323,13 @@ def encode_from_embeddings(
         last = i == cfg.layers - 1
         # slice Q's input before K and V and the residual after attention, so
         # the input's gradient sums in the same order as at full width
-        x_q = ad.first_position(x) if last else x
+        x_q = ad.crop(x, (b, 1, h)) if last else x
         q = ad.linear(x_q, params[p + "wq"], params[p + "bq"])
         k = ad.linear(x, params[p + "wk"], params[p + "bk"])
         v = ad.linear(x, params[p + "wv"], params[p + "bv"])
         ctx = ad.attention(q, k, v, attn_mask, cfg.heads, m_probs)
         attn_out = ad.linear(ctx, params[p + "wo"], params[p + "bo"])
-        x_res = ad.first_position(x) if last else x
+        x_res = ad.crop(x, (b, 1, h)) if last else x
         x = ad.residual_norm(x_res, attn_out, m_out, params[p + "ln1_g"], params[p + "ln1_b"])
 
         ffn = ad.linear(ad.relu(ad.linear(x, params[p + "w1"], params[p + "b1"])),

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .attacks import AttackConfig, gen_supervised_adv
-from .autodiff import derive_seed, map_batches
+from .autodiff import map_batches
 from .encoder import EncoderParams, classify, embed_and_encode, encode_from_embeddings
 from .text import Batch, LabeledExample, ScoredPair, Vocab, encode_batch
 
@@ -289,7 +289,6 @@ def evaluate_under_attack(
     attack_cfg: AttackConfig,
     metric: str = "accuracy",
     batch_size: int = 64,
-    seed: int = 0,
 ) -> MetricReport:
     """White-box robustness: classify from adversarially perturbed embeddings.
 
@@ -305,12 +304,10 @@ def evaluate_under_attack(
     clean_preds: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     # one batch at a time: two attack tapes in flight hold twice the memory
-    for i, batch in enumerate(_batches(rows, vocab, params.config.max_len, batch_size)):
-        branch_seed = derive_seed(seed, "attack-eval", i * batch_size)
-        adv = gen_supervised_adv(batch, params, attack_cfg, branch_seed, train_mode=False)
-        enc_seed = derive_seed(branch_seed, "encode")
+    for batch in _batches(rows, vocab, params.config.max_len, batch_size):
+        adv = gen_supervised_adv(batch, params, attack_cfg, seed=0, train_mode=False)
         h_adv = encode_from_embeddings(
-            adv.adv_emb, batch.attn_mask, params, enc_seed, train_mode=False
+            adv.adv_emb, batch.attn_mask, params, dropout_seed=0, train_mode=False
         )
         adv_logits = classify(h_adv, params)
         adv_preds.append(np.argmax(adv_logits.data, axis=1))

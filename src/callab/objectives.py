@@ -4,6 +4,8 @@ The InfoNCE loss scores cosine similarities (rows are L2-normalized before
 the similarity matrix) divided by a temperature; the positive key for anchor
 i is key i, and the denominator runs over all in-batch keys including the
 positive, so the loss is always >= 0 and exactly 0 for a single-item batch.
+The clean-keys variant is ``info_nce`` over its denominator keys plus a
+swap of the positive term, so both readings record the same engine ops.
 """
 
 from __future__ import annotations
@@ -104,15 +106,13 @@ def info_nce_split(
 
     Used by the clean-keys reading of the supervised contrastive term: the
     numerator scores (anchor_i, pos_key_i) while the denominator runs over
-    ``denom_keys``.
+    ``denom_keys``. As ``info_nce`` is ``mean_i[lse_j S_ij - S_ii]``, this is
+    ``info_nce(anchors, denom_keys)`` plus ``(sum_i a_i.d_i - a_i.p_i) / (B t)``
+    over unit rows.
     """
-    if not 0 < temperature < math.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-    b = anchors.shape[0]
+    loss = info_nce(anchors, denom_keys, temperature, guard)
     a_n = ad.l2_normalize_rows(anchors, guard)
     p_n = ad.l2_normalize_rows(pos_keys, guard)
     d_n = ad.l2_normalize_rows(denom_keys, guard)
-    pos = ad.scale(ad.sum_last(ad.mul(a_n, p_n)), 1.0 / temperature)   # (B,)
-    denom = ad.scale(ad.matmul(a_n, ad.transpose(d_n)), 1.0 / temperature)
-    lse = ad.logsumexp_rows(denom)                                      # (B,)
-    return ad.scale(ad.sum_all(ad.sub(lse, pos)), 1.0 / b)
+    swap = ad.add(ad.sum_all(ad.mul(a_n, d_n)), ad.scale(ad.sum_all(ad.mul(a_n, p_n)), -1.0))
+    return ad.add(loss, ad.scale(swap, 1.0 / (anchors.shape[0] * temperature)))

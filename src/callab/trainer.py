@@ -255,7 +255,6 @@ def loss_graph(
     delta: Optional[np.ndarray],
     loss_cfg: LossConfig,
     step_seed: int,
-    train_mode: bool,
     attack_cfg: Optional[AttackConfig] = None,
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """Build one step's total loss on the active tape, the attack included.
@@ -280,15 +279,15 @@ def loss_graph(
         raise ValueError(f"loss_graph: mode {mode!r} needs a delta or an attack_cfg")
     if mode == "scal" and delta is None:
         delta = gen_supervised_adv(
-            batch, params, attack_cfg, derive_seed(step_seed, "attack"), train_mode
+            batch, params, attack_cfg, derive_seed(step_seed, "attack")
         ).delta
     if mode in SUPERVISED_MODES:
-        anchor = forward_full(batch, params, derive_seed(step_seed, "clean"), train_mode)
+        anchor = forward_full(batch, params, derive_seed(step_seed, "clean"), True)
         clean = cross_entropy(anchor.logits, batch.labels)
         parts = {"ce_clean": clean}
     else:
-        anchor = forward_full(batch, params, derive_seed(step_seed, "view1"), train_mode)
-        view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), train_mode)
+        anchor = forward_full(batch, params, derive_seed(step_seed, "view1"), True)
+        view2 = forward_full(batch, params, derive_seed(step_seed, "view2"), True)
         clean = info_nce(anchor.z, view2.z, loss_cfg.temperature)
         parts = {"ct_views": clean}
     if mode in ("ce", "views"):
@@ -299,7 +298,7 @@ def loss_graph(
     adv_input = ad.add(anchor.emb, Tensor(delta))
     adv_seed = derive_seed(step_seed, "adv")
     h_adv = encode_from_embeddings(
-        adv_input, batch.attn_mask, params, derive_seed(adv_seed, "encode"), train_mode
+        adv_input, batch.attn_mask, params, derive_seed(adv_seed, "encode"), True
     )
     z_adv = pool(h_adv, params)
     if loss_cfg.negative_mode == "adv-keys":
@@ -333,8 +332,7 @@ def train_step(
     params.zero_grads()
     with ad.Tape():
         total, parts = loss_graph(
-            tcfg.mode, batch, params, None, tcfg.loss_config(), step_seed, True,
-            tcfg.attack_config(),
+            tcfg.mode, batch, params, None, tcfg.loss_config(), step_seed, tcfg.attack_config()
         )
         if not math.isfinite(total.item()):
             raise NonFiniteLossError(step, total.item())

@@ -331,7 +331,7 @@ def _encode_full_width(emb, attn_mask, params, dropout_seed, train_mode):
         ffn = ad.dropout_apply(ffn, ad.dropout_mask(derive_seed(lseed, "ffn"), (b, l, h),
                                                     cfg.dropout, train_mode, full_act))
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_g"], params[p + "ln2_b"])
-    return ad.reshape(ad.first_position(x), (b, h))
+    return ad.reshape(ad.crop(x, (b, 1, h)), (b, h))
 
 
 DEMO = dict(hidden=32, layers=1, heads=2, ffn_dim=64, max_len=16)

@@ -133,6 +133,43 @@ class TestInfoNCE:
         split = info_nce_split(a, k, k, 0.1).item()
         assert abs(merged - split) < 1e-6
 
+    @staticmethod
+    def _split_oracle(a, p, d, temperature):
+        """The clean-keys loss as a float64 loop over anchors and keys."""
+        def unit(row):
+            row = row.astype(np.float64)
+            return row / math.sqrt(float(row @ row))
+
+        total = 0.0
+        for i in range(a.shape[0]):
+            sims = [float(unit(a[i]) @ unit(d[j])) / temperature for j in range(d.shape[0])]
+            top = max(sims)
+            lse = top + math.log(sum(math.exp(s - top) for s in sims))
+            total += lse - float(unit(a[i]) @ unit(p[i])) / temperature
+        return total / a.shape[0]
+
+    @pytest.mark.parametrize("temperature", [0.05, 1.0])
+    def test_split_variant_matches_a_float64_loop(self, rng, temperature):
+        """Distinct positive and denominator keys, B = 1..8."""
+        worst = 0.0
+        for b in range(1, 9):
+            for _ in range(5):
+                a, p, d = (rng.standard_normal((b, 16)).astype(np.float32) for _ in range(3))
+                got = info_nce_split(Tensor(a), Tensor(p), Tensor(d), temperature).item()
+                worst = max(worst, abs(got - self._split_oracle(a, p, d, temperature)))
+        assert worst < 2e-6
+
+    @pytest.mark.parametrize("wrt", ["anchors", "pos_keys", "denom_keys"])
+    def test_split_variant_gradient(self, wrt):
+        rng = np.random.default_rng(17)
+        args = {name: Tensor(rng.standard_normal((4, 8)), requires_grad=True)
+                for name in ("anchors", "pos_keys", "denom_keys")}
+
+        def f(t):
+            return info_nce_split(**{**args, wrt: t}, temperature=0.05)
+
+        assert ad.grad_check(f, args[wrt]) < 1e-4
+
 
 class TestTotals:
     def test_seeded_step_report_recombines(self):

@@ -714,7 +714,7 @@ class TestConsumingBackwardOnLossGraphs:
         seams.clear()
         with Tape() as tape:
             total, parts = loss_graph(mode, batch, params, adv.delta, tcfg.loss_config(),
-                                      step_seed, True)
+                                      step_seed)
             walk(total, tape)
         held = {f"param {name}": t for name, t in params.named()}
         held.update({f"loss {name}": t for name, t in parts.items()}, total=total)
@@ -1043,7 +1043,7 @@ class TestSeamGradient:
         cfg, params, batch = toy_setup(num_classes=0, batch=4)
         tcfg = TrainConfig(mode="uscal", epsilon=0.3, dev_metric="spearman")
         with Tape():
-            _, parts = loss_graph("views", batch, params, None, tcfg.loss_config(), 11, True)
+            _, parts = loss_graph("views", batch, params, None, tcfg.loss_config(), 11)
             view1 = seams[0]
             got = grad_of(parts["ct_views"], view1)
             for _, t in params.named():
@@ -1066,7 +1066,7 @@ class TestSeamGradient:
             return product(a_d, g)
 
         with Tape():
-            _, parts = loss_graph("views", batch, params, None, tcfg.loss_config(), 11, True)
+            _, parts = loss_graph("views", batch, params, None, tcfg.loss_config(), 11)
             monkeypatch.setattr(ad_mod, "_matmul_grad_b", recording)
             grad_of(parts["ct_views"], seams[0])
             assert ranks and set(ranks) == {4}  # k^T and v of each layer's attention
@@ -1102,7 +1102,7 @@ class TestSeamGradient:
                 ).delta
             p_ref.zero_grads()
             with Tape():
-                total, parts = loss_graph(mode, batch, p_ref, delta, loss_cfg, step_seed, True)
+                total, parts = loss_graph(mode, batch, p_ref, delta, loss_cfg, step_seed)
                 backward(total)
                 clip_gradients(p_ref, tcfg.grad_clip)
                 adamw_step(p_ref, opt_ref, 1e-2, tcfg.weight_decay)
@@ -1136,7 +1136,7 @@ class TestSeamGradient:
     def test_loss_graph_without_delta_or_attack_is_refused(self, mode):
         cfg, params, batch = toy_setup(num_classes=3 if mode == "scal" else 0, batch=4)
         with Tape(), pytest.raises(ValueError, match=f"{mode}.*delta or an attack_cfg"):
-            loss_graph(mode, batch, params, None, TrainConfig().loss_config(), 11, True)
+            loss_graph(mode, batch, params, None, TrainConfig().loss_config(), 11)
 
     @pytest.mark.parametrize("mode, forwards", [("scal", 3), ("uscal", 3), ("ce", 1), ("views", 2)])
     def test_encoder_forwards_per_step(self, monkeypatch, mode, forwards):
