@@ -65,14 +65,15 @@ which it draws while the forward computes; Philox is counter based, so a
 mask depends only on its seed and shape.
 ``backward``'s walk hands the worker the large weight and bias gradients of
 ``linear`` (``GRAD_WORKER_FLOOR``), which only the optimizer reads, and goes
-on walking; when it ends, it sums each leaf's gradients, from the worker or
-not, in walk order. ``map_batches`` hands it every second eval batch whose
-projections reach the same floor, outside any tape, and computes the batch
-before it meanwhile. The worker holds the GIL only between numpy calls,
-which run without it. Importing ``callab`` limits malloc to one arena, so
-the worker's arrays come from the heap the main thread keeps. Attack
-evaluation and ``grad_of`` hand it nothing, and an eval or inference whose
-batches stay under the floor, or that has a single batch, starts no thread.
+on walking; every tensor's gradients, from the worker or not, are summed
+in walk order by one rule when the walk reads them. ``map_batches`` hands
+it every second eval batch whose projections reach the same floor, outside
+any tape, and computes the batch before it meanwhile. The worker holds the
+GIL only between numpy calls, which run without it. Importing ``callab``
+limits malloc to one arena, so the worker's arrays come from the heap the
+main thread keeps. Attack evaluation and ``grad_of`` hand it nothing, and an
+eval or inference whose batches stay under the floor, or that has a single
+batch, starts no thread.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ import queue
 import threading
 import weakref
 import zlib
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -274,52 +275,42 @@ def _record(
     return out
 
 
-def _reverse_walk(
-    root: Tensor, nodes: Sequence[_Node], only: Optional[set] = None, defer: Container = ()
-) -> dict:
+def _reverse_walk(root: Tensor, nodes: Sequence[_Node], only: Optional[set] = None) -> dict:
     """One reverse pass over ``nodes``; returns the gradients of the tensors no node produced.
 
-    Gradients sum across fan-out, keyed by tensor key. A node's consumers
-    come after it, so its output's gradient is complete when the walk
-    reaches it: the walk takes that entry out there and runs the backward.
+    Every tensor key collects its gradient entries in walk order, and
+    ``_sum_entries`` sums them when the key is read: at the node that
+    produced it, whose consumers all come after it, or, for a key no node
+    produced, when the walk ends. At each node the walk reads the output's
+    gradient and runs the backward.
 
     Without ``only`` (``backward``) the walk consumes the tape: it writes
     each output's gradient to ``grad`` if the output is still alive (zeros
     when the node is not on a path to ``root``), then clears the node's
-    closure, inputs and output. With ``only`` (a set of tensor keys,
-    ``grad_of``) grads are kept for those tensors alone and nodes and
-    ``grad`` fields are left as they are. Each node learns which of its
-    inputs are kept before its backward runs.
-
-    A backward may hand one array to two inputs or pass its output's
-    gradient through, so an entry's first array may be held elsewhere too.
-    The first sum into an entry makes a new array that the entry owns, and
-    only owned entries are summed into in place.
-
-    An input whose key is in ``defer`` (keys no node produces) is kept as
-    ``_DEFER``: its backward may return a ``_Job`` for it, whose result is
-    a tuple aligned with the node's inputs, each entry of its input's shape.
-    Such a key collects its entries, arrays and jobs alike, in walk order,
-    and when the walk ends they are summed by the same rule: the first as
-    is, then ``acc + g``, then in place. No job is left running when the
-    walk returns or raises.
+    closure, inputs and output. Every input whose gradient is wanted is kept
+    as ``_DEFER``: its backward may return a ``_Job`` for it, whose result
+    is a tuple aligned with the node's inputs, each entry of its input's
+    shape. With ``only`` (a set of tensor keys, ``grad_of``) grads are kept
+    for those tensors alone and nodes and ``grad`` fields are left as they
+    are. Each node learns which of its inputs are kept before its backward
+    runs. No job is left running when the walk returns or raises.
     """
     if root.data.size != 1:
         raise ValueError(f"gradient root must be a scalar, got shape {root.data.shape}")
     consume = only is None
-    grads: dict[int, np.ndarray] = {root.key: np.ones_like(root.data)}
-    owned: set[int] = set()  # keys of the entries whose array this walk allocated for them
-    leaf_grads: dict[int, list] = {}  # _DEFER key: its arrays and (job, input index) pairs
+    # key: its arrays and (job, input index) pairs, in walk order
+    grads: dict[int, list] = {root.key: [np.ones_like(root.data)]}
     try:
         for node in reversed(nodes):
-            g_out = grads.pop(node.key, None)
+            entries = grads.pop(node.key, None)
+            g_out = None if entries is None else _sum_entries(entries)
             if consume:
                 out = node.output()
                 if out is not None:
                     out.grad = g_out if g_out is not None else np.zeros_like(out.data)
             if g_out is not None:
                 node.keep[:] = (
-                    [_DEFER if key in defer else rg for key, _, rg in node.inputs] if consume
+                    [rg and _DEFER for _, _, rg in node.inputs] if consume
                     else [rg and key in only for key, _, rg in node.inputs]
                 )
                 for i, ((key, shape, _), kept, g) in enumerate(
@@ -333,34 +324,32 @@ def _reverse_walk(
                         g = np.asarray(g, dtype=_F32)
                         if g.shape != shape:
                             g = g.reshape(shape)
-                    if kept is _DEFER:
-                        leaf_grads.setdefault(key, []).append(g)
-                        continue
-                    acc = grads.get(key)
-                    if acc is None:
-                        grads[key] = g
-                    elif key in owned:
-                        acc += g
-                    else:
-                        grads[key] = acc + g
-                        owned.add(key)
+                    grads.setdefault(key, []).append(g)
             if consume:
                 node.inputs, node.leaves, node.output, node.backward = (), (), None, None
-        for key, entries in leaf_grads.items():
-            for n, g in enumerate(entries):
-                if not isinstance(g, np.ndarray):
-                    g = np.asarray(g[0].result()[g[1]], dtype=_F32)
-                if n == 0:
-                    acc = g
-                elif n == 1:
-                    acc = acc + g
-                else:
-                    acc += g
-            grads[key] = acc
+        return {key: _sum_entries(entries) for key, entries in grads.items()}
     finally:
         while _in_flight:
             _in_flight.popleft().wait()
-    return grads
+
+
+def _sum_entries(entries: list) -> np.ndarray:
+    """A key's gradient entries summed in walk order: the first as is, ``acc + g``, then in place.
+
+    A backward may hand one array to two inputs or pass its output's
+    gradient through, so a first entry may be held elsewhere too; only the
+    array that the second entry's sum made is summed into.
+    """
+    for n, g in enumerate(entries):
+        if not isinstance(g, np.ndarray):
+            g = np.asarray(g[0].result()[g[1]], dtype=_F32)
+        if n == 0:
+            acc = g
+        elif n == 1:
+            acc = acc + g
+        else:
+            acc += g
+    return acc
 
 
 def _tape_or_raise(fn: str) -> Tape:
@@ -390,7 +379,7 @@ def backward(root: Tensor) -> None:
     tape = _tape_or_raise("backward")
     tape.consumed = True
     leaves = {t.key: t for node in tape.nodes for t in node.leaves}
-    grads = _reverse_walk(root, tape.nodes, defer=leaves)
+    grads = _reverse_walk(root, tape.nodes)
     for key, t in leaves.items():
         g = grads.get(key)
         t.grad = g if g is not None else np.zeros_like(t.data)
@@ -880,8 +869,8 @@ GRAD_WORKER_FLOOR = 1_500_000
 # inputs of the jobs still queued stay few
 GRAD_JOBS_IN_FLIGHT = 4
 
-# the keep entry backward's walk gives a leaf input: its gradient is wanted,
-# and the backward may return it as a _Job whose result holds it
+# the keep entry backward's walk gives every input whose gradient is wanted:
+# the backward may return that gradient as a _Job whose result holds it
 _DEFER = "defer"
 
 

@@ -4,8 +4,9 @@ The InfoNCE loss scores cosine similarities (rows are L2-normalized before
 the similarity matrix) divided by a temperature; the positive key for anchor
 i is key i, and the denominator runs over all in-batch keys including the
 positive, so the loss is always >= 0 and exactly 0 for a single-item batch.
-The clean-keys variant is ``info_nce`` over its denominator keys plus a
-swap of the positive term, so both readings record the same engine ops.
+The clean-keys variant is InfoNCE over its denominator keys plus a swap of
+the positive term, scored from one unit row per input, so both readings
+record the same engine ops.
 """
 
 from __future__ import annotations
@@ -73,13 +74,8 @@ def _warn_on_zero_rows(x: Tensor, guard: float, what: str) -> None:
         logger.warning("info_nce: zero-norm %s row; cosine treated as 0", what)
 
 
-def info_nce(
-    anchors: Tensor,
-    keys: Tensor,
-    temperature: float,
-    guard: float = 1e-12,
-) -> Tensor:
-    """InfoNCE over in-batch keys: positive for anchor i is key i."""
+def _info_nce_and_units(anchors: Tensor, keys: Tensor, temperature: float, guard: float) -> tuple:
+    """``(info_nce, unit anchors, unit keys)``: the loss and the L2-normalized rows it scored."""
     if not 0 < temperature < math.inf:
         raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     if anchors.shape != keys.shape or anchors.ndim != 2:
@@ -92,7 +88,17 @@ def info_nce(
     a_n = ad.l2_normalize_rows(anchors, guard)
     k_n = ad.l2_normalize_rows(keys, guard)
     sims = ad.scale(ad.matmul(a_n, ad.transpose(k_n)), 1.0 / temperature)
-    return cross_entropy(sims, np.arange(b, dtype=np.int64))
+    return cross_entropy(sims, np.arange(b, dtype=np.int64)), a_n, k_n
+
+
+def info_nce(
+    anchors: Tensor,
+    keys: Tensor,
+    temperature: float,
+    guard: float = 1e-12,
+) -> Tensor:
+    """InfoNCE over in-batch keys: positive for anchor i is key i."""
+    return _info_nce_and_units(anchors, keys, temperature, guard)[0]
 
 
 def info_nce_split(
@@ -108,11 +114,9 @@ def info_nce_split(
     numerator scores (anchor_i, pos_key_i) while the denominator runs over
     ``denom_keys``. As ``info_nce`` is ``mean_i[lse_j S_ij - S_ii]``, this is
     ``info_nce(anchors, denom_keys)`` plus ``(sum_i a_i.d_i - a_i.p_i) / (B t)``
-    over unit rows.
+    over the unit rows that ``info_nce`` scored; each input is normalized once.
     """
-    loss = info_nce(anchors, denom_keys, temperature, guard)
-    a_n = ad.l2_normalize_rows(anchors, guard)
+    loss, a_n, d_n = _info_nce_and_units(anchors, denom_keys, temperature, guard)
     p_n = ad.l2_normalize_rows(pos_keys, guard)
-    d_n = ad.l2_normalize_rows(denom_keys, guard)
     swap = ad.add(ad.sum_all(ad.mul(a_n, d_n)), ad.scale(ad.sum_all(ad.mul(a_n, p_n)), -1.0))
     return ad.add(loss, ad.scale(swap, 1.0 / (anchors.shape[0] * temperature)))

@@ -596,18 +596,22 @@ class TestBackward:
             ad.backward(ad.sum_all(x))
 
     def test_shared_gradient_buffers_do_not_alias(self):
-        """add() hands one array to both inputs; summing into one must not reach the other."""
+        """add() hands one array to both inputs; summing into one must not reach the other.
+
+        ``a``'s first entry is the array ``add`` also hands ``b``, and its third
+        entry is summed in place."""
         x = Tensor(np.ones(2), requires_grad=True)
         y = Tensor(np.ones(2), requires_grad=True)
         with ad.Tape():
             a, b = ad.scale(x, 1.0), ad.scale(y, 1.0)
-            c = ad.scale(a, 5.0)
-            ad.backward(ad.sum_all(ad.add(ad.add(a, b), c)))
+            c, d = ad.scale(a, 5.0), ad.scale(a, 2.0)
+            ad.backward(ad.sum_all(ad.add(ad.add(ad.add(a, b), c), d)))
         np.testing.assert_array_equal(y.grad, [1.0, 1.0])
-        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
-        np.testing.assert_array_equal(a.grad, [6.0, 6.0])
+        np.testing.assert_array_equal(x.grad, [8.0, 8.0])
+        np.testing.assert_array_equal(a.grad, [8.0, 8.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
         np.testing.assert_array_equal(c.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(d.grad, [1.0, 1.0])
 
     def test_pass_through_gradient_is_not_summed_into(self):
         """add() hands o's fan-in sum to x and y; x's later term must not reach y or o."""
@@ -680,7 +684,21 @@ class TestConsumingBackward:
                       ad.sum_all(ad.mul(w, w)))
         return [w, b, under, over, root], root
 
-    @pytest.mark.parametrize("graph, jobs", [("_fan_out", 0), ("_leaf_of_arrays_and_jobs", 1)])
+    @staticmethod
+    def _produced_weight(t):
+        """A linear over the floor (240 multiply-adds) reads a weight that ``scale``
+        produced and an elementwise op reads too: ``ws`` collects two arrays and
+        a job, summed where ``scale`` reads them."""
+        w = Tensor(np.linspace(-1, 1, 120).reshape(3, 40), requires_grad=True)
+        b = Tensor(np.linspace(-1, 1, 40), requires_grad=True)
+        ws = ad.scale(w, 0.5)
+        out = ad.linear(t, ws, b)
+        root = ad.add(ad.sum_all(ad.mul(out, out)), ad.sum_all(ad.mul(ws, ws)))
+        return [w, b, ws, out, root], root
+
+    @pytest.mark.parametrize(
+        "graph, jobs", [("_fan_out", 0), ("_leaf_of_arrays_and_jobs", 1), ("_produced_weight", 1)]
+    )
     def test_every_held_grad_matches_the_reference_walk(self, rng, monkeypatch, graph, jobs):
         monkeypatch.setattr(ad, "GRAD_WORKER_FLOOR", 50)
         submitted = []
